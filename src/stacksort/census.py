@@ -27,7 +27,7 @@ from math import factorial
 from typing import Dict, Iterable, Optional, Tuple
 
 from .patterns import CompiledCatalog, builtin_catalog, tier
-from .words import unrank
+from .words import _complexity, next_permutation, unrank
 
 SCHEMA_VERSION = 1
 MAX_N = 14
@@ -131,24 +131,11 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     ceiling = _none_ceiling(n)
     classify = cc.classify
     w = list(unrank(n, lo))
-    ident = list(range(1, n + 1))
+    pos = [0] * (n + 1)
     for _ in range(hi - lo):
-        pos = [0] * (n + 1)
         for i, x in enumerate(w):
             pos[x] = i
-        v = w
-        k = 0
-        while v != ident:
-            out: list = []
-            stack: list = []
-            for x in v:
-                while stack and stack[-1] < x:
-                    out.append(stack.pop())
-                stack.append(x)
-            while stack:
-                out.append(stack.pop())
-            v = out
-            k += 1
+        k = _complexity(w)
         d = 0
         for i in range(n - 1):
             if w[i] > w[i + 1]:
@@ -172,16 +159,7 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
             rows[label] += 1
         cnt[k] += 1
         dm[k][d] += 1
-        # advance to the lexicographic successor in place
-        i = n - 2
-        while i >= 0 and w[i] >= w[i + 1]:
-            i -= 1
-        if i >= 0:
-            j = n - 1
-            while w[j] <= w[i]:
-                j -= 1
-            w[i], w[j] = w[j], w[i]
-            w[i + 1:] = reversed(w[i + 1:])
+        next_permutation(w)
     return {"counts": cnt, "rows": rows, "descents": dm}
 
 

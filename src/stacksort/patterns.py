@@ -30,13 +30,15 @@ Three matchers are provided and cross-checked in the test suite: the
 production backtracking matcher with a dead-state memo (:func:`row_matches`),
 a deliberately blunt enumerator of star extents (``naive=True``), and a
 compiled positional fast path used by the census kernel
-(:class:`CompiledCatalog`).
+(:class:`CompiledCatalog`).  The fast path dispatches each word on the
+number of letters after n and on its last letter; which rows can match in
+each such cell is derived from the compiled branches themselves.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterator, Optional, Sequence, Union
 
@@ -677,19 +679,21 @@ class _CompiledBranch:
             return False
         return True
 
-    def tail_range(self, n: int) -> tuple:
-        """(min, max) letters after n in any match, for bucket dispatch."""
+    def keys(self, n: int) -> list:
+        """Every (e, last letter) a matching word can have; e counts the
+        letters after n."""
         slot = self.n_slot
         if slot is None:
-            return (0, n - 1)
-        if slot[0] == "suffix":
-            e = len(self.suffix) - 1 - slot[1]
-            return (e, e)
-        _, b, i = slot
-        e_min = (len(self.blocks[b]) - 1 - i)
-        e_min += sum(len(blk) for blk in self.blocks[b + 1:])
-        e_min += len(self.suffix)
-        return (e_min, n - 1)
+            lo, hi = 0, n - 1
+        elif slot[0] == "suffix":
+            lo = hi = len(self.suffix) - 1 - slot[1]
+        else:
+            _, b, i = slot
+            lo = len(self.suffix) + sum(len(blk) for blk in self.blocks[b:]) - i - 1
+            hi = n - 1 - i - sum(len(blk) for blk in self.blocks[:b])
+        last = self.suffix[-1][1]
+        lasts = range(1, n + 1) if last is None else (last,)
+        return [(e, x) for e in range(lo, min(hi, n - 1) + 1) for x in lasts]
 
 
 class CompiledRow:
@@ -717,58 +721,45 @@ class CompiledRow:
                 return True
         return False
 
-    def tail_range(self, n: int) -> tuple:
-        lo = min((br.tail_range(n)[0] for br in self.branches), default=0)
-        hi = max((br.tail_range(n)[1] for br in self.branches), default=-1)
-        if self.nonempty and lo < n - 1:
-            # Every constrained star sits after the letter n in the built-in
-            # rows, so a non-empty one pushes n at least one step deeper.
-            blocks_after = all(
-                g > (br.n_slot[1] if br.n_slot and br.n_slot[0] == "block" else -1)
-                for br in self.branches
-                for g in (br.gaps.get(nm) for nm in self.nonempty)
-                if g is not None
-            )
-            if blocks_after:
-                lo += 1
-        return (lo, hi)
-
 
 class CompiledCatalog:
-    """A catalog baked for one word length, with tail-length dispatch.
+    """A catalog baked for one word length, with a dispatch derived from its rows.
 
-    Rows are grouped by e = (number of letters after the letter n), which
-    each built-in row pins to a single value or a half-line; the classifier
-    then probes only the rows whose range covers the word's e, preserving
-    catalog order.  Classification agrees letter-for-letter with
-    :meth:`Catalog.classify`.
+    A word's cell is keyed on e (the number of letters after the letter n)
+    and its last letter.  Each compiled branch gives the cells it can match
+    in: e from where it pins n among its blocks and suffix, the last letter
+    from its suffix's final pinned value (any letter for ``?``).  The
+    classifier probes only the rows of the word's cell, in catalog order, so
+    it agrees letter-for-letter with :meth:`Catalog.classify`.
     """
 
     def __init__(self, catalog: Catalog, n: int):
         self.n = n
-        compiled = []
-        for row in catalog.rows:
-            _, floor = tier(row.label)
-            if n >= floor:
-                compiled.append(CompiledRow(row, n))
-        self.rows = compiled
-        self.buckets = [[] for _ in range(5)]
-        for cr in compiled:
-            if not cr.branches:
-                continue
-            lo, hi = cr.tail_range(n)
-            for e in range(lo, min(hi, 4) + 1):
-                self.buckets[e].append(cr)
-            if hi >= 4:
-                self.buckets[4].append(cr)
+        self.rows = [CompiledRow(row, n) for row in catalog.rows
+                     if n >= tier(row.label)[1]]
+        self.cells = [[[] for _ in range(n + 1)] for _ in range(n)]
+        for cr in self.rows:
+            for br in cr.branches:
+                for e, last in br.keys(n):
+                    cell = self.cells[e][last]
+                    if not cell or cell[-1] is not cr:
+                        cell.append(cr)
+
+    @cached_property
+    def buckets(self) -> list:
+        """Rows by min(e, 4), in catalog order: the union of their cells."""
+        spans = [self.cells[e:e + 1] for e in range(4)] + [self.cells[4:]]
+        return [[cr for cr in self.rows
+                 if any(cr in cell for by_last in span for cell in by_last)]
+                for span in spans]
 
     def classify(self, w: Sequence[int], pos: Sequence[int]) -> Optional[str]:
         """First-match label using a precomputed position table.
 
         ``pos`` must satisfy ``pos[v] = index of letter v in w``.
         """
-        e = len(w) - 1 - pos[len(w)]
-        for cr in self.buckets[e if e < 4 else 4]:
+        n = len(w)
+        for cr in self.cells[n - 1 - pos[n]][w[-1]]:
             if cr.match(w, pos):
                 return cr.label
         return None

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 import stacksort.census as census_mod
+import stacksort.patterns as patterns_mod
 from stacksort.census import (
     Census,
     CensusSoundnessError,
@@ -172,6 +173,17 @@ def test_soundness_guard_trips(monkeypatch):
         run_census(4)
     assert e.value.word == (1, 2, 3, 4)
     assert e.value.complexity == 0
+
+
+def test_soundness_guard_trips_on_wrong_offset(monkeypatch):
+    # certify L1 rows one class too low: the first L1 word at n=4 must trip
+    monkeypatch.setattr(patterns_mod, "_TIERS",
+                        (("L1", 2, 2), ("L2", 2, 4), ("T", 3, 6)))
+    with pytest.raises(CensusSoundnessError) as e:
+        run_census(4)
+    assert e.value.word == (2, 3, 4, 1)
+    assert e.value.label == "L1"
+    assert e.value.complexity == 3
 
 
 def test_descent_polynomial(census_cache):

@@ -1,4 +1,5 @@
 import doctest
+import random
 from itertools import permutations
 from math import factorial
 
@@ -211,11 +212,42 @@ def test_classify_respects_floors():
 
 def test_compiled_catalog_matches_production():
     cat = builtin_catalog()
-    for n in range(1, 7):
+    for n in range(1, 8):
         cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
             w = Word(p)
-            assert cc.classify_word(w) == cat.classify(w), w
+            label = cc.classify_word(w)
+            assert label == cat.classify(w), w
+            # the derived bucket view holds every row the classifier returns
+            bucket = cc.buckets[min(n - 1 - p.index(n), 4)]
+            assert label is None or label in [cr.label for cr in bucket]
+
+
+def test_compiled_catalog_matches_production_random_n8():
+    cat = builtin_catalog()
+    rng = random.Random(8)
+    cc = CompiledCatalog(cat, 8)
+    for _ in range(2000):
+        w = rng.sample(range(1, 9), 8)
+        assert cc.classify_word(w) == cat.classify(w), w
+
+
+def test_compiled_keeps_nonempty_star_before_n():
+    # the constrained star sits before n: the row must still be dispatched
+    cat = Catalog((parse_row("L1: *A (n-1) * n 1 where nonempty(A)"),))
+    assert CompiledCatalog(cat, 5).classify_word((2, 3, 4, 5, 1)) == "L1"
+    for n in range(1, 7):
+        cc = CompiledCatalog(cat, n)
+        for p in permutations(range(1, n + 1)):
+            assert cc.classify_word(p) == cat.classify(p), p
+
+
+def test_dispatch_reaches_every_row():
+    cat = builtin_catalog()
+    for n in range(2, 13):
+        cc = CompiledCatalog(cat, n)
+        reached = {id(cr) for by_last in cc.cells for cell in by_last for cr in cell}
+        assert [cr.label for cr in cc.rows if id(cr) not in reached] == [], n
 
 
 def test_compiled_rejects_unsupported_shapes():

@@ -1,4 +1,7 @@
 import doctest
+import os
+import subprocess
+import sys
 from itertools import permutations
 from math import factorial
 
@@ -118,6 +121,44 @@ def test_sort_preserves_letters(letters):
 def test_complexity_at_most_n_minus_1(p):
     w = Word(p)
     assert complexity(w) <= max(len(w) - 1, 0)
+
+
+def _oracle_complexity(w):
+    # stack_sort iterations to the identity, by the recursive definition
+    w, k = Word(w), 0
+    while w != identity_word(len(w)):
+        w, k = stack_sort(w), k + 1
+    return k
+
+
+def test_complexity_matches_oracle_exhaustive():
+    for n in range(8):
+        for p in permutations(range(1, n + 1)):
+            assert complexity(p) == _oracle_complexity(p), p
+
+
+@given(st.integers(8, 20).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+@settings(max_examples=200)
+def test_complexity_matches_oracle_past_table(p):
+    assert complexity(p) == _oracle_complexity(p)
+
+
+@given(st.integers(0, 20).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+@settings(max_examples=200)
+def test_complexity_ignores_trailing_max(p):
+    assert complexity(tuple(p) + (len(p) + 1,)) == complexity(p)
+
+
+def test_prefix_table_is_built_on_first_use():
+    code = ("import stacksort as s, stacksort.words as w; "
+            "s.CompiledCatalog(s.builtin_catalog(), 9); "
+            "print(w._prefix_table.cache_info().currsize, end=' '); "
+            "s.complexity(s.parse_word('42513')); "
+            "print(w._prefix_table.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(stacksort.words.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout.split() == ["0", "6"], done.stderr
 
 
 def test_descents():
