@@ -34,13 +34,22 @@ MAX_N = 14
 
 
 class CensusSoundnessError(AssertionError):
-    """A word's catalog classification contradicts its measured complexity."""
+    """A word's catalog classification contradicts its measured complexity.
 
-    def __init__(self, word, label, complexity, message):
+    ``rank`` is the word's lexicographic rank among the words of its
+    length, so ``unrank(len(word), rank)`` rebuilds it.
+    """
+
+    def __init__(self, word, rank, label, complexity, message):
         self.word = tuple(word)
+        self.rank = rank
         self.label = label
         self.complexity = complexity
         super().__init__(message)
+
+    def __reduce__(self):  # survive the trip back from a worker process
+        return (type(self), (self.word, self.rank, self.label, self.complexity,
+                             self.args[0]))
 
 
 @dataclass(frozen=True)
@@ -127,12 +136,12 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     if hi <= lo:
         return {"counts": cnt, "rows": rows, "descents": dm}
     cc = CompiledCatalog(builtin_catalog(), n)
-    offsets = {cr.label: cr.offset for cr in cc.rows}
+    offsets = {cr.label: tier(cr.label)[0] for cr in cc.rows}
     ceiling = _none_ceiling(n)
     classify = cc.classify
     w = list(unrank(n, lo))
     pos = [0] * (n + 1)
-    for _ in range(hi - lo):
+    for r in range(lo, hi):
         for i, x in enumerate(w):
             pos[x] = i
         k = _complexity(w)
@@ -144,16 +153,16 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
         if label is None:
             if k > ceiling:
                 raise CensusSoundnessError(
-                    w, None, k,
-                    f"word {''.join(map(str, w)) if n <= 9 else w} has "
-                    f"complexity {k} but matches no catalog row",
+                    w, r, None, k,
+                    f"word {''.join(map(str, w)) if n <= 9 else w} (rank {r}) "
+                    f"has complexity {k} but matches no catalog row",
                 )
         else:
             if k != n - offsets[label]:
                 raise CensusSoundnessError(
-                    w, label, k,
-                    f"word {''.join(map(str, w)) if n <= 9 else w} matches "
-                    f"{label} (certifies {n - offsets[label]}) but has "
+                    w, r, label, k,
+                    f"word {''.join(map(str, w)) if n <= 9 else w} (rank {r}) "
+                    f"matches {label} (certifies {n - offsets[label]}) but has "
                     f"complexity {k}",
                 )
             rows[label] += 1
@@ -168,32 +177,56 @@ def _checkpoint_path(directory: str, n: int, shard_count: int, index: int) -> st
 
 
 def _write_json_atomic(path: str, payload: dict) -> None:
-    tmp = path + ".tmp"
+    tmp = path + f".{os.getpid()}.tmp"  # workers never share a temp file
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
     os.replace(tmp, path)
 
 
+def _read_shard(path: str, n: int, shard_count: int, index: int) -> Optional[dict]:
+    """The tallies of a saved shard, or None when the file cannot be used:
+    unparseable, missing keys, tables of the wrong size, or another run's.
+
+    Row labels are not checked here: that would parse the catalog in every
+    worker of a resume, which otherwise only reads files.
+    """
+    size = max(n, 1)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            saved = json.load(fh)
+        if (
+            saved["schema_version"] != SCHEMA_VERSION
+            or saved["n"] != n
+            or saved["shard_count"] != shard_count
+            or saved["index"] != index
+        ):
+            return None
+        result = {
+            "counts": [int(c) for c in saved["counts"]],
+            "rows": {k: int(v) for k, v in saved["rows"].items()},
+            "descents": [[int(c) for c in row] for row in saved["descents"]],
+        }
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+    counts, descents = result["counts"], result["descents"]
+    if len(descents) != size or any(len(row) != size for row in [counts] + descents):
+        return None
+    return result
+
+
 def _shard_task(args: tuple) -> dict:
-    """One shard, with optional checkpoint read/write (process-pool safe)."""
+    """One shard, with optional checkpoint read/write (process-pool safe).
+
+    On resume a shard file that cannot be used is recomputed and rewritten.
+    """
     n, shard_count, index, lo, hi, checkpoint_dir, resume = args
     path = None
     if checkpoint_dir is not None:
         path = _checkpoint_path(checkpoint_dir, n, shard_count, index)
         if resume and os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                saved = json.load(fh)
-            if (
-                saved.get("schema_version") == SCHEMA_VERSION
-                and saved.get("n") == n
-                and saved.get("shard_count") == shard_count
-                and saved.get("index") == index
-            ):
-                return {
-                    "counts": [int(c) for c in saved["counts"]],
-                    "rows": {k: int(v) for k, v in saved["rows"].items()},
-                    "descents": [[int(c) for c in row] for row in saved["descents"]],
-                }
+            saved = _read_shard(path, n, shard_count, index)
+            if saved is not None:
+                return saved
     result = _shard_kernel(n, lo, hi)
     if path is not None:
         payload = {

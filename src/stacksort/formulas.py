@@ -1,9 +1,13 @@
 """Exact counting formulas, census verification, and binomial-basis fitting.
 
 Counts of standard words by stack-sorting complexity follow closed forms
-near the top of the range.  Writing cnt[c] for the number of length-n words
+at both ends of the range.  Writing cnt[c] for the number of length-n words
 of complexity exactly c, the registry below carries:
 
+* ``sortable-k`` — the cumulative count of words of complexity <= k, the
+  k-stack-sortable words: Catalan(n) for k = 1 (Knuth) and
+  2(3n)!/((n+1)!(2n+1)!) for k = 2 (conjectured by West, proved by
+  Zeilberger);
 * ``exact-n-k`` — cnt[n-k], in the canonical shape
   ``(k-1)! (n-k-1)! / (2k-2)! * sum(a_i * C(n-2k, i))`` with natural a_i;
 * ``sortable-n-k`` — the cumulative count of words of complexity <= n-k,
@@ -78,10 +82,30 @@ class FactorialPoly:
 
 
 @dataclass(frozen=True)
+class FactorialRatio:
+    """``c * (a n + b)! / prod((a_i n + b_i)!)``, each factorial given as (a, b).
+
+    >>> FactorialRatio(1, (2, 0), ((1, 0), (1, 1))).evaluate(4)  # Catalan(4)
+    14
+    """
+    coeff: int
+    top: Tuple[int, int]
+    bottom: Tuple[Tuple[int, int], ...]
+
+    def evaluate(self, n: int) -> int:
+        a, b = self.top
+        den = 1
+        for ai, bi in self.bottom:
+            den *= factorial(ai * n + bi)
+        return _exact_div(self.coeff * factorial(a * n + b), den)
+
+
+@dataclass(frozen=True)
 class FormulaEntry:
     """A registered count: what it predicts, from which n, and how firmly."""
     name: str
-    kind: str           # "exact" -> cnt[n-k]; "cumulative" -> sum(cnt[0..n-k])
+    kind: str           # "exact" -> cnt[n-k]; "cumulative" -> sum(cnt[0..n-k]);
+                        # "sortable" -> sum(cnt[0..k])
     k: int
     floor: int
     conjectural: bool
@@ -96,6 +120,10 @@ class FormulaEntry:
 REGISTRY: Dict[str, FormulaEntry] = {
     e.name: e
     for e in (
+        FormulaEntry("sortable-1", "sortable", 1, 1, False,
+                     FactorialRatio(1, (2, 0), ((1, 0), (1, 1)))),
+        FormulaEntry("sortable-2", "sortable", 2, 1, False,
+                     FactorialRatio(2, (3, 0), ((1, 1), (2, 1)))),
         FormulaEntry("exact-n-1", "exact", 1, 2, False, BinomialFormula(1, (1,))),
         FormulaEntry("exact-n-2", "exact", 2, 4, False, BinomialFormula(2, (16, 7))),
         FormulaEntry("exact-n-3", "exact", 3, 6, False,
@@ -214,7 +242,8 @@ def verify_census(census) -> VerifyReport:
         if entry.kind == "exact":
             actual = cnt[n - entry.k]
         else:
-            actual = sum(cnt[: n - entry.k + 1])
+            top = entry.k if entry.kind == "sortable" else n - entry.k
+            actual = sum(cnt[: top + 1])
         add(entry.name, entry.evaluate(n), actual, entry.conjectural)
     for label, fn in ROW_COUNTS.items():
         _, floor = tier(label)

@@ -26,21 +26,21 @@ an ``L2`` row exactly n-2 (n >= 4), and a ``T`` row exactly n-3 (n >= 6).
 rows shadow later ones; the built-in catalog is ordered so that the per-row
 counts follow closed formulas (see :mod:`stacksort.formulas`).
 
-Three matchers are provided and cross-checked in the test suite: the
-production backtracking matcher with a dead-state memo (:func:`row_matches`),
-a deliberately blunt enumerator of star extents (``naive=True``), and a
-compiled positional fast path used by the census kernel
-(:class:`CompiledCatalog`).  The fast path dispatches each word on the
-number of letters after n and on its last letter; which rows can match in
-each such cell is derived from the compiled branches themselves.
+All matching, the census kernel's included, runs through one positional
+matcher: in a word with distinct letters every pinned letter has one
+position, so a pattern compiles, once per word length, into position
+comparisons with no backtracking.  :class:`CompiledCatalog` dispatches each
+word on the number of letters after n and on its last letter.
+``naive=True`` swaps in a blunt enumerator of star extents, the independent
+oracle the test suite checks the matcher against.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .words import Word
 
@@ -343,104 +343,28 @@ def expand_alternations(tokens: Sequence[Token]) -> list:
     return seqs
 
 
-def _resolve_flat(tokens: tuple, n: int):
-    """Pin relative values against length n; None if some letter can't exist."""
-    out = []
-    for t in tokens:
-        if isinstance(t, RelValue):
-            v = n - t.offset
-            if v < 1:
-                return None
-            out.append(AbsValue(v))
-        elif isinstance(t, AbsValue):
-            if not 1 <= t.value <= n:
-                return None
-            out.append(t)
-        else:
-            out.append(t)
-    return tuple(out)
+def _positions(w: tuple) -> list:
+    """``pos[v]`` is the index of letter v in w, or -1 if v is absent.
 
-
-def _branches_for(tokens: Sequence[Token], n: int) -> list:
-    out = []
-    for b in expand_alternations(tokens):
-        r = _resolve_flat(b, n)
-        if r is not None:
-            out.append(r)
-    return out
-
-
-def _match_bool(ts: tuple, w: tuple) -> bool:
-    """Backtracking match of a flat resolved sequence, memoizing dead states."""
+    Covers the letters 1..len(w), the only values a resolved pattern pins.
+    A repeated letter raises ValueError: the positional matcher relies on
+    each pinned letter having one position.
+    """
     n = len(w)
-    k = len(ts)
-    dead = set()
-
-    def go(ti: int, pos: int) -> bool:
-        if (ti, pos) in dead:
-            return False
-        if ti == k:
-            ok = pos == n
-        else:
-            t = ts[ti]
-            if isinstance(t, Star):
-                ok = any(go(ti + 1, end) for end in range(pos, n + 1))
-            elif isinstance(t, AnyOne):
-                ok = pos < n and go(ti + 1, pos + 1)
-            else:
-                ok = pos < n and w[pos] == t.value and go(ti + 1, pos + 1)
-        if not ok:
-            dead.add((ti, pos))
-        return ok
-
-    return go(0, 0)
-
-
-def _match_spans(ts: tuple, w: tuple) -> Iterator[dict]:
-    """Yield one {name: (start, end)} dict per successful match assignment."""
-    n = len(w)
-    k = len(ts)
-    dead = set()
-
-    def go(ti: int, pos: int, caps: dict):
-        if (ti, pos) in dead:
-            return
-        hit = False
-        if ti == k:
-            if pos == n:
-                hit = True
-                yield dict(caps)
-        else:
-            t = ts[ti]
-            if isinstance(t, Star):
-                for end in range(pos, n + 1):
-                    if t.name:
-                        caps[t.name] = (pos, end)
-                    for c in go(ti + 1, end, caps):
-                        hit = True
-                        yield c
-                if t.name:
-                    caps.pop(t.name, None)
-            elif isinstance(t, AnyOne):
-                if pos < n:
-                    for c in go(ti + 1, pos + 1, caps):
-                        hit = True
-                        yield c
-            else:
-                if pos < n and w[pos] == t.value:
-                    for c in go(ti + 1, pos + 1, caps):
-                        hit = True
-                        yield c
-        if not hit:
-            dead.add((ti, pos))
-
-    yield from go(0, 0, {})
+    if len(set(w)) != n:
+        raise ValueError(f"word {w!r} has a repeated letter")
+    pos = [-1] * (n + 1)
+    for i, x in enumerate(w):
+        if 0 < x <= n:
+            pos[x] = i
+    return pos
 
 
 def _naive_all(ts: tuple, w: tuple, ti: int = 0, pos: int = 0) -> list:
-    """Every match assignment, by blunt enumeration of star extents.
+    """Every match assignment of a flat branch, by blunt enumeration of star
+    extents; relative letters resolve against len(w).
 
-    Exponential on purpose: an independent oracle for the memoized matcher.
+    Exponential on purpose: an independent oracle for the positional matcher.
     """
     if ti == len(ts):
         return [{}] if pos == len(w) else []
@@ -459,7 +383,8 @@ def _naive_all(ts: tuple, w: tuple, ti: int = 0, pos: int = 0) -> list:
         if pos < len(w):
             out = _naive_all(ts, w, ti + 1, pos + 1)
     else:
-        if pos < len(w) and w[pos] == t.value:
+        v = len(w) - t.offset if isinstance(t, RelValue) else t.value
+        if pos < len(w) and 1 <= v <= len(w) and w[pos] == v:
             out = _naive_all(ts, w, ti + 1, pos + 1)
     return out
 
@@ -473,48 +398,41 @@ def matches(tokens: Sequence[Token], w: Sequence[int], naive: bool = False) -> b
     False
     """
     w = tuple(w)
-    for b in _branches_for(tokens, len(w)):
-        if _naive_all(b, w) if naive else _match_bool(b, w):
-            return True
-    return False
+    pos = _positions(w)
+    if naive:
+        return any(_naive_all(b, w) for b in expand_alternations(tokens))
+    return any(br.match(w, pos) for br in _compile(tokens, len(w)))
 
 
 def row_matches(row: PatternRow, w: Sequence[int], naive: bool = False) -> bool:
     """True iff the word matches the row, honoring minus/nonempty clauses."""
     w = tuple(w)
-    n = len(w)
-    main = False
-    if row.nonempty:
-        for b in _branches_for(row.tokens, n):
-            gen = _naive_all(b, w) if naive else _match_spans(b, w)
-            for caps in gen:
-                spans = (caps.get(nm) for nm in row.nonempty)
-                if any(sp is not None and sp[0] < sp[1] for sp in spans):
-                    main = True
-                    break
-            if main:
-                break
-    else:
-        main = matches(row.tokens, w, naive)
-    if not main:
-        return False
-    if row.exclusion is not None and matches(row.exclusion, w, naive):
-        return False
-    return True
+    pos = _positions(w)
+    if not naive:
+        return CompiledRow(row, len(w)).match(w, pos)
+    for b in expand_alternations(row.tokens):
+        for caps in _naive_all(b, w):
+            spans = [caps.get(nm, (0, 0)) for nm in row.nonempty]
+            if not spans or any(lo < hi for lo, hi in spans):
+                return not (row.exclusion is not None
+                            and matches(row.exclusion, w, naive=True))
+    return False
 
 
 def match_spans(row: PatternRow, w: Sequence[int]) -> Optional[dict]:
-    """A witness {name: (start, end)} for one accepted match, or None."""
+    """A witness {name: (start, end)} for one accepted match, or None.
+
+    >>> match_spans(parse_row("X: * n *A 1 where nonempty(A)"), (3, 2, 1))
+    {'A': (1, 2)}
+    """
     w = tuple(w)
-    if row.exclusion is not None and matches(row.exclusion, w):
+    pos = _positions(w)
+    cr = CompiledRow(row, len(w))
+    if any(ex.match(w, pos) for ex in cr.exclusions):
         return None
-    for b in _branches_for(row.tokens, len(w)):
-        for caps in _match_spans(b, w):
-            if not row.nonempty:
-                return caps
-            spans = (caps.get(nm) for nm in row.nonempty)
-            if any(sp is not None and sp[0] < sp[1] for sp in spans):
-                return caps
+    for br in cr.branches:
+        if br.match(w, pos):
+            return br.spans(pos)
     return None
 
 
@@ -523,7 +441,8 @@ def count_matches(row: PatternRow, n: int) -> int:
 
     Enumerates all n! words; intended for small n in tests and exploration.
     """
-    return sum(1 for p in permutations(range(1, n + 1)) if row_matches(row, p))
+    cr = CompiledRow(row, n)
+    return sum(1 for p in permutations(range(1, n + 1)) if cr.match(p, _positions(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +453,9 @@ def count_matches(row: PatternRow, n: int) -> int:
 class Catalog:
     """An ordered collection of rows; earlier rows shadow later ones."""
     rows: tuple
+    # one CompiledCatalog per word length, built on first use
+    _compiled: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def labels(self) -> list:
         return [r.label for r in self.rows]
@@ -545,16 +467,26 @@ class Catalog:
         raise KeyError(label)
 
     def classify(self, w: Sequence[int], naive: bool = False) -> Optional[str]:
-        """Label of the first matching row valid at this length, or None."""
+        """Label of the first matching row valid at this length, or None.
+
+        Uses the catalog compiled for the word's length, built on first use
+        and kept; ``naive=True`` tries each row with the oracle instead.
+        """
         w = Word(w)
         if not w.is_standard():
             raise ValueError("classify() needs a standard word")
         n = len(w)
-        for row in self.rows:
-            _, floor = tier(row.label)
-            if n >= floor and row_matches(row, w, naive):
-                return row.label
-        return None
+        if naive:
+            for row in self.rows:
+                if n >= tier(row.label)[1] and row_matches(row, w, naive=True):
+                    return row.label
+            return None
+        if n < 2:  # below every tier's floor
+            return None
+        cc = self._compiled.get(n)
+        if cc is None:
+            cc = self._compiled[n] = CompiledCatalog(self, n)
+        return cc.classify_word(w)
 
 
 def parse_catalog(text: str) -> Catalog:
@@ -592,131 +524,171 @@ def classify(w: Sequence[int]) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# compiled fast path
+# the positional matcher
 
 
 class _CompiledBranch:
-    """One alternation-free branch reduced to positional integer checks.
+    """One alternation-free branch resolved, for one word length, into
+    checks on the positions of its pinned letters.
 
-    The branch must look like ``* seg * seg ... * suffix``: segments between
-    stars hold only pinned letter values (their positions in a standard word
-    are forced), and the final segment is anchored at the right end.  This
-    covers every built-in catalog row and fails loudly on anything else.
+    The stars cut the branch into runs.  A run holding a pinned letter is a
+    block; stars and pin-free ``?`` runs form the gaps between blocks, each
+    at least as long as its ``?`` count.  A block at an end of the branch
+    with no star beside it has a fixed position (a branch with no star is
+    one run of exactly n letters); any other block floats, its start read
+    off the position of its first pinned letter.  The shape is settled
+    here, so a probe only compares positions.
     """
 
-    __slots__ = ("suffix", "blocks", "gaps", "n_slot")
+    __slots__ = ("fixed", "head", "floating", "tail", "last", "gaps", "mins",
+                 "nonempty", "watch", "alive")
 
-    def __init__(self, ts: tuple, n: int):
-        if not ts or not isinstance(ts[0], Star):
-            raise ValueError("fast path needs a leading star")
-        if isinstance(ts[-1], Star):
-            raise ValueError("fast path needs an anchored final segment")
-        segments = []  # (star_name_before, [tokens...])
-        current = None
+    def __init__(self, ts: tuple, n: int, nonempty: tuple = ()):
+        # runs[0] stars[0] runs[1] ... hold each letter's value, None for ?
+        runs, stars, pins, pinned = [[]], [], [], [False]
         for t in ts:
             if isinstance(t, Star):
-                if current is not None and not current[1]:
-                    raise ValueError("fast path cannot handle adjacent stars")
-                current = (t.name, [])
-                segments.append(current)
+                stars.append(t)
+                runs.append([])
+                pinned.append(False)
+            elif isinstance(t, AnyOne):
+                runs[-1].append(None)
             else:
-                if current is None:
-                    raise ValueError("fast path needs a leading star")
-                current[1].append(t)
-        *inner, (last_name, suffix_toks) = segments
-        self.suffix = tuple(
-            (i, t.value if isinstance(t, AbsValue) else None)
-            for i, t in enumerate(suffix_toks)
-        )
-        if any(not isinstance(t, AbsValue) for _, seg in inner for t in seg):
-            raise ValueError("fast path needs pinned values between stars")
-        self.blocks = tuple(tuple(t.value for t in seg) for _, seg in inner)
-        # gap g feeds segment g: gap 0 precedes the first block, the last
-        # gap precedes the suffix.  Map star names to their gap index.
-        names = [nm for nm, _ in inner] + [last_name]
-        self.gaps = {nm: g for g, nm in enumerate(names) if nm}
-        self.n_slot = self._locate(n)
+                v = n - t.offset if isinstance(t, RelValue) else t.value
+                runs[-1].append(v)
+                pins.append(v)
+                pinned[-1] = True
+        m = len(stars)
+        left = runs[0] if pinned[0] or not m else []
+        right = runs[m] if m and pinned[m] else []
+        self.fixed = tuple(
+            (start + i, v)
+            for start, run in ((0, left), (n - len(right), right))
+            for i, v in enumerate(run) if v is not None)
+        gaps, mins, blocks = [[]], [0], []
+        for j, run in enumerate(runs):
+            if j:
+                gaps[-1].append(stars[j - 1])
+            if (j == 0 and left) or (j == m and right):
+                continue
+            if pinned[j]:
+                blocks.append(run)
+                gaps.append([])
+                mins.append(0)
+            else:  # a run of ? tokens only
+                gaps[-1].extend(run)
+                mins[-1] += len(run)
+        self.gaps = gaps
+        self.mins = mins
+        self.head = len(left) + mins[0]
+        self.tail = n - len(right)
+        floating = []
+        for b, run in enumerate(blocks):
+            (off, v), *rest = [(i, v) for i, v in enumerate(run) if v is not None]
+            floating.append((v, off, tuple((u, i) for i, u in rest),
+                             len(run) + mins[b + 1]))
+        self.floating = tuple(floating)
+        self.last = right[-1] if right else None
+        self.nonempty = nonempty
+        # gaps holding a star named in the row's nonempty clause
+        self.watch = tuple(g for g, gap in enumerate(gaps) if any(
+            isinstance(t, Star) and t.name in nonempty for t in gap)) if nonempty else ()
+        self.alive = (all(1 <= v <= n for v in pins)
+                      and len(ts) - m <= n and (m > 0 or len(ts) == n)
+                      and (bool(self.watch) or not nonempty))
 
-    def _locate(self, n: int):
-        """Where the letter n sits: ('suffix', offset) or ('block', b, i)."""
-        for i, v in self.suffix:
-            if v == n:
-                return ("suffix", i)
-        for b, block in enumerate(self.blocks):
-            for i, v in enumerate(block):
-                if v == n:
-                    return ("block", b, i)
-        return None
-
-    def match(self, w: Sequence[int], pos: Sequence[int], nonempty: tuple) -> bool:
-        n = len(w)
-        s = n - len(self.suffix)
-        if s < 0:
-            return False
-        for i, v in self.suffix:
-            if v is not None and w[s + i] != v:
+    def match(self, w: Sequence[int], pos: Sequence[int]) -> bool:
+        """True iff w matches; ``pos[v]`` is the index of letter v in w."""
+        for p, v in self.fixed:
+            if w[p] != v:
                 return False
-        starts = []
-        prev_end = 0
-        for block in self.blocks:
-            p = pos[block[0]]
-            if p < prev_end:
+        prev = self.head
+        for v, off, rest, step in self.floating:
+            start = pos[v] - off
+            if start < prev:
                 return False
-            for j in range(1, len(block)):
-                if pos[block[j]] != p + j:
+            for u, i in rest:
+                if pos[u] != start + i:
                     return False
-            starts.append(p)
-            prev_end = p + len(block)
-        if prev_end > s:
-            return False
-        if nonempty:
-            starts.append(s)
-            ends = [0] + [st + len(b) for st, b in zip(starts, self.blocks)]
-            for nm in nonempty:
-                g = self.gaps.get(nm)
-                if g is not None and starts[g] > ends[g]:
-                    return True
-            return False
-        return True
+            prev = start + step
+        return prev <= self.tail and (not self.watch or self._spare(pos))
+
+    def _bounds(self, pos: Sequence[int]) -> list:
+        """(start, end) of every gap of a matching word."""
+        out, lo = [], self.head - self.mins[0]
+        for g, (v, off, _, step) in enumerate(self.floating):
+            start = pos[v] - off
+            out.append((lo, start))
+            lo = start + step - self.mins[g + 1]
+        out.append((lo, self.tail))
+        return out
+
+    def _spare(self, pos: Sequence[int]) -> bool:
+        """True iff some watched gap holds more letters than its ``?`` tokens."""
+        bounds = self._bounds(pos)
+        return any(bounds[g][1] - bounds[g][0] > self.mins[g] for g in self.watch)
+
+    def spans(self, pos: Sequence[int]) -> dict:
+        """{name: (start, end)} of the named stars in one match of a matching
+        word: each gap's spare letters go to its last star, or to its last
+        star named in the nonempty clause when it has one."""
+        caps = {}
+        for (at, end), gap, least in zip(self._bounds(pos), self.gaps, self.mins):
+            stars = [i for i, t in enumerate(gap) if isinstance(t, Star)]
+            taker = max(stars, key=lambda i: (gap[i].name in self.nonempty, i),
+                        default=None)
+            spare = end - at - least
+            for i, t in enumerate(gap):
+                if isinstance(t, Star):
+                    stop = at + spare if i == taker else at
+                    if t.name:
+                        caps[t.name] = (at, stop)
+                    at = stop
+                else:
+                    at += 1
+        return caps
 
     def keys(self, n: int) -> list:
         """Every (e, last letter) a matching word can have; e counts the
         letters after n."""
-        slot = self.n_slot
-        if slot is None:
-            lo, hi = 0, n - 1
-        elif slot[0] == "suffix":
-            lo = hi = len(self.suffix) - 1 - slot[1]
-        else:
-            _, b, i = slot
-            lo = len(self.suffix) + sum(len(blk) for blk in self.blocks[b:]) - i - 1
-            hi = n - 1 - i - sum(len(blk) for blk in self.blocks[:b])
-        last = self.suffix[-1][1]
-        lasts = range(1, n + 1) if last is None else (last,)
-        return [(e, x) for e in range(lo, min(hi, n - 1) + 1) for x in lasts]
+        lo, hi = 0, n - 1  # the positions n can take
+        for p, v in self.fixed:
+            if v == n:
+                lo = hi = p
+        first = self.head
+        latest = self.tail - sum(step for *_, step in self.floating)
+        for v, off, rest, step in self.floating:
+            for u, i in ((v, off),) + rest:
+                if u == n:
+                    lo, hi = first + i, latest + i
+            first += step
+            latest += step
+        lasts = range(1, n + 1) if self.last is None else (self.last,)
+        return [(e, x) for e in range(n - 1 - hi, n - lo) for x in lasts]
+
+
+def _compile(tokens: Sequence[Token], n: int, nonempty: tuple = ()) -> tuple:
+    """The branches of a token sequence at length n that can match at all."""
+    branches = (_CompiledBranch(b, n, nonempty) for b in expand_alternations(tokens))
+    return tuple(br for br in branches if br.alive)
 
 
 class CompiledRow:
-    """A row compiled for one word length; used by the census kernel."""
+    """A row compiled for one word length."""
 
-    __slots__ = ("label", "offset", "branches", "exclusions", "nonempty")
+    __slots__ = ("label", "branches", "exclusions")
 
     def __init__(self, row: PatternRow, n: int):
         self.label = row.label
-        self.offset = tier(row.label)[0]
-        self.nonempty = row.nonempty
-        self.branches = tuple(
-            _CompiledBranch(b, n) for b in _branches_for(row.tokens, n)
-        )
-        self.exclusions = tuple(
-            _CompiledBranch(b, n) for b in _branches_for(row.exclusion, n)
-        ) if row.exclusion is not None else ()
+        self.branches = _compile(row.tokens, n, row.nonempty)
+        self.exclusions = (_compile(row.exclusion, n)
+                           if row.exclusion is not None else ())
 
     def match(self, w: Sequence[int], pos: Sequence[int]) -> bool:
         for br in self.branches:
-            if br.match(w, pos, self.nonempty):
+            if br.match(w, pos):
                 for ex in self.exclusions:
-                    if ex.match(w, pos, ()):
+                    if ex.match(w, pos):
                         return False
                 return True
         return False
@@ -727,23 +699,28 @@ class CompiledCatalog:
 
     A word's cell is keyed on e (the number of letters after the letter n)
     and its last letter.  Each compiled branch gives the cells it can match
-    in: e from where it pins n among its blocks and suffix, the last letter
-    from its suffix's final pinned value (any letter for ``?``).  The
-    classifier probes only the rows of the word's cell, in catalog order, so
-    it agrees letter-for-letter with :meth:`Catalog.classify`.
+    in: e from the positions its blocks and gaps leave for n, the last
+    letter from the final token of a block fixed at the right end (any
+    letter for ``?`` or a trailing star).  The classifier probes only the
+    rows of the word's cell, in catalog order, so it returns the first
+    matching row of the whole catalog.  Only cells that some row reaches
+    get a list of their own.
     """
 
     def __init__(self, catalog: Catalog, n: int):
         self.n = n
         self.rows = [CompiledRow(row, n) for row in catalog.rows
                      if n >= tier(row.label)[1]]
-        self.cells = [[[] for _ in range(n + 1)] for _ in range(n)]
+        cells: dict = {}
         for cr in self.rows:
             for br in cr.branches:
-                for e, last in br.keys(n):
-                    cell = self.cells[e][last]
+                for key in br.keys(n):
+                    cell = cells.setdefault(key, [])
                     if not cell or cell[-1] is not cr:
                         cell.append(cr)
+        self.cells = [[()] * (n + 1) for _ in range(n)]
+        for (e, last), cell in cells.items():
+            self.cells[e][last] = cell
 
     @cached_property
     def buckets(self) -> list:

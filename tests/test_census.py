@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 from math import factorial
 
 import pytest
@@ -17,6 +18,7 @@ from stacksort.census import (
     save_report,
 )
 from stacksort.formulas import verify_census
+from stacksort.words import rank
 
 
 # Frozen small-length distributions, cross-checked against the counting
@@ -109,6 +111,42 @@ def test_resume_ignores_mismatched_checkpoint(tmp_path, census_cache):
     assert list(c.counts_by_complexity) == KNOWN_COUNTS[5]
 
 
+def test_resume_recomputes_unreadable_shard(tmp_path, census_cache):
+    d = str(tmp_path / "ck")
+    run_census(6, shard_count=4, checkpoint_dir=d)
+    path = os.path.join(d, "shard-6-4-0000.json")
+    with open(path, "r+") as fh:
+        fh.truncate(40)
+    c = run_census(6, shard_count=4, checkpoint_dir=d, resume=True)
+    assert c.checksum == census_cache(6).checksum
+    with open(path) as fh:  # rewritten with the fresh tallies
+        assert json.load(fh)["counts"] == [
+            str(v) for v in census_mod._shard_kernel(6, 0, 180)["counts"]]
+    # a file missing a key is recomputed too
+    payload = json.loads(open(path).read())
+    del payload["descents"]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert run_census(6, shard_count=4, checkpoint_dir=d, resume=True) == c
+    assert sorted(os.listdir(d)) == [f"shard-6-4-{i:04d}.json" for i in range(4)]
+
+
+def test_swapped_classes_in_a_shard_fail_verification(tmp_path, census_cache):
+    # resume trusts the shard file, but the bottom-end closed forms catch it
+    d = str(tmp_path / "ck")
+    run_census(6, shard_count=4, checkpoint_dir=d)
+    path = os.path.join(d, "shard-6-4-0000.json")
+    payload = json.loads(open(path).read())
+    for key in ("counts", "descents"):
+        payload[key][1], payload[key][2] = payload[key][2], payload[key][1]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    c = run_census(6, shard_count=4, checkpoint_dir=d, resume=True)
+    assert c.counts_by_complexity != census_cache(6).counts_by_complexity
+    report = verify_census(c)
+    assert "sortable-1" in {chk.name for chk in report.failures}
+
+
 def test_save_load_roundtrip(tmp_path, census_cache):
     c = census_cache(6)
     path = str(tmp_path / "report.json")
@@ -172,7 +210,12 @@ def test_soundness_guard_trips(monkeypatch):
     with pytest.raises(CensusSoundnessError) as e:
         run_census(4)
     assert e.value.word == (1, 2, 3, 4)
+    assert e.value.rank == 0
     assert e.value.complexity == 0
+    # the error survives the trip back from a worker process
+    back = pickle.loads(pickle.dumps(e.value))
+    assert (back.word, back.rank, back.label, back.complexity, str(back)) == (
+        e.value.word, 0, None, 0, str(e.value))
 
 
 def test_soundness_guard_trips_on_wrong_offset(monkeypatch):
@@ -182,6 +225,8 @@ def test_soundness_guard_trips_on_wrong_offset(monkeypatch):
     with pytest.raises(CensusSoundnessError) as e:
         run_census(4)
     assert e.value.word == (2, 3, 4, 1)
+    assert e.value.rank == rank((2, 3, 4, 1))
+    assert f"(rank {rank((2, 3, 4, 1))})" in str(e.value)
     assert e.value.label == "L1"
     assert e.value.complexity == 3
 

@@ -38,6 +38,10 @@ def test_registry_known_values():
     assert REGISTRY["sortable-n-4"].evaluate(6) == 408
     assert REGISTRY["sortable-n-4"].evaluate(8) == 31104
     assert REGISTRY["sortable-n-5"].evaluate(8) == 21426
+    assert [REGISTRY["sortable-1"].evaluate(n) for n in range(1, 9)] == [
+        1, 2, 5, 14, 42, 132, 429, 1430]
+    assert [REGISTRY["sortable-2"].evaluate(n) for n in range(1, 9)] == [
+        1, 2, 6, 22, 91, 408, 1938, 9614]
 
 
 def test_registry_floors():
@@ -50,6 +54,15 @@ def test_conjectural_flags():
     assert REGISTRY["exact-n-4"].conjectural
     assert REGISTRY["sortable-n-5"].conjectural
     assert not REGISTRY["exact-n-3"].conjectural
+    assert not REGISTRY["sortable-1"].conjectural
+    assert not REGISTRY["sortable-2"].conjectural
+
+
+def test_bottom_and_top_forms_meet():
+    # at n = 4 "at most n-3 passes" is "at most 1 pass", at n = 5 it is 2
+    assert REGISTRY["sortable-n-3"].evaluate(4) == REGISTRY["sortable-1"].evaluate(4)
+    assert REGISTRY["sortable-n-3"].evaluate(5) == REGISTRY["sortable-2"].evaluate(5)
+    assert REGISTRY["sortable-n-4"].evaluate(6) == REGISTRY["sortable-2"].evaluate(6)
 
 
 def test_exact_plus_cumulative_identity():
@@ -202,6 +215,9 @@ def test_verify_census_reports_failures():
     assert not bad.ok
     names = {c.name for c in bad.failures}
     assert "exact-n-1" in names and "exact-n-2" in names
+    # classes 1 and 2 swapped: only the bottom-end forms can see it
+    swapped = verify_census(_fake_census(5, (1, 49, 41, 23, 6), good_rows))
+    assert {c.name for c in swapped.failures} == {"sortable-1"}
 
 
 def test_verify_census_range_gating():
@@ -209,4 +225,7 @@ def test_verify_census_range_gating():
     names = [c.name for c in report.checks]
     assert "exact-n-1" in names
     assert "exact-n-2" not in names and "sortable-n-3" not in names
+    assert report.ok
+    report = verify_census(_fake_census(1, (1,), {}))
+    assert [c.name for c in report.checks] == ["total", "sortable-1", "sortable-2"]
     assert report.ok

@@ -1,5 +1,8 @@
 import doctest
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 from math import factorial
 
@@ -14,6 +17,8 @@ from stacksort.patterns import (
     AnyOne,
     Catalog,
     CompiledCatalog,
+    CompiledRow,
+    PatternRow,
     PatternSyntaxError,
     RelValue,
     Star,
@@ -32,6 +37,7 @@ from stacksort.patterns import (
     row_matches,
     tier,
 )
+from stacksort.patterns import _naive_all, _positions
 from stacksort.words import Word
 
 
@@ -147,23 +153,124 @@ def test_exclusion_clause():
     assert not row_matches(row, Word([2, 3, 6, 4, 5, 1]))  # excluded shape
 
 
+def _is_witness(row, w, caps):
+    """True iff caps is one of the oracle's match assignments of the row."""
+    w = tuple(w)
+    if row.nonempty and not any(
+            nm in caps and caps[nm][0] < caps[nm][1] for nm in row.nonempty):
+        return False
+    return any(caps == c for b in expand_alternations(row.tokens)
+               for c in _naive_all(b, w))
+
+
 def test_match_spans_witness():
     row = parse_row("T5a: * n *A (n-2) *B (n-1) 2 where nonempty(A|B)")
     caps = match_spans(row, Word([6, 1, 4, 3, 5, 2]))
     assert caps is not None
     a0, a1 = caps["A"]
     assert a1 > a0
+    assert _is_witness(row, (6, 1, 4, 3, 5, 2), caps)
     assert match_spans(row, Word([1, 3, 6, 4, 5, 2])) is None
+    # two named stars share a gap: the spare letters go to the watched one
+    row = parse_row("X: * n *A ? *B 1 where nonempty(A)")
+    caps = match_spans(row, (5, 2, 3, 4, 1))
+    assert caps == {"A": (1, 3), "B": (4, 4)}
+    assert _is_witness(row, (5, 2, 3, 4, 1), caps)
 
 
-def test_naive_oracle_agrees_with_matcher():
+def test_match_spans_witnesses_rematch():
     cat = builtin_catalog()
     for n in (4, 5, 6):
         for p in permutations(range(1, n + 1)):
-            w = Word(p)
             for row in cat.rows:
-                assert row_matches(row, w) == row_matches(row, w, naive=True), (
-                    row.label, w)
+                caps = match_spans(row, p)
+                assert (caps is not None) == row_matches(row, p, naive=True), (
+                    row.label, p)
+                if caps is not None:
+                    assert _is_witness(row, p, caps), (row.label, p, caps)
+
+
+def _words_n7_and_n8():
+    """Every word of length <= 7, then 2000 seeded words of length 8."""
+    for n in range(1, 8):
+        yield from permutations(range(1, n + 1))
+    rng = random.Random(8)
+    for _ in range(2000):
+        yield tuple(rng.sample(range(1, 9), 8))
+
+
+def test_naive_oracle_agrees_with_matcher():
+    rows = builtin_catalog().rows
+    compiled = {}
+    for w in _words_n7_and_n8():
+        n = len(w)
+        if n not in compiled:
+            compiled[n] = [CompiledRow(row, n) for row in rows]
+        pos = _positions(w)
+        for row, cr in zip(rows, compiled[n]):
+            assert cr.match(w, pos) == row_matches(row, w, naive=True), (
+                row.label, w)
+    # row_matches itself goes through the same compiled rows
+    for p in permutations(range(1, 6)):
+        for row in rows:
+            assert row_matches(row, p) == row_matches(row, p, naive=True)
+
+
+_flat_token = st.one_of(
+    st.just(Star()),
+    st.sampled_from("ABC").map(Star),
+    st.just(AnyOne()),
+    st.integers(0, 3).map(RelValue),
+    st.integers(1, 4).map(AbsValue),
+)
+
+
+@st.composite
+def _flat_rows(draw):
+    tokens = draw(st.lists(_flat_token, min_size=1, max_size=6))
+    seen = set()
+    for i, t in enumerate(tokens):  # star names must be unique
+        if isinstance(t, Star) and t.name:
+            if t.name in seen:
+                tokens[i] = Star()
+            seen.add(t.name)
+    names = sorted({t.name for t in tokens if isinstance(t, Star) and t.name})
+    nonempty = tuple(draw(st.lists(st.sampled_from(names), unique=True))) if names else ()
+    return PatternRow("L1", tuple(tokens), None, nonempty)
+
+
+@given(_flat_rows(), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_random_flat_rows_agree_with_oracle(row, n):
+    # shapes beyond the built-in rows: a leading pinned letter, adjacent
+    # stars, ? between stars, nonempty on a star sharing its gap
+    cr = CompiledRow(row, n)
+    for p in permutations(range(1, n + 1)):
+        hit = cr.match(p, _positions(p))
+        assert hit == row_matches(row, p, naive=True), (format_row(row), p)
+        if hit:
+            assert _is_witness(row, p, match_spans(row, p)), (format_row(row), p)
+
+
+def test_repeated_letters_rejected():
+    row = parse_row("L1: * n 1")
+    for call in (lambda w: matches(row.tokens, w),
+                 lambda w: matches(row.tokens, w, naive=True),
+                 lambda w: row_matches(row, w),
+                 lambda w: row_matches(row, w, naive=True),
+                 lambda w: match_spans(row, w),
+                 classify):
+        with pytest.raises(ValueError):
+            call((2, 2, 1))
+
+
+def test_non_standard_words():
+    # letters need not be 1..n; n and the other pins resolve against the length
+    assert matches(parse_tokens("* n 1"), (7, 3, 1))
+    assert not matches(parse_tokens("* n 1"), (5, 7, 1))
+    assert matches(parse_tokens("* ? 1"), (9, 1))
+    assert row_matches(parse_row("X: * n *A 1 where nonempty(A)"), (3, 8, 1))
+    assert match_spans(parse_row("X: *A 2 * 1"), (0, 2, 9, 1)) == {"A": (0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +322,8 @@ def test_compiled_catalog_matches_production():
     for n in range(1, 8):
         cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
-            w = Word(p)
-            label = cc.classify_word(w)
-            assert label == cat.classify(w), w
+            label = cc.classify_word(p)
+            assert label == cat.classify(p, naive=True), p
             # the derived bucket view holds every row the classifier returns
             bucket = cc.buckets[min(n - 1 - p.index(n), 4)]
             assert label is None or label in [cr.label for cr in bucket]
@@ -229,7 +335,19 @@ def test_compiled_catalog_matches_production_random_n8():
     cc = CompiledCatalog(cat, 8)
     for _ in range(2000):
         w = rng.sample(range(1, 9), 8)
-        assert cc.classify_word(w) == cat.classify(w), w
+        assert cc.classify_word(w) == cat.classify(w, naive=True), w
+
+
+def test_classify_compiles_each_length_on_first_use():
+    code = ("import stacksort as s; c = s.builtin_catalog(); "
+            "print(len(c._compiled), end=' '); "
+            "print(c.classify(()), c.classify((1,)), len(c._compiled), end=' '); "
+            "print(c.classify((2, 3, 1)), c.classify((2, 4, 3, 1)), sorted(c._compiled))")
+    src = os.path.dirname(os.path.dirname(stacksort.patterns.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout.split() == ["0", "None", "None", "0", "L1", "L2-4", "[3,", "4]"], (
+        done.stdout, done.stderr)
 
 
 def test_compiled_keeps_nonempty_star_before_n():
@@ -250,12 +368,24 @@ def test_dispatch_reaches_every_row():
         assert [cr.label for cr in cc.rows if id(cr) not in reached] == [], n
 
 
-def test_compiled_rejects_unsupported_shapes():
-    with pytest.raises(ValueError):
-        CompiledCatalog(Catalog((parse_row("L1: n 1 *"),)), 5)
-    with pytest.raises(ValueError):
-        # a wildcard between stars has no forced position
-        CompiledCatalog(Catalog((parse_row("L1: * ? * n"),)), 5)
+def test_compiled_general_shapes_agree_with_oracle():
+    # shapes outside the built-in catalog's "* block * ... * suffix" form
+    cat = parse_catalog("""
+    L1: n 1 *
+    L1a: * ? * n
+    L1b: 2 * * n ?
+    L1c: * n *A *B 1 where nonempty(B)
+    L1d: ? *A ? *B ? where nonempty(A)
+    L1e: ? ? ?
+    L2: * n * ? * 1 minus { n * 1 }
+    """)
+    for n in range(1, 8):
+        cc = CompiledCatalog(cat, n)
+        for p in permutations(range(1, n + 1)):
+            assert cc.classify_word(p) == cat.classify(p, naive=True), p
+            for row in cat.rows:
+                assert row_matches(row, p) == row_matches(row, p, naive=True), (
+                    row.label, p)
 
 
 def test_count_matches_known_values():
