@@ -15,22 +15,32 @@ catalog certifies exactly what it claims.
 
 Counters are exact integers end to end; the JSON report stores them as
 decimal strings so they survive parsers that would round large values.
+
+A resume reads the saved shards in the calling process and trusts a shard
+file only when its identity (length, shard, rank range, kernel version and
+catalog hash), its checksum, its shape and its row labels all match; any
+other file is logged on the ``stacksort.census`` logger and recomputed.
+Worker processes start only for the shards left to compute.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 from typing import Dict, Iterable, Optional, Tuple
 
-from .patterns import CompiledCatalog, builtin_catalog, tier
+from .patterns import CompiledCatalog, builtin_catalog, format_row, tier
 from .words import _complexity, next_permutation, unrank
 
 SCHEMA_VERSION = 1
+KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
 MAX_N = 14
+
+log = logging.getLogger(__name__)
 
 
 class CensusSoundnessError(AssertionError):
@@ -70,14 +80,13 @@ class Census:
     @property
     def checksum(self) -> str:
         """sha256 over the tallies only — invariant under re-sharding."""
-        payload = {
-            "n": self.n,
-            "counts_by_complexity": [str(c) for c in self.counts_by_complexity],
-            "counts_by_row": {k: str(v) for k, v in self.counts_by_row.items()},
-            "descent_matrix": [[str(c) for c in row] for row in self.descent_matrix],
-        }
+        payload = {"n": self.n, **self._tally_fields()}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+        return _sha256(blob.encode())
+
+    def _tally_fields(self) -> dict:
+        return _tally_strings(_REPORT_KEYS, self.counts_by_complexity,
+                              self.counts_by_row, self.descent_matrix)
 
     def validate(self) -> None:
         """Raise ValueError unless the internal tallies are consistent."""
@@ -110,6 +119,30 @@ class Census:
     def cumulative(self, c: int) -> int:
         """Number of words with complexity at most c."""
         return sum(self.counts_by_complexity[: c + 1])
+
+
+_REPORT_KEYS = ("counts_by_complexity", "counts_by_row", "descent_matrix")
+_SHARD_KEYS = ("counts", "rows", "descents")
+
+
+def _tally_strings(keys, counts, rows, descents) -> dict:
+    """The three tallies as decimal strings under ``keys``: the one form in
+    which reports and shard files save them and checksums hash them."""
+    return dict(zip(keys, (
+        [str(c) for c in counts],
+        {k: str(v) for k, v in rows.items()},
+        [[str(c) for c in row] for row in descents],
+    )))
+
+
+def _sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _catalog_sha256() -> str:
+    """sha256 of the built-in catalog's canonical rows, binding saved shards
+    to the catalog that classified them."""
+    return _sha256("\n".join(format_row(row) for row in builtin_catalog().rows).encode())
 
 
 def _eligible_labels(n: int) -> list:
@@ -176,72 +209,109 @@ def _checkpoint_path(directory: str, n: int, shard_count: int, index: int) -> st
     return os.path.join(directory, f"shard-{n}-{shard_count}-{index:04d}.json")
 
 
-def _write_json_atomic(path: str, payload: dict) -> None:
+def _write_atomic(path: str, text: str) -> None:
     tmp = path + f".{os.getpid()}.tmp"  # workers never share a temp file
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
     os.replace(tmp, path)
 
 
-def _read_shard(path: str, n: int, shard_count: int, index: int) -> Optional[dict]:
-    """The tallies of a saved shard, or None when the file cannot be used:
-    unparseable, missing keys, tables of the wrong size, or another run's.
+_CHECKSUM_KEY = b'"checksum": '
 
-    Row labels are not checked here: that would parse the catalog in every
-    worker of a resume, which otherwise only reads files.
+
+def _shard_text(payload: dict) -> str:
+    """A shard file: ``payload`` as JSON, then a last key, ``checksum``, the
+    sha256 of the text up to and including that key.  A reader hashes the
+    stored text as it is, without serializing the tallies again."""
+    head = json.dumps(payload, indent=1)[:-2] + ",\n " + _CHECKSUM_KEY.decode()
+    return head + json.dumps(_sha256(head.encode())) + "\n}"
+
+
+def _shard_header(n, shard_count, index, lo, hi, catalog_sha) -> dict:
+    """The identity a shard file must carry to be reused."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kernel_version": KERNEL_VERSION,
+        "catalog_sha256": catalog_sha,
+        "n": n,
+        "shard_count": shard_count,
+        "index": index,
+        "lo": lo,
+        "hi": hi,
+    }
+
+
+def _read_shard(path: str, header: dict, labels: frozenset) -> dict:
+    """The tallies of a saved shard, checked against the expected ``header``,
+    the stored checksum and the row ``labels``.
+
+    Raises FileNotFoundError when there is no file and ValueError, naming
+    the reason, when the file cannot be used.
     """
-    size = max(n, 1)
+    with open(path, "rb") as fh:
+        text = fh.read()
+    saved = json.loads(text)
+    if not isinstance(saved, dict):
+        raise ValueError("not a JSON object")
+    for key, want in header.items():
+        if key not in saved:
+            raise ValueError(f"no {key}")
+        if saved[key] != want:
+            raise ValueError(f"{key} is {saved[key]!r}, expected {want!r}")
+    head = text[:text.rfind(_CHECKSUM_KEY) + len(_CHECKSUM_KEY)]
+    if saved.get("checksum") != _sha256(head):
+        raise ValueError("checksum mismatch")
     try:
-        with open(path, encoding="utf-8") as fh:
-            saved = json.load(fh)
-        if (
-            saved["schema_version"] != SCHEMA_VERSION
-            or saved["n"] != n
-            or saved["shard_count"] != shard_count
-            or saved["index"] != index
-        ):
-            return None
-        result = {
-            "counts": [int(c) for c in saved["counts"]],
-            "rows": {k: int(v) for k, v in saved["rows"].items()},
-            "descents": [[int(c) for c in row] for row in saved["descents"]],
-        }
-    except (ValueError, KeyError, TypeError, AttributeError):
-        return None
-    counts, descents = result["counts"], result["descents"]
+        counts = [int(c) for c in saved["counts"]]
+        rows = {k: int(v) for k, v in saved["rows"].items()}
+        descents = [[int(c) for c in row] for row in saved["descents"]]
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    except (TypeError, AttributeError):
+        raise ValueError("malformed tallies") from None
+    size = max(header["n"], 1)
     if len(descents) != size or any(len(row) != size for row in [counts] + descents):
-        return None
-    return result
+        raise ValueError("tables of the wrong size")
+    if rows.keys() != labels:
+        raise ValueError(f"row labels {sorted(rows.keys() ^ labels)} do not "
+                         "match the catalog")
+    if min(counts + list(rows.values()) + [min(row) for row in descents]) < 0:
+        raise ValueError("negative count")
+    if sum(counts) != header["hi"] - header["lo"]:
+        raise ValueError("counts do not sum to the shard's word count")
+    return {"counts": counts, "rows": rows, "descents": descents}
 
 
 def _shard_task(args: tuple) -> dict:
-    """One shard, with optional checkpoint read/write (process-pool safe).
-
-    On resume a shard file that cannot be used is recomputed and rewritten.
-    """
-    n, shard_count, index, lo, hi, checkpoint_dir, resume = args
-    path = None
-    if checkpoint_dir is not None:
-        path = _checkpoint_path(checkpoint_dir, n, shard_count, index)
-        if resume and os.path.exists(path):
-            saved = _read_shard(path, n, shard_count, index)
-            if saved is not None:
-                return saved
+    """Compute one shard and, with a checkpoint directory, save it
+    (process-pool safe)."""
+    n, shard_count, index, lo, hi, checkpoint_dir, catalog_sha = args
     result = _shard_kernel(n, lo, hi)
-    if path is not None:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "n": n,
-            "shard_count": shard_count,
-            "index": index,
-            "lo": lo,
-            "hi": hi,
-            "counts": [str(c) for c in result["counts"]],
-            "rows": {k: str(v) for k, v in result["rows"].items()},
-            "descents": [[str(c) for c in row] for row in result["descents"]],
-        }
-        _write_json_atomic(path, payload)
+    if checkpoint_dir is not None:
+        payload = _shard_header(n, shard_count, index, lo, hi, catalog_sha)
+        payload.update(_tally_strings(_SHARD_KEYS, result["counts"],
+                                      result["rows"], result["descents"]))
+        _write_atomic(_checkpoint_path(checkpoint_dir, n, shard_count, index),
+                      _shard_text(payload))
     return result
+
+
+def _resume_shards(n, shard_count, bounds, checkpoint_dir, catalog_sha) -> dict:
+    """Saved shards that pass every check, by index; each unusable file is
+    logged once and left out, so that it is recomputed."""
+    labels = frozenset(_eligible_labels(n))
+    found = {}
+    for i in range(shard_count):
+        path = _checkpoint_path(checkpoint_dir, n, shard_count, i)
+        header = _shard_header(n, shard_count, i, bounds[i], bounds[i + 1],
+                               catalog_sha)
+        try:
+            found[i] = _read_shard(path, header, labels)
+        except FileNotFoundError:
+            pass
+        except ValueError as exc:
+            log.warning("shard %d (%s): %s; recomputing", i, path, exc)
+    return found
 
 
 def run_census(
@@ -256,9 +326,13 @@ def run_census(
     ``shard_count`` splits the rank range [0, n!) at i*n!//shard_count; the
     merged tallies are identical for every shard count.  With ``jobs > 1``
     shards run in separate processes.  With ``checkpoint_dir`` each finished
-    shard is saved, and ``resume=True`` reuses any shard file already there
-    (matched by n, shard count and index), so an interrupted run continues
-    where it stopped.
+    shard is saved, and ``resume=True`` first reads the shard files already
+    there in this process, so an interrupted run continues where it stopped.
+    A file is reused only when it matches this run (n, shard count, index,
+    rank range, kernel version and catalog hash) and its checksum, shape
+    and row labels check out; any other file is logged and recomputed.
+    Only the shards left to compute go to the kernel, in a pool of
+    ``min(jobs, shards left)`` workers when more than one is left.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
@@ -268,24 +342,31 @@ def run_census(
         shard_count = 16 if checkpoint_dir else max(1, jobs)
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
     total = factorial(n)
     bounds = [i * total // shard_count for i in range(shard_count + 1)]
-    tasks = [
-        (n, shard_count, i, bounds[i], bounds[i + 1], checkpoint_dir, resume)
-        for i in range(shard_count)
+    catalog_sha = None
+    results = {}
+    if checkpoint_dir is not None:
+        os.makedirs(checkpoint_dir, exist_ok=True)
+        catalog_sha = _catalog_sha256()
+        if resume:
+            results = _resume_shards(n, shard_count, bounds, checkpoint_dir,
+                                     catalog_sha)
+    todo = [
+        (n, shard_count, i, bounds[i], bounds[i + 1], checkpoint_dir, catalog_sha)
+        for i in range(shard_count) if i not in results
     ]
-    if jobs == 1:
-        results = [_shard_task(t) for t in tasks]
+    if jobs == 1 or len(todo) <= 1:
+        computed = [_shard_task(t) for t in todo]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_shard_task, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
+            computed = list(pool.map(_shard_task, todo))
+    results.update((t[2], res) for t, res in zip(todo, computed))
     size = max(n, 1)
     cnt = [0] * size
     dm = [[0] * size for _ in range(size)]
     rows = {label: 0 for label in _eligible_labels(n)}
-    for res in results:
+    for res in results.values():
         for c, v in enumerate(res["counts"]):
             cnt[c] += v
         for label, v in res["rows"].items():
@@ -333,11 +414,7 @@ def save_report(
         "kind": "stacksort-census",
         "n": census.n,
         "shard_count": census.shard_count,
-        "counts_by_complexity": [str(c) for c in census.counts_by_complexity],
-        "counts_by_row": {k: str(v) for k, v in census.counts_by_row.items()},
-        "descent_matrix": [
-            [str(c) for c in row] for row in census.descent_matrix
-        ],
+        **census._tally_fields(),
         "checksum": census.checksum,
     }
     if verify is not None:
@@ -365,7 +442,7 @@ def save_report(
             }
             for f in fits
         ]
-    _write_json_atomic(path, payload)
+    _write_atomic(path, json.dumps(payload, indent=1))
 
 
 def load_census(path: str) -> Census:

@@ -12,12 +12,15 @@ Examples::
     stacksort fit --k 2 --data 4=8 --data 5=23
 
 Exit status: 0 on success, 1 when a verification or fit check fails,
-2 on usage errors or malformed input.
+2 on usage errors or malformed input, 3 when a census worker process dies,
+130 when interrupted.  After 3 or 130, the shards already saved under
+``--checkpoint`` are kept, and rerunning with ``--resume`` continues there.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
 from . import census as census_mod
@@ -261,6 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_SAVED_SHARDS = ("shards finished under --checkpoint are saved, "
+                 "and --resume continues the run")
+
+
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -273,6 +280,12 @@ def main(argv: Optional[list] = None) -> int:
     except census_mod.CensusSoundnessError as exc:
         print(f"stacksort: soundness failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenProcessPool:
+        print(f"stacksort: a worker process died; {_SAVED_SHARDS}", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print(f"stacksort: interrupted; {_SAVED_SHARDS}", file=sys.stderr)
+        return 130
     except (ValueError, OSError) as exc:
         print(f"stacksort: {exc}", file=sys.stderr)
         return 2

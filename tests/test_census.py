@@ -132,7 +132,7 @@ def test_resume_recomputes_unreadable_shard(tmp_path, census_cache):
 
 
 def test_swapped_classes_in_a_shard_fail_verification(tmp_path, census_cache):
-    # resume trusts the shard file, but the bottom-end closed forms catch it
+    # resume recomputes the shard, whose stored checksum no longer matches
     d = str(tmp_path / "ck")
     run_census(6, shard_count=4, checkpoint_dir=d)
     path = os.path.join(d, "shard-6-4-0000.json")
@@ -141,10 +141,166 @@ def test_swapped_classes_in_a_shard_fail_verification(tmp_path, census_cache):
         payload[key][1], payload[key][2] = payload[key][2], payload[key][1]
     with open(path, "w") as fh:
         json.dump(payload, fh)
-    c = run_census(6, shard_count=4, checkpoint_dir=d, resume=True)
-    assert c.counts_by_complexity != census_cache(6).counts_by_complexity
-    report = verify_census(c)
+    base = census_cache(6)
+    resumed = run_census(6, shard_count=4, checkpoint_dir=d, resume=True)
+    assert resumed.checksum == base.checksum
+    # merged as trusted, those tallies would still fail the bottom-end forms
+    shard = census_mod._shard_kernel(6, 0, 180)
+
+    def swap(seq):
+        seq = list(seq)
+        seq[1], seq[2] = seq[2], seq[1]
+        return seq
+
+    def with_swapped_shard(total, part):
+        return [t - p + q for t, p, q in zip(total, part, swap(part))]
+
+    counts = with_swapped_shard(base.counts_by_complexity, shard["counts"])
+    matrix = [tuple(t - p + q for t, p, q in zip(*rows)) for rows in zip(
+        base.descent_matrix, shard["descents"], swap(shard["descents"]))]
+    bad = Census(6, tuple(counts), base.counts_by_row, tuple(matrix))
+    assert bad.counts_by_complexity != base.counts_by_complexity
+    bad.validate()  # the census's own invariants do not notice
+    report = verify_census(bad)
     assert "sortable-1" in {chk.name for chk in report.failures}
+
+
+def test_resume_of_a_finished_run_starts_no_pool(tmp_path, census_cache, monkeypatch):
+    d = str(tmp_path / "ck")
+    run_census(6, shard_count=8, jobs=2, checkpoint_dir=d)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", no_pool)
+    c = run_census(6, shard_count=8, jobs=2, checkpoint_dir=d, resume=True)
+    assert c.checksum == census_cache(6).checksum
+
+
+def test_partial_resume_computes_only_missing_shards(tmp_path, census_cache,
+                                                     monkeypatch):
+    d = str(tmp_path / "ck")
+    run_census(6, shard_count=8, checkpoint_dir=d)
+    for index in (1, 4, 6):
+        os.remove(os.path.join(d, f"shard-6-8-{index:04d}.json"))
+    kernel, ranges = census_mod._shard_kernel, []
+
+    def recording_kernel(n, lo, hi):
+        ranges.append((lo, hi))
+        return kernel(n, lo, hi)
+
+    monkeypatch.setattr(census_mod, "_shard_kernel", recording_kernel)
+    c = run_census(6, shard_count=8, checkpoint_dir=d, resume=True)
+    assert c.checksum == census_cache(6).checksum
+    assert ranges == [(90 * i, 90 * (i + 1)) for i in (1, 4, 6)]
+
+
+def test_partial_resume_sizes_the_pool_to_the_shards_left(tmp_path, census_cache,
+                                                         monkeypatch):
+    d = str(tmp_path / "ck")
+    run_census(6, shard_count=8, checkpoint_dir=d)
+    pools = []
+
+    class InlinePool:  # runs the tasks here, recording what it was given
+        def __init__(self, max_workers):
+            self.record = {"workers": max_workers, "shards": []}
+            pools.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            self.record["shards"] += [t[2] for t in tasks]
+            return map(fn, tasks)
+
+    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", InlinePool)
+    for missing, want in (((2, 5, 7), [{"workers": 3, "shards": [2, 5, 7]}]),
+                          ((3,), [])):  # one shard left runs in this process
+        for index in missing:
+            os.remove(os.path.join(d, f"shard-6-8-{index:04d}.json"))
+        pools.clear()
+        c = run_census(6, shard_count=8, jobs=4, checkpoint_dir=d, resume=True)
+        assert c.checksum == census_cache(6).checksum
+        assert pools == want
+    assert len(os.listdir(d)) == 8
+
+
+def _stamped(payload):
+    """The edited shard as a fresh run would write it, checksum and all."""
+    del payload["checksum"]
+    return census_mod._shard_text(payload)
+
+
+def _stale(payload):
+    """The edited shard with the checksum of the file it came from."""
+    return json.dumps(payload, indent=1)
+
+
+def _swap_classes(payload):
+    for key in ("counts", "descents"):
+        payload[key][1], payload[key][2] = payload[key][2], payload[key][1]
+    return _stale(payload)
+
+
+def _pre_checksum_file(payload):
+    for key in ("checksum", "kernel_version", "catalog_sha256"):
+        del payload[key]
+    return _stale(payload)
+
+
+def _negative_count(payload):
+    payload["descents"][0][1] = "-1"
+    payload["descents"][1][1] = str(int(payload["descents"][1][1]) + 1)
+    return _stamped(payload)
+
+
+def _extra_word(payload):
+    for table in (payload["counts"], payload["descents"][1]):
+        table[1] = str(int(table[1]) + 1)
+    return _stamped(payload)
+
+
+BAD_SHARDS = {
+    "tampered tally, stale checksum": (_swap_classes, "checksum mismatch"),
+    "wrong lo": (lambda p: _stamped(dict(p, lo=p["lo"] + 1)), "lo is 181"),
+    "wrong hi": (lambda p: _stamped(dict(p, hi=p["hi"] - 1)), "hi is 359"),
+    "another catalog": (
+        lambda p: _stamped(dict(p, catalog_sha256="sha256:" + "0" * 64)),
+        "catalog_sha256"),
+    "another kernel": (
+        lambda p: _stamped(dict(p, kernel_version=census_mod.KERNEL_VERSION + 1)),
+        "kernel_version"),
+    "file from before checksums": (_pre_checksum_file, "no kernel_version"),
+    "unknown row label": (
+        lambda p: _stamped(dict(p, rows={**p["rows"], "ZZ": "0"})), "['ZZ']"),
+    "negative count": (_negative_count, "negative count"),
+    "one word too many": (_extra_word, "do not sum to the shard's word count"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SHARDS)
+def test_resume_recomputes_a_bad_shard(case, tmp_path, census_cache, caplog):
+    edit, reason = BAD_SHARDS[case]
+    d = tmp_path / "ck"
+    run_census(6, shard_count=4, checkpoint_dir=str(d))
+    path = d / "shard-6-4-0001.json"
+    fresh = path.read_text()
+    # unedited, both helpers give back the file as written
+    assert _stamped(json.loads(fresh)) == _stale(json.loads(fresh)) == fresh
+    path.write_text(edit(json.loads(fresh)))
+    with caplog.at_level("WARNING", logger="stacksort.census"):
+        c = run_census(6, shard_count=4, jobs=2, checkpoint_dir=str(d), resume=True)
+    assert c.checksum == census_cache(6).checksum
+    assert path.read_text() == fresh  # rewritten as a fresh run writes it
+    [record] = caplog.records
+    assert record.name == "stacksort.census"
+    assert record.levelname == "WARNING"
+    assert record.getMessage().startswith(f"shard 1 ({path}): ")
+    assert reason in record.getMessage()
 
 
 def test_save_load_roundtrip(tmp_path, census_cache):

@@ -1,7 +1,9 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import stacksort.census as census_mod
 from stacksort.census import save_report
 from stacksort.cli import main
 from stacksort.census import Census
@@ -101,6 +103,21 @@ def test_census_checkpoint_resume(tmp_path, capsys):
     code, out2, _ = run(capsys, "census", "--n", "4", "--shards", "4",
                         "--checkpoint", str(d), "--resume")
     assert code == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("exc, code", [(KeyboardInterrupt, 130),
+                                       (BrokenProcessPool, 3)])
+def test_long_run_stops_cleanly(exc, code, tmp_path, capsys, monkeypatch):
+    def stopped(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(census_mod, "run_census", stopped)
+    got, out, err = run(capsys, "census", "--n", "9", "--jobs", "2",
+                        "--checkpoint", str(tmp_path / "ck"))
+    assert got == code and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("stacksort: ")
+    assert "are saved" in line and "--resume continues the run" in line
 
 
 def test_census_bad_n(capsys):
