@@ -7,11 +7,18 @@ rank-range shards whose results merge into bit-identical totals regardless
 of the shard count, so runs can be parallelized, checkpointed to disk, and
 resumed.
 
+The shard kernel walks the prefix tree of its rank range depth first, so
+words that share a prefix share its work: the letters of a prefix go
+through the stack pass, the position table and the descent count once for
+every word below them.  Each word then costs one complexity lookup of
+S(w), read off the shared stack, and one compiled classify.
+
 Every shard kernel doubles as a soundness check: for each word it compares
 the catalog classification against the independently computed complexity
-and raises :class:`CensusSoundnessError` with a witness on any disagreement.
-A completed census is therefore an exhaustive proof, for that n, that the
-catalog certifies exactly what it claims.
+and raises :class:`CensusSoundnessError` on any disagreement, naming the
+word, its rank and the level the catalog certified for it.  A completed
+census is therefore an exhaustive proof, for that n, that the catalog
+certifies exactly what it claims.
 
 Counters are exact integers end to end; the JSON report stores them as
 decimal strings so they survive parsers that would round large values.
@@ -28,13 +35,14 @@ import hashlib
 import json
 import logging
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 from typing import Dict, Iterable, Optional, Tuple
 
 from .patterns import CompiledCatalog, builtin_catalog, format_row, tier
-from .words import _complexity, next_permutation, unrank
+from .words import _complexity
 
 SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
@@ -47,19 +55,23 @@ class CensusSoundnessError(AssertionError):
     """A word's catalog classification contradicts its measured complexity.
 
     ``rank`` is the word's lexicographic rank among the words of its
-    length, so ``unrank(len(word), rank)`` rebuilds it.
+    length, so ``unrank(len(word), rank)`` rebuilds it.  ``certified`` is
+    the level the catalog vouches for: n - offset of the matched row, or
+    the largest complexity an unclassified word may have when ``label`` is
+    None.
     """
 
-    def __init__(self, word, rank, label, complexity, message):
+    def __init__(self, word, rank, label, complexity, certified, message):
         self.word = tuple(word)
         self.rank = rank
         self.label = label
         self.complexity = complexity
+        self.certified = certified
         super().__init__(message)
 
     def __reduce__(self):  # survive the trip back from a worker process
         return (type(self), (self.word, self.rank, self.label, self.complexity,
-                             self.args[0]))
+                             self.certified, self.args[0]))
 
 
 @dataclass(frozen=True)
@@ -161,7 +173,23 @@ def _none_ceiling(n: int) -> int:
 
 
 def _shard_kernel(n: int, lo: int, hi: int) -> dict:
-    """Tally ranks [lo, hi); raises on any classification/complexity clash."""
+    """Tally ranks [lo, hi) of S_n; raise on any classification/complexity clash.
+
+    A depth-first walk of the prefix tree in lexicographic order.  A node
+    whose rank block lies partly outside [lo, hi) descends only into the
+    children that meet it, so the range splits into O(n^2) complete prefix
+    blocks, each walked in full.  A node pushes its letter through one
+    shared stack pass (the smaller letters it pops go to one shared output
+    list), sets ``w`` and ``pos`` and adds its descent, once for every
+    word below it, and undoes all of it on return.  The last two letters
+    a < b are unrolled: S(...ab) is the output followed by the stack and
+    {a, b} in increasing order, and S(...ba) is the output, the stack
+    letters below b, then a, b and the stack letters above b.  Each word
+    then costs a lookup of S(w) without n in ``_complexity``, the compiled
+    classify and the tallies; complexity 0 is the word with no descent.
+    Words are checked in rank order, so the first clash raised is the
+    lowest-ranked one.
+    """
     size = max(n, 1)
     cnt = [0] * size
     dm = [[0] * size for _ in range(size)]
@@ -169,39 +197,89 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     if hi <= lo:
         return {"counts": cnt, "rows": rows, "descents": dm}
     cc = CompiledCatalog(builtin_catalog(), n)
-    offsets = {cr.label: tier(cr.label)[0] for cr in cc.rows}
+    certified = {cr.label: n - tier(cr.label)[0] for cr in cc.rows}
     ceiling = _none_ceiling(n)
     classify = cc.classify
-    w = list(unrank(n, lo))
+    fact = [factorial(m) for m in range(n + 1)]
+    w = [0] * n
     pos = [0] * (n + 1)
-    for r in range(lo, hi):
-        for i, x in enumerate(w):
-            pos[x] = i
-        k = _complexity(w)
-        d = 0
-        for i in range(n - 1):
-            if w[i] > w[i + 1]:
-                d += 1
+    free = list(range(1, n + 1))  # letters not yet placed, increasing
+    stack = [n + 1]               # decreasing upwards, over a guard letter
+    out = []                      # letters popped so far, in output order
+
+    def tally(u, d, r):
+        """Count the word in ``w`` (rank r, d descents); u is S(w) without n."""
+        c = _complexity(u)
+        k = c + 1 if c or d else 0
         label = classify(w, pos)
         if label is None:
             if k > ceiling:
                 raise CensusSoundnessError(
-                    w, r, None, k,
+                    w, r, None, k, ceiling,
                     f"word {''.join(map(str, w)) if n <= 9 else w} (rank {r}) "
-                    f"has complexity {k} but matches no catalog row",
+                    f"has complexity {k} but matches no catalog row "
+                    f"(unclassified words certify at most {ceiling})",
                 )
+        elif k != certified[label]:
+            raise CensusSoundnessError(
+                w, r, label, k, certified[label],
+                f"word {''.join(map(str, w)) if n <= 9 else w} (rank {r}) "
+                f"matches {label} (certifies {certified[label]}) but has "
+                f"complexity {k}",
+            )
         else:
-            if k != n - offsets[label]:
-                raise CensusSoundnessError(
-                    w, r, label, k,
-                    f"word {''.join(map(str, w)) if n <= 9 else w} (rank {r}) "
-                    f"matches {label} (certifies {n - offsets[label]}) but has "
-                    f"complexity {k}",
-                )
             rows[label] += 1
         cnt[k] += 1
         dm[k][d] += 1
-        next_permutation(w)
+
+    def walk(depth, prev, d, base):
+        """Walk the block of ranks [base, base + (n - depth)!), whose words
+        share the prefix w[:depth] ending in ``prev`` with d descents."""
+        if depth == n - 2:
+            a, b = free
+            if lo <= base:
+                w[depth] = a
+                w[depth + 1] = b
+                pos[a] = depth
+                pos[b] = depth + 1
+                u = out + sorted(stack[1:] + free)
+                u.pop()
+                tally(u, d + (prev > a), base)
+            if base + 1 < hi:
+                w[depth] = b
+                w[depth + 1] = a
+                pos[b] = depth
+                pos[a] = depth + 1
+                rest = stack[:0:-1]
+                j = bisect_left(rest, b)
+                u = out + rest[:j]
+                u += free
+                u += rest[j:]
+                u.pop()
+                tally(u, d + (prev > b) + 1, base + 1)
+            return
+        m = n - depth
+        s = fact[m - 1]
+        for i in range(max(0, (lo - base) // s), min(m, -((base - hi) // s))):
+            x = free.pop(i)
+            w[depth] = x
+            pos[x] = depth
+            mark = len(out)
+            while stack[-1] < x:
+                out.append(stack.pop())
+            stack.append(x)
+            walk(depth + 1, x, d + (prev > x), base + i * s)
+            stack.pop()
+            while len(out) > mark:
+                stack.append(out.pop())
+            free.insert(i, x)
+
+    if n == 1:  # no last two letters to unroll
+        w[0] = 1
+        tally([], 0, 0)
+    else:
+        walk(0, 0, 0, 0)
+        del walk  # it refers to itself through its closure
     return {"counts": cnt, "rows": rows, "descents": dm}
 
 

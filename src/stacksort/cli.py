@@ -11,7 +11,9 @@ Examples::
     stacksort verify --n 7               # formulas vs a fresh census
     stacksort fit --k 2 --data 4=8 --data 5=23
 
-Exit status: 0 on success, 1 when a verification or fit check fails,
+Exit status: 0 on success, 1 when a verification or fit check fails or a
+census finds a word whose catalog row contradicts its complexity (the
+message gives a ``classify --explain`` command that shows the word),
 2 on usage errors or malformed input, 3 when a census worker process dies,
 130 when interrupted.  After 3 or 130, the shards already saved under
 ``--checkpoint`` are kept, and rerunning with ``--resume`` continues there.
@@ -19,6 +21,7 @@ Exit status: 0 on success, 1 when a verification or fit check fails,
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
@@ -91,12 +94,11 @@ def _cmd_classify(args) -> int:
     except ValueError as exc:
         print(f"stacksort: {exc}", file=sys.stderr)
         return 2
-    if label is None:
-        print("none")
-    else:
-        print(label)
-        if args.explain:
+    print("none" if label is None else label)
+    if args.explain:
+        if label is not None:
             print(f"certified_complexity: {certified_class(label, len(w))}")
+        print(f"complexity: {complexity(w)}")
     return 0
 
 
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("classify", help="first matching catalog row")
     s.add_argument("word")
     s.add_argument("--explain", action="store_true",
-                   help="also print the certified complexity")
+                   help="also print the certified and the measured complexity")
     s.set_defaults(fn=_cmd_classify)
 
     s = sub.add_parser("catalog", help="print the built-in catalog rows")
@@ -279,6 +281,8 @@ def main(argv: Optional[list] = None) -> int:
         raise
     except census_mod.CensusSoundnessError as exc:
         print(f"stacksort: soundness failure: {exc}", file=sys.stderr)
+        print("stacksort: reproduce with: stacksort classify "
+              f"{shlex.quote(format_word(exc.word))} --explain", file=sys.stderr)
         return 1
     except BrokenProcessPool:
         print(f"stacksort: a worker process died; {_SAVED_SHARDS}", file=sys.stderr)

@@ -409,7 +409,7 @@ def row_matches(row: PatternRow, w: Sequence[int], naive: bool = False) -> bool:
     w = tuple(w)
     pos = _positions(w)
     if not naive:
-        return CompiledRow(row, len(w)).match(w, pos)
+        return _compiled_row(row, len(w)).match(w, pos)
     for b in expand_alternations(row.tokens):
         for caps in _naive_all(b, w):
             spans = [caps.get(nm, (0, 0)) for nm in row.nonempty]
@@ -427,7 +427,7 @@ def match_spans(row: PatternRow, w: Sequence[int]) -> Optional[dict]:
     """
     w = tuple(w)
     pos = _positions(w)
-    cr = CompiledRow(row, len(w))
+    cr = _compiled_row(row, len(w))
     if any(ex.match(w, pos) for ex in cr.exclusions):
         return None
     for br in cr.branches:
@@ -441,7 +441,7 @@ def count_matches(row: PatternRow, n: int) -> int:
 
     Enumerates all n! words; intended for small n in tests and exploration.
     """
-    cr = CompiledRow(row, n)
+    cr = _compiled_row(row, n)
     return sum(1 for p in permutations(range(1, n + 1)) if cr.match(p, _positions(p)))
 
 
@@ -692,6 +692,12 @@ class CompiledRow:
                         return False
                 return True
         return False
+
+
+@lru_cache(maxsize=1024)
+def _compiled_row(row: PatternRow, n: int) -> CompiledRow:
+    """The row compiled for length n, kept for the next word of that length."""
+    return CompiledRow(row, n)
 
 
 class CompiledCatalog:

@@ -172,8 +172,9 @@ def stack_sort_pass(w: Iterable[int]) -> Word:
 
 
 def _pass(v: Sequence[int], top: int) -> list:
-    """The stack pass behind :func:`stack_sort_pass`, :func:`complexity` and
-    the census kernel; ``top`` exceeds every letter and guards the stack."""
+    """The stack pass behind :func:`stack_sort_pass` and :func:`complexity`
+    (the census kernel runs the same pass one letter at a time over its
+    prefix tree); ``top`` exceeds every letter and guards the stack."""
     out: list[int] = []
     stack = [top]
     for x in v:

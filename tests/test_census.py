@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import random
 from math import factorial
 
 import pytest
@@ -18,7 +19,8 @@ from stacksort.census import (
     save_report,
 )
 from stacksort.formulas import verify_census
-from stacksort.words import rank
+from stacksort.patterns import CompiledCatalog, builtin_catalog, tier
+from stacksort.words import complexity, descents, next_permutation, rank, unrank
 
 
 # Frozen small-length distributions, cross-checked against the counting
@@ -32,6 +34,123 @@ KNOWN_COUNTS = {
     6: [1, 131, 276, 198, 90, 24],
     7: [1, 428, 1509, 1556, 982, 444, 120],
 }
+
+
+# Report checksums: n = 5 as quoted in the README, n = 8, 9 and 10 as
+# pinned in perfbench/bench.py from runs of the first census kernel.
+PINNED_CHECKSUMS = {
+    5: "sha256:4a51e5f10e58aeb4f4aa691dc9bd3be58dba9304af968057e9308d56dc4336ee",
+    8: "sha256:e154f75f4a5e366a4534504b1e5c22b9e34a7b50f13388cf8825318a08e371f1",
+    9: "sha256:8f46fe43396003e268dbc969fb19c194ddfd5015c71e1f514dece2cfb3b9faaa",
+    10: "sha256:17a798e2941afe4bdd69497883eff703bafc33e19f113c8c7c9352296a4ede34",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CHECKSUMS))
+def test_pinned_checksums(n, census_cache, extended):
+    if n == 10 and not extended:
+        pytest.skip("n = 10 runs with STACKSORT_EXTENDED=1")
+    assert census_cache(n).checksum == PINNED_CHECKSUMS[n]
+
+
+def _reference_words(n, lo, hi):
+    """(complexity, descents, label) of ranks [lo, hi), one word at a time
+    through unrank, next_permutation, complexity, descents and the compiled
+    classify: the census kernel before the prefix-tree walk, kept as its
+    oracle.  Raises CensusSoundnessError (empty message) like the kernel."""
+    if hi <= lo:
+        return
+    cc = CompiledCatalog(builtin_catalog(), n)
+    ceiling = census_mod._none_ceiling(n)
+    w = list(unrank(n, lo))
+    for r in range(lo, hi):
+        k, label = complexity(w), cc.classify_word(w)
+        certified = ceiling if label is None else n - tier(label)[0]
+        if k > certified or (label is not None and k != certified):
+            raise CensusSoundnessError(w, r, label, k, certified, "")
+        yield k, descents(w), label
+        next_permutation(w)
+
+
+def _tallies(n, records):
+    size = max(n, 1)
+    cnt = [0] * size
+    dm = [[0] * size for _ in range(size)]
+    rows = {label: 0 for label in census_mod._eligible_labels(n)}
+    for k, d, label in records:
+        cnt[k] += 1
+        dm[k][d] += 1
+        if label is not None:
+            rows[label] += 1
+    return {"counts": cnt, "rows": rows, "descents": dm}
+
+
+def _reference_kernel(n, lo, hi):
+    return _tallies(n, _reference_words(n, lo, hi))
+
+
+def test_walk_matches_reference_on_every_range_to_n5():
+    for n in range(1, 6):
+        words = list(_reference_words(n, 0, factorial(n)))
+        for lo in range(len(words) + 1):
+            for hi in range(lo, len(words) + 1):
+                assert census_mod._shard_kernel(n, lo, hi) == _tallies(
+                    n, words[lo:hi]), (n, lo, hi)
+
+
+def _seeded_ranges(n, rng, count, width):
+    """Random ranges of S_n, plus empty ranges, single words, ranges that
+    start or end on a prefix-block boundary, and the whole of S_n."""
+    total = factorial(n)
+    out = [(0, total), (0, 0), (total, total), (0, 1), (total - 1, total)]
+    for _ in range(count):
+        lo = rng.randrange(total)
+        out.append((lo, min(total, lo + rng.randrange(width))))
+        out.append((lo, lo))
+        out.append((lo, lo + 1))
+        block = factorial(rng.randrange(1, n))  # words sharing a prefix
+        edge = rng.randrange(total // block + 1) * block
+        out.append((edge, min(total, edge + rng.randrange(1, width))))
+        out.append((max(0, edge - rng.randrange(1, width)), edge))
+    return out
+
+
+@pytest.mark.parametrize("n, count, width", [(6, 40, 720), (7, 30, 3000),
+                                             (8, 12, 6000), (9, 2, 4000)])
+def test_walk_matches_reference_on_seeded_ranges(n, count, width):
+    rng = random.Random(n)
+    ranges = _seeded_ranges(n, rng, count, width)
+    if n == 9:  # S_9 is too long to replay word by word here
+        ranges.remove((0, factorial(9)))
+    for lo, hi in ranges:
+        assert census_mod._shard_kernel(n, lo, hi) == _reference_kernel(
+            n, lo, hi), (n, lo, hi)
+
+
+@pytest.mark.parametrize("patch", ["tiers", "ceiling"])
+def test_walk_raises_on_the_reference_word(patch, monkeypatch):
+    # an L1 offset one too high, or an unclassified ceiling one too low, makes
+    # many words fail: both kernels must raise on the same, first one
+    if patch == "tiers":
+        monkeypatch.setattr(patterns_mod, "_TIERS",
+                            (("L1", 2, 2), ("L2", 2, 4), ("T", 3, 6)))
+    else:
+        monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: n - 5)
+    rng = random.Random(7)
+    ranges = [(n, lo, hi) for n in (6, 7) for lo, hi in _seeded_ranges(n, rng, 10, 2000)]
+    raised = 0
+    for n, lo, hi in ranges:
+        try:
+            want = _reference_kernel(n, lo, hi)
+        except CensusSoundnessError as exc:
+            want = (exc.word, exc.rank, exc.label, exc.complexity, exc.certified)
+            raised += 1
+        try:
+            got = census_mod._shard_kernel(n, lo, hi)
+        except CensusSoundnessError as exc:
+            got = (exc.word, exc.rank, exc.label, exc.complexity, exc.certified)
+        assert got == want, (n, lo, hi)
+    assert 0 < raised < len(ranges)
 
 
 def test_known_distributions(census_cache):
@@ -385,6 +504,26 @@ def test_soundness_guard_trips_on_wrong_offset(monkeypatch):
     assert f"(rank {rank((2, 3, 4, 1))})" in str(e.value)
     assert e.value.label == "L1"
     assert e.value.complexity == 3
+
+
+def test_soundness_error_carries_the_certified_level(monkeypatch):
+    # an unclassified word is certified up to the none-ceiling ...
+    monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: -1)
+    with pytest.raises(CensusSoundnessError) as e:
+        run_census(4)
+    assert (e.value.label, e.value.certified) == (None, -1)
+    monkeypatch.undo()
+    # ... a labelled one at n - offset of its row
+    monkeypatch.setattr(patterns_mod, "_TIERS",
+                        (("L1", 2, 2), ("L2", 2, 4), ("T", 3, 6)))
+    with pytest.raises(CensusSoundnessError) as e:
+        run_census(5)
+    assert (e.value.label, e.value.certified) == ("L1", 3)
+    # the error survives the trip back from a worker process
+    back = pickle.loads(pickle.dumps(e.value))
+    assert (back.word, back.rank, back.label, back.complexity, back.certified,
+            str(back)) == (e.value.word, e.value.rank, "L1", 4, 3, str(e.value))
+    assert "certifies 3" in str(back)
 
 
 def test_descent_polynomial(census_cache):

@@ -68,6 +68,7 @@ def test_classify(capsys):
     assert code == 0
     assert out.splitlines()[0] == "T3b"
     assert "certified_complexity: 3" in out
+    assert "complexity: 3" in out.splitlines()
 
 
 def test_catalog(capsys):
@@ -118,6 +119,18 @@ def test_long_run_stops_cleanly(exc, code, tmp_path, capsys, monkeypatch):
     [line] = err.splitlines()
     assert line.startswith("stacksort: ")
     assert "are saved" in line and "--resume continues the run" in line
+
+
+def test_soundness_failure_prints_a_reproduction(capsys, monkeypatch):
+    monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: -1)
+    code, out, err = run(capsys, "census", "--n", "4")
+    assert code == 1 and out == ""
+    failure, repro = err.splitlines()
+    assert failure.startswith("stacksort: soundness failure: word 1234 (rank 0)")
+    assert repro == "stacksort: reproduce with: stacksort classify 1234 --explain"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "classify", "1234", "--explain")
+    assert code == 0 and out.splitlines() == ["none", "complexity: 0"]
 
 
 def test_census_bad_n(capsys):

@@ -37,7 +37,7 @@ from stacksort.patterns import (
     row_matches,
     tier,
 )
-from stacksort.patterns import _naive_all, _positions
+from stacksort.patterns import _compiled_row, _naive_all, _positions
 from stacksort.words import Word
 
 
@@ -214,6 +214,21 @@ def test_naive_oracle_agrees_with_matcher():
     for p in permutations(range(1, 6)):
         for row in rows:
             assert row_matches(row, p) == row_matches(row, p, naive=True)
+
+
+def test_row_matches_reuses_the_compiled_row():
+    row = builtin_catalog().row("L2-4")
+    first = _compiled_row(row, 6)
+    before = _compiled_row.cache_info().hits
+    words = list(permutations(range(1, 7)))
+    for w in words:
+        hit = row_matches(row, w)
+        spans = match_spans(row, w)
+        assert hit == (spans is not None)
+        # the oracle: some branch of the row has a blunt-force match
+        assert hit == any(_naive_all(b, w) for b in expand_alternations(row.tokens))
+    assert _compiled_row.cache_info().hits - before == 2 * len(words)
+    assert _compiled_row(row, 6) is first
 
 
 _flat_token = st.one_of(
