@@ -27,7 +27,7 @@ A resume reads the saved shards in the calling process and trusts a shard
 file only when its identity (length, shard, rank range, kernel version and
 catalog hash), its checksum, its shape and its row labels all match; any
 other file is logged on the ``stacksort.census`` logger and recomputed.
-Worker processes start only for the shards left to compute.
+Reports are read back through the same tally reader and shape checks.
 """
 from __future__ import annotations
 
@@ -41,7 +41,9 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Dict, Iterable, Optional, Tuple
 
-from .patterns import CompiledCatalog, builtin_catalog, format_row, tier
+from . import patterns
+from .patterns import (CompiledCatalog, _valid_at, builtin_catalog,
+                       certified_class, format_row, tier)
 from .words import _complexity
 
 SCHEMA_VERSION = 1
@@ -101,32 +103,24 @@ class Census:
                               self.counts_by_row, self.descent_matrix)
 
     def validate(self) -> None:
-        """Raise ValueError unless the internal tallies are consistent."""
-        n = self.n
-        size = max(n, 1)
-        if len(self.counts_by_complexity) != size:
-            raise ValueError("counts_by_complexity has wrong length")
-        if sum(self.counts_by_complexity) != factorial(n):
+        """Raise ValueError unless the tallies pass a saved shard's shape checks
+        and sum to n!, by descents to each count and by tier to its level."""
+        n, cnt = self.n, self.counts_by_complexity
+        _check_tallies(n, frozenset(_eligible_labels(n)), cnt,
+                       self.counts_by_row, self.descent_matrix)
+        if sum(cnt) != factorial(n):
             raise ValueError("counts do not sum to n!")
-        if len(self.descent_matrix) != size or any(
-            len(row) != size for row in self.descent_matrix
-        ):
-            raise ValueError("descent_matrix has wrong shape")
         for c, row in enumerate(self.descent_matrix):
-            if sum(row) != self.counts_by_complexity[c]:
+            if sum(row) != cnt[c]:
                 raise ValueError(f"descent row {c} does not sum to its count")
-        if any(v < 0 for v in self.counts_by_row.values()):
-            raise ValueError("negative row count")
-        sums = {"L1": 0, "L2": 0, "T": 0}
+        sums: dict = {}
         for label, v in self.counts_by_row.items():
-            offset, _ = tier(label)
-            sums[{1: "L1", 2: "L2", 3: "T"}[offset]] += v
-        for prefix, offset, floor in (("L1", 1, 2), ("L2", 2, 4), ("T", 3, 6)):
-            if n >= floor and sums[prefix] != self.counts_by_complexity[n - offset]:
-                raise ValueError(
-                    f"{prefix} rows sum to {sums[prefix]}, expected "
-                    f"{self.counts_by_complexity[n - offset]}"
-                )
+            offset = tier(label)[0]
+            sums[offset] = sums.get(offset, 0) + v
+        for offset, total in sums.items():
+            if total != cnt[n - offset]:
+                raise ValueError(f"rows certifying n-{offset} sum to {total}, "
+                                 f"expected {cnt[n - offset]}")
 
     def cumulative(self, c: int) -> int:
         """Number of words with complexity at most c."""
@@ -147,6 +141,58 @@ def _tally_strings(keys, counts, rows, descents) -> dict:
     )))
 
 
+def _decimals(table, key: str) -> list:
+    """The ints behind a list of decimal strings, saved under ``key``."""
+    try:
+        if isinstance(table, list):
+            return [int(c, 10) for c in table]  # a base rejects non-strings
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{key} is not a table of decimal strings")
+
+
+def _read_tallies(payload, header: dict, keys) -> dict:
+    """The inverse of :func:`_tally_strings` for untrusted input: the tallies
+    under ``keys`` in ``payload``, a JSON object carrying ``header``'s values.
+    ValueError names a non-object, a missing key, a header mismatch or a
+    table that is not of decimal strings; :func:`_check_tallies` does shapes.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("not a JSON object")
+    for key in (*header, *keys):
+        if key not in payload:
+            raise ValueError(f"no {key}")
+    for key, want in header.items():
+        if payload[key] != want:
+            raise ValueError(f"{key} is {payload[key]!r}, expected {want!r}")
+    counts, rows, descents = (payload[key] for key in keys)
+    if not isinstance(rows, dict) or not isinstance(descents, list):
+        raise ValueError(f"{keys[1]} or {keys[2]} is not a table of decimal strings")
+    return {"counts": _decimals(counts, keys[0]),
+            "rows": dict(zip(rows, _decimals(list(rows.values()), keys[1]))),
+            "descents": [_decimals(row, keys[2]) for row in descents]}
+
+
+def _check_tallies(n: int, labels: frozenset, counts, rows, descents) -> None:
+    """Raise ValueError unless the tables have the sizes of length n, the row
+    labels are exactly ``labels`` and no entry is negative."""
+    size = max(n, 1)
+    if len(descents) != size or any(len(row) != size for row in (counts, *descents)):
+        raise ValueError("tables of the wrong size")
+    if rows.keys() != labels:
+        raise ValueError(f"row labels {sorted(rows.keys() ^ labels)} do not "
+                         "match the catalog")
+    if min([*counts, *rows.values(), *map(min, descents)]) < 0:
+        raise ValueError("negative count")
+
+
+def _zero_tallies(n: int) -> dict:
+    """Empty tallies for length n, in the form the kernel returns."""
+    size = max(n, 1)
+    return {"counts": [0] * size, "rows": dict.fromkeys(_eligible_labels(n), 0),
+            "descents": [[0] * size for _ in range(size)]}
+
+
 def _sha256(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
@@ -158,18 +204,15 @@ def _catalog_sha256() -> str:
 
 
 def _eligible_labels(n: int) -> list:
-    return [r.label for r in builtin_catalog().rows if n >= tier(r.label)[1]]
+    return [r.label for r in builtin_catalog().rows if _valid_at(r.label, n)]
 
 
 def _none_ceiling(n: int) -> int:
-    """Largest complexity an unclassified word may have at this length."""
-    if n >= 6:
-        return n - 4
-    if n >= 4:
-        return n - 3
-    if n >= 2:
-        return n - 2
-    return 0
+    """Largest complexity an unclassified word may have at this length:
+    one below the lowest level the tiers valid at n certify, or 0 when no
+    tier is valid."""
+    offsets = [offset for _, offset, floor in patterns._TIERS if floor <= n]
+    return n - 1 - max(offsets) if offsets else 0
 
 
 def _shard_kernel(n: int, lo: int, hi: int) -> dict:
@@ -190,14 +233,12 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     Words are checked in rank order, so the first clash raised is the
     lowest-ranked one.
     """
-    size = max(n, 1)
-    cnt = [0] * size
-    dm = [[0] * size for _ in range(size)]
-    rows = {label: 0 for label in _eligible_labels(n)}
+    tallies = _zero_tallies(n)
     if hi <= lo:
-        return {"counts": cnt, "rows": rows, "descents": dm}
+        return tallies
+    cnt, rows, dm = tallies.values()
     cc = CompiledCatalog(builtin_catalog(), n)
-    certified = {cr.label: n - tier(cr.label)[0] for cr in cc.rows}
+    certified = {cr.label: certified_class(cr.label, n) for cr in cc.rows}
     ceiling = _none_ceiling(n)
     classify = cc.classify
     fact = [factorial(m) for m in range(n + 1)]
@@ -280,7 +321,7 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     else:
         walk(0, 0, 0, 0)
         del walk  # it refers to itself through its closure
-    return {"counts": cnt, "rows": rows, "descents": dm}
+    return tallies
 
 
 def _checkpoint_path(directory: str, n: int, shard_count: int, index: int) -> str:
@@ -320,8 +361,9 @@ def _shard_header(n, shard_count, index, lo, hi, catalog_sha) -> dict:
 
 
 def _read_shard(path: str, header: dict, labels: frozenset) -> dict:
-    """The tallies of a saved shard, checked against the expected ``header``,
-    the stored checksum and the row ``labels``.
+    """The tallies of a saved shard, checked against the expected ``header``
+    and the stored checksum, for the shape of a shard with the row
+    ``labels``, and for a total of the shard's word count.
 
     Raises FileNotFoundError when there is no file and ValueError, naming
     the reason, when the file cannot be used.
@@ -329,35 +371,14 @@ def _read_shard(path: str, header: dict, labels: frozenset) -> dict:
     with open(path, "rb") as fh:
         text = fh.read()
     saved = json.loads(text)
-    if not isinstance(saved, dict):
-        raise ValueError("not a JSON object")
-    for key, want in header.items():
-        if key not in saved:
-            raise ValueError(f"no {key}")
-        if saved[key] != want:
-            raise ValueError(f"{key} is {saved[key]!r}, expected {want!r}")
+    tallies = _read_tallies(saved, header, _SHARD_KEYS)
     head = text[:text.rfind(_CHECKSUM_KEY) + len(_CHECKSUM_KEY)]
     if saved.get("checksum") != _sha256(head):
         raise ValueError("checksum mismatch")
-    try:
-        counts = [int(c) for c in saved["counts"]]
-        rows = {k: int(v) for k, v in saved["rows"].items()}
-        descents = [[int(c) for c in row] for row in saved["descents"]]
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc}") from None
-    except (TypeError, AttributeError):
-        raise ValueError("malformed tallies") from None
-    size = max(header["n"], 1)
-    if len(descents) != size or any(len(row) != size for row in [counts] + descents):
-        raise ValueError("tables of the wrong size")
-    if rows.keys() != labels:
-        raise ValueError(f"row labels {sorted(rows.keys() ^ labels)} do not "
-                         "match the catalog")
-    if min(counts + list(rows.values()) + [min(row) for row in descents]) < 0:
-        raise ValueError("negative count")
-    if sum(counts) != header["hi"] - header["lo"]:
+    _check_tallies(header["n"], labels, *tallies.values())
+    if sum(tallies["counts"]) != header["hi"] - header["lo"]:
         raise ValueError("counts do not sum to the shard's word count")
-    return {"counts": counts, "rows": rows, "descents": descents}
+    return tallies
 
 
 def _shard_task(args: tuple) -> dict:
@@ -440,10 +461,8 @@ def run_census(
         with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
             computed = list(pool.map(_shard_task, todo))
     results.update((t[2], res) for t, res in zip(todo, computed))
-    size = max(n, 1)
-    cnt = [0] * size
-    dm = [[0] * size for _ in range(size)]
-    rows = {label: 0 for label in _eligible_labels(n)}
+    merged = _zero_tallies(n)
+    cnt, rows, dm = merged.values()
     for res in results.values():
         for c, v in enumerate(res["counts"]):
             cnt[c] += v
@@ -452,13 +471,7 @@ def run_census(
         for c, row in enumerate(res["descents"]):
             for d, v in enumerate(row):
                 dm[c][d] += v
-    census = Census(
-        n=n,
-        counts_by_complexity=tuple(cnt),
-        counts_by_row=rows,
-        descent_matrix=tuple(tuple(row) for row in dm),
-        shard_count=shard_count,
-    )
+    census = Census(n, tuple(cnt), rows, tuple(map(tuple, dm)), shard_count)
     census.validate()
     return census
 
@@ -524,24 +537,25 @@ def save_report(
 
 
 def load_census(path: str) -> Census:
-    """Read a census report back; checksum and invariants are re-verified."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {payload.get('schema_version')!r}")
-    census = Census(
-        n=int(payload["n"]),
-        counts_by_complexity=tuple(int(c) for c in payload["counts_by_complexity"]),
-        counts_by_row={k: int(v) for k, v in payload["counts_by_row"].items()},
-        descent_matrix=tuple(
-            tuple(int(c) for c in row) for row in payload["descent_matrix"]
-        ),
-        shard_count=int(payload.get("shard_count", 1)),
-    )
-    stored = payload.get("checksum")
-    if stored is not None and stored != census.checksum:
-        raise ValueError(f"checksum mismatch in {path}: stored {stored}")
-    census.validate()
+    """Read a census report back through the shard reader's parsing; the
+    checksum and :meth:`Census.validate` are re-checked.  Raises
+    ValueError naming the file and the cause."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        tallies = _read_tallies(payload, {"schema_version": SCHEMA_VERSION},
+                                _REPORT_KEYS)
+        n, shard_count = payload.get("n"), payload.get("shard_count", 1)
+        if type(n) is not int or type(shard_count) is not int:
+            raise ValueError("n and shard_count must be integers")
+        census = Census(n, tuple(tallies["counts"]), tallies["rows"],
+                        tuple(map(tuple, tallies["descents"])), shard_count)
+        stored = payload.get("checksum")
+        if stored is not None and stored != census.checksum:
+            raise ValueError(f"checksum mismatch: stored {stored}")
+        census.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return census
 
 

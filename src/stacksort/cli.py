@@ -109,6 +109,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _run_or_load(args) -> census_mod.Census:
+    """The report given by ``--census``, where the command takes one, or a
+    census of ``--n`` run with the command's options."""
     if getattr(args, "census", None):
         c = census_mod.load_census(args.census)
         if args.n is not None and args.n != c.n:
@@ -127,13 +129,7 @@ def _run_or_load(args) -> census_mod.Census:
 
 
 def _cmd_census(args) -> int:
-    c = census_mod.run_census(
-        args.n,
-        shard_count=args.shards,
-        jobs=args.jobs,
-        checkpoint_dir=args.checkpoint,
-        resume=args.resume,
-    )
+    c = _run_or_load(args)
     print(f"n: {c.n}")
     for cls, v in enumerate(c.counts_by_complexity):
         print(f"class {cls}: {v}")

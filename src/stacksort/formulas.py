@@ -26,9 +26,18 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
+from .patterns import _valid_at, tier
+
 
 class InexactDivision(ArithmeticError):
     """An exact formula produced a non-integer value."""
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise InexactDivision(f"{num}/{den} is not an integer")
+    return q
 
 
 @dataclass(frozen=True)
@@ -44,21 +53,13 @@ class BinomialFormula:
     k: int
     coeffs: Tuple[int, ...]
 
-    @property
-    def floor(self) -> int:
-        return 2 * self.k
-
     def evaluate(self, n: int) -> int:
         k = self.k
         if n < 2 * k:
             raise ValueError(f"formula needs n >= {2 * k}, got {n}")
         total = sum(a * comb(n - 2 * k, i) for i, a in enumerate(self.coeffs))
-        num = factorial(k - 1) * factorial(n - k - 1) * total
-        den = factorial(2 * k - 2)
-        q, r = divmod(num, den)
-        if r:
-            raise InexactDivision(f"{num}/{den} is not an integer")
-        return q
+        return _exact_div(factorial(k - 1) * factorial(n - k - 1) * total,
+                          factorial(2 * k - 2))
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,7 @@ class FactorialPoly:
         p = 0
         for a in reversed(self.poly):
             p = p * n + a
-        num = factorial(n - self.j) * p
-        q, r = divmod(num, self.denom)
-        if r:
-            raise InexactDivision(f"{num}/{self.denom} is not an integer")
-        return q
+        return _exact_div(factorial(n - self.j) * p, self.denom)
 
 
 @dataclass(frozen=True)
@@ -140,13 +137,6 @@ REGISTRY: Dict[str, FormulaEntry] = {
 }
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise InexactDivision(f"{num}/{den} is not an integer")
-    return q
-
-
 # First-match counts for the built-in catalog rows (see catalog.txt); each
 # maps a word length to the number of words whose first matching row it is.
 ROW_COUNTS: Dict[str, Callable[[int], int]] = {
@@ -183,11 +173,8 @@ ROW_COUNTS: Dict[str, Callable[[int], int]] = {
 
 def expected_row_count(label: str, n: int) -> int:
     """Closed-form first-match count for a built-in row at length n."""
-    from .patterns import tier
-
-    _, floor = tier(label)
-    if n < floor:
-        raise ValueError(f"row {label} needs n >= {floor}, got {n}")
+    if not _valid_at(label, n):
+        raise ValueError(f"row {label} needs n >= {tier(label)[1]}, got {n}")
     return ROW_COUNTS[label](n)
 
 
@@ -225,8 +212,6 @@ def verify_census(census) -> VerifyReport:
     first-match counts.  The census only needs ``n``,
     ``counts_by_complexity`` and ``counts_by_row`` attributes.
     """
-    from .patterns import tier
-
     n = census.n
     cnt = census.counts_by_complexity
     checks = []
@@ -246,8 +231,7 @@ def verify_census(census) -> VerifyReport:
             actual = sum(cnt[: top + 1])
         add(entry.name, entry.evaluate(n), actual, entry.conjectural)
     for label, fn in ROW_COUNTS.items():
-        _, floor = tier(label)
-        if n >= floor:
+        if _valid_at(label, n):
             add(f"row-{label}", fn(n), census.counts_by_row.get(label, 0))
     return VerifyReport(n, tuple(checks))
 

@@ -89,6 +89,8 @@ class PatternRow:
     nonempty: tuple = ()
 
 
+# (label prefix, complexity offset, smallest valid n): the one tier table,
+# from which every other tier fact is derived
 _TIERS = (("L1", 1, 2), ("L2", 2, 4), ("T", 3, 6))
 
 
@@ -101,7 +103,13 @@ def tier(label: str) -> tuple:
     for prefix, offset, floor in _TIERS:
         if label.startswith(prefix):
             return offset, floor
-    raise ValueError(f"label {label!r} has no recognized tier prefix (L1/L2/T)")
+    prefixes = "/".join(prefix for prefix, _, _ in _TIERS)
+    raise ValueError(f"label {label!r} has no recognized tier prefix ({prefixes})")
+
+
+def _valid_at(label: str, n: int) -> bool:
+    """True iff a row with this label certifies anything at length n."""
+    return n >= tier(label)[1]
 
 
 def certified_class(label: str, n: int) -> int:
@@ -478,13 +486,13 @@ class Catalog:
         n = len(w)
         if naive:
             for row in self.rows:
-                if n >= tier(row.label)[1] and row_matches(row, w, naive=True):
+                if _valid_at(row.label, n) and row_matches(row, w, naive=True):
                     return row.label
-            return None
-        if n < 2:  # below every tier's floor
             return None
         cc = self._compiled.get(n)
         if cc is None:
+            if n < min(floor for _, _, floor in _TIERS):
+                return None
             cc = self._compiled[n] = CompiledCatalog(self, n)
         return cc.classify_word(w)
 
@@ -716,7 +724,7 @@ class CompiledCatalog:
     def __init__(self, catalog: Catalog, n: int):
         self.n = n
         self.rows = [CompiledRow(row, n) for row in catalog.rows
-                     if n >= tier(row.label)[1]]
+                     if _valid_at(row.label, n)]
         cells: dict = {}
         for cr in self.rows:
             for br in cr.branches:
@@ -750,7 +758,4 @@ class CompiledCatalog:
     def classify_word(self, w: Sequence[int]) -> Optional[str]:
         """Convenience wrapper building the position table itself."""
         w = tuple(w)
-        pos = [0] * (len(w) + 1)
-        for i, x in enumerate(w):
-            pos[x] = i
-        return self.classify(w, pos)
+        return self.classify(w, _positions(w))

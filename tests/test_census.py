@@ -397,6 +397,8 @@ BAD_SHARDS = {
     "unknown row label": (
         lambda p: _stamped(dict(p, rows={**p["rows"], "ZZ": "0"})), "['ZZ']"),
     "negative count": (_negative_count, "negative count"),
+    "null count": (lambda p: _stamped(dict(p, rows={**p["rows"], "L1": None})),
+                   "rows is not a table of decimal strings"),
     "one word too many": (_extra_word, "do not sum to the shard's word count"),
 }
 
@@ -477,6 +479,46 @@ def test_validate_catches_corruption(census_cache):
     bad_rows["L1"] += 1
     with pytest.raises(ValueError):
         Census(5, c.counts_by_complexity, bad_rows, c.descent_matrix).validate()
+
+
+def _moved_descent_word(c):
+    """The census with one word of complexity 1 moved to a descent cell that
+    holds none, leaving -1 behind: every sum still holds."""
+    matrix = [list(row) for row in c.descent_matrix]
+    d = matrix[1].index(0)
+    matrix[1][d] -= 1
+    matrix[1][1] += 1
+    return Census(c.n, c.counts_by_complexity, c.counts_by_row,
+                  tuple(map(tuple, matrix)))
+
+
+def _invalid_row_label(c):
+    """The census with an empty row of a tier not valid at its length."""
+    return Census(c.n, c.counts_by_complexity, {**c.counts_by_row, "T1a": 0},
+                  c.descent_matrix)
+
+
+@pytest.mark.parametrize("n, corrupt, reason", [
+    (6, _moved_descent_word, "negative count"),
+    (5, _invalid_row_label, r"row labels \['T1a'\]"),
+])
+def test_wrong_tallies_with_a_matching_checksum_are_rejected(
+        n, corrupt, reason, tmp_path, census_cache):
+    bad = corrupt(census_cache(n))
+    with pytest.raises(ValueError, match=reason):
+        bad.validate()
+    # saved with a fresh checksum, the report does not load either
+    path = str(tmp_path / "report.json")
+    save_report(bad, path)
+    with pytest.raises(ValueError, match=reason):
+        load_census(path)
+    assert verify_census(bad).ok  # the formulas alone would not notice
+
+
+def test_none_ceiling_is_derived_from_the_tiers():
+    old = {n: n - 4 if n >= 6 else n - 3 if n >= 4 else n - 2 if n >= 2 else 0
+           for n in range(15)}
+    assert {n: census_mod._none_ceiling(n) for n in range(15)} == old
 
 
 def test_soundness_guard_trips(monkeypatch):

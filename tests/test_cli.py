@@ -177,6 +177,36 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert "FAIL exact-n-1: expected 6, got 7" in out
 
 
+def _without_rows(payload):
+    del payload["counts_by_row"]
+    return payload
+
+
+def _null_count(payload):
+    payload["counts_by_row"]["L1"] = None
+    return payload
+
+
+MALFORMED_REPORTS = {
+    "no counts_by_row": (_without_rows, "no counts_by_row"),
+    "a JSON list": (lambda payload: [payload], "not a JSON object"),
+    "a null count": (_null_count, "counts_by_row is not a table of decimal strings"),
+}
+
+
+@pytest.mark.parametrize("command", [["verify"], ["fit", "--k", "2"]],
+                         ids=["verify", "fit"])
+@pytest.mark.parametrize("case", MALFORMED_REPORTS)
+def test_malformed_report_exits_2(case, command, tmp_path, capsys):
+    edit, reason = MALFORMED_REPORTS[case]
+    path = tmp_path / "r.json"
+    save_report(census_mod.run_census(5), str(path))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, out, err = run(capsys, *command, "--census", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"stacksort: {path}: {reason}"]
+
+
 def test_fit_command(capsys):
     code, out, _ = run(capsys, "fit", "--k", "2", "--data", "4=8", "--data", "5=23")
     assert code == 0

@@ -309,7 +309,7 @@ def test_tier_and_certified_class():
     assert tier("L2-4") == (2, 4)
     assert tier("T3b") == (3, 6)
     assert certified_class("T5a", 9) == 6
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"tier prefix \(L1/L2/T\)"):
         tier("Q9")
 
 
