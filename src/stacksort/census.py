@@ -413,6 +413,18 @@ def _resume_shards(n, shard_count, bounds, checkpoint_dir, catalog_sha) -> dict:
     return found
 
 
+def _stop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down without waiting on its shards: cancel those not
+    yet handed out and end the workers, dropping the shards they hold.
+    Shards already saved stay for a resume."""
+    workers = list(pool._processes.values())  # no public handle before 3.14
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in workers:
+        proc.terminate()
+    for proc in workers:
+        proc.join()
+
+
 def run_census(
     n: int,
     shard_count: Optional[int] = None,
@@ -431,7 +443,9 @@ def run_census(
     rank range, kernel version and catalog hash) and its checksum, shape
     and row labels check out; any other file is logged and recomputed.
     Only the shards left to compute go to the kernel, in a pool of
-    ``min(jobs, shards left)`` workers when more than one is left.
+    ``min(jobs, shards left)`` workers when more than one is left.  When
+    the wait for that pool is cut short, by an interrupt or a failed
+    shard, the pool is stopped at once: no queued shard is waited for.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
@@ -459,7 +473,11 @@ def run_census(
         computed = [_shard_task(t) for t in todo]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-            computed = list(pool.map(_shard_task, todo))
+            try:
+                computed = list(pool.map(_shard_task, todo))
+            except BaseException:
+                _stop_pool(pool)  # so that leaving the block waits on nothing
+                raise
     results.update((t[2], res) for t, res in zip(todo, computed))
     merged = _zero_tallies(n)
     cnt, rows, dm = merged.values()
@@ -538,8 +556,8 @@ def save_report(
 
 def load_census(path: str) -> Census:
     """Read a census report back through the shard reader's parsing; the
-    checksum and :meth:`Census.validate` are re-checked.  Raises
-    ValueError naming the file and the cause."""
+    checksum, which every saved report carries, and :meth:`Census.validate`
+    are re-checked.  Raises ValueError naming the file and the cause."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -551,7 +569,9 @@ def load_census(path: str) -> Census:
         census = Census(n, tuple(tallies["counts"]), tallies["rows"],
                         tuple(map(tuple, tallies["descents"])), shard_count)
         stored = payload.get("checksum")
-        if stored is not None and stored != census.checksum:
+        if stored is None:
+            raise ValueError("checksum missing")
+        if stored != census.checksum:
             raise ValueError(f"checksum mismatch: stored {stored}")
         census.validate()
     except ValueError as exc:

@@ -9,6 +9,16 @@ larger than c sits between two members of B.
 These certify two-sided bounds: a word with no obstruction of order k needs
 at most k sorting passes, and a word with an uninterrupted obstruction of
 order k needs more than k.  :func:`complexity_bounds` packages both.
+
+Both largest orders cost O(n^2) in the word length n, where trying every
+pair (c, a) would cost O(n^3).  For a fixed c, both orders can only shrink
+as a grows: a larger a takes letters out of B, and the letters that
+interrupt a run (those above c) do not depend on a.  So the smallest letter
+after c is the only a that needs trying, with one pass over the letters
+before c.
+Witnesses break ties by position: a witness is the first pair (c, a) in
+position order, c first, that reaches the largest order, and the
+uninterrupted witness's B is that pair's first longest run.
 """
 from __future__ import annotations
 
@@ -30,47 +40,90 @@ class ForbiddenReport:
     uninterrupted_witness: Optional[Witness]
 
 
-def forbidden_report(w: Sequence[int]) -> ForbiddenReport:
-    """Scan every (c, a) pair and collect the largest witness sets.
+def _orders(w: Sequence[int]) -> Tuple[int, int, int, int]:
+    """(max order, first c position reaching it, max uninterrupted order,
+    first c position reaching that); a position is -1 while its order is 0.
 
-    For a fixed pair, the eligible B letters are those before c with values
+    Each c is tried with the smallest letter after it as a, which gives
+    both of its largest orders (see the module docstring), in one pass over
+    the letters before it.  Positions are visited from the right, keeping
+    that suffix minimum, and a tie moves the reported position left, to the
+    first c in position order.
+    """
+    best = best_un = 0
+    at = at_un = -1
+    a = w[-1] if w else 0
+    for j in range(len(w) - 2, 0, -1):
+        c = w[j]
+        if a > c:
+            a = c
+            continue
+        if j < best_un:  # at most j letters fit before c: no tie from here on
+            break
+        count = run = top = 0
+        for x in w[:j]:
+            if x > c:
+                if run > top:
+                    top = run
+                run = 0
+            elif x > a:
+                count += 1
+                run += 1
+        if run > top:
+            top = run
+        if count >= best:
+            best, at = count, j
+        if top >= best_un:
+            best_un, at_un = top, j
+    return best, at, best_un, at_un
+
+
+def _witness(w: Sequence[int], j: int, order: int,
+             uninterrupted: bool) -> Optional[Witness]:
+    """The first obstruction of ``order`` with c = w[j], trying each a < c
+    after it in position order; its B is every eligible letter, or with
+    ``uninterrupted`` the first longest run of them."""
+    if not order:
+        return None
+    c = w[j]
+    for a in w[j + 1:]:
+        if a > c:
+            continue
+        # the run under way starts at cands[start]; the longest is cands[lo:hi]
+        cands: list = []
+        start = lo = hi = 0
+        for x in w[:j]:
+            if x > c:
+                start = len(cands)
+            elif x > a:
+                cands.append(x)
+                if len(cands) - start > hi - lo:
+                    lo, hi = start, len(cands)
+        b = cands[lo:hi] if uninterrupted else cands
+        if len(b) == order:
+            return (tuple(b), c, a)
+    raise AssertionError(f"no obstruction of order {order} at position {j}")
+
+
+def forbidden_report(w: Sequence[int]) -> ForbiddenReport:
+    """The largest obstruction orders of a word, with witnesses.
+
+    For a pair (c, a), the eligible B letters are those before c with values
     strictly between a and c; the plain order is their number, and the
     uninterrupted order is the longest run of them not broken by a letter
-    larger than c.  Runs O(n^3) in the word length.
+    larger than c.  Each order is the largest over all pairs, found in
+    O(n^2) since the smallest a after each c serves for both (see the
+    module docstring).  A witness is the first pair (c, a) in position order,
+    c first, that reaches the largest order, with all of its eligible
+    letters as B, or for the uninterrupted witness its first longest run.
 
     >>> forbidden_report((2, 3, 5, 1, 4)).max_uninterrupted_order
     2
     """
     w = Word(w)
-    n = len(w)
-    best = 0
-    best_wit: Optional[Witness] = None
-    best_un = 0
-    best_un_wit: Optional[Witness] = None
-    for j in range(n):
-        c = w[j]
-        for l in range(j + 1, n):
-            a = w[l]
-            if a >= c:
-                continue
-            cands = [w[i] for i in range(j) if a < w[i] < c]
-            if len(cands) > best:
-                best = len(cands)
-                best_wit = (tuple(cands), c, a)
-            # Longest candidate run with no letter > c inside it.
-            run: list = []
-            top: list = []
-            for i in range(j):
-                if a < w[i] < c:
-                    run.append(w[i])
-                    if len(run) > len(top):
-                        top = list(run)
-                elif w[i] > c:
-                    run = []
-            if len(top) > best_un:
-                best_un = len(top)
-                best_un_wit = (tuple(top), c, a)
-    return ForbiddenReport(w, best, best_un, best_wit, best_un_wit)
+    best, at, best_un, at_un = _orders(w)
+    return ForbiddenReport(w, best, best_un, _witness(w, at, best, False),
+                           _witness(w, at_un, best_un, True))
 
 
 def complexity_bounds(w: Sequence[int]) -> tuple:
@@ -78,7 +131,8 @@ def complexity_bounds(w: Sequence[int]) -> tuple:
 
     The upper bound is the least k admitting no obstruction of order k; the
     lower bound comes from the largest uninterrupted obstruction, or from a
-    plain inversion when there is none.  Sorted words get (0, 0).
+    plain inversion when there is none.  Sorted words get (0, 0).  O(n^2) in
+    the word length, like :func:`forbidden_report`, but without witnesses.
 
     >>> complexity_bounds((2, 3, 1))
     (2, 2)
@@ -86,9 +140,7 @@ def complexity_bounds(w: Sequence[int]) -> tuple:
     (0, 0)
     """
     w = Word(w)
-    if all(a < b for a, b in zip(w, w[1:])):
+    best, _, best_un, _ = _orders(w)
+    if not best and all(a < b for a, b in zip(w, w[1:])):
         return (0, 0)
-    rep = forbidden_report(w)
-    lower = rep.max_uninterrupted_order + 1 if rep.max_uninterrupted_order else 1
-    upper = rep.max_order + 1
-    return (lower, upper)
+    return (best_un + 1, best + 1)

@@ -1,4 +1,10 @@
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -121,6 +127,49 @@ def test_long_run_stops_cleanly(exc, code, tmp_path, capsys, monkeypatch):
     assert "are saved" in line and "--resume continues the run" in line
 
 
+def _children(pid):
+    """The pids of the processes whose parent is ``pid``."""
+    listing = subprocess.run(["ps", "-e", "-o", "pid=,ppid="], capture_output=True,
+                             text=True, check=True).stdout.split()
+    return [int(c) for c, p in zip(listing[::2], listing[1::2]) if int(p) == pid]
+
+
+def _running(pid):
+    """Alive and not a zombie waiting for its parent."""
+    done = subprocess.run(["ps", "-o", "stat=", "-p", str(pid)],
+                          capture_output=True, text=True)
+    return done.returncode == 0 and not done.stdout.strip().startswith("Z")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="signals a single POSIX process")
+def test_interrupt_to_the_parent_alone_stops_the_pool(tmp_path):
+    src = os.path.dirname(os.path.dirname(census_mod.__file__))
+    for attempt in range(2):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stacksort.cli", "census", "--n", "10",
+             "--shards", "64", "--jobs", "2", "--checkpoint", str(tmp_path / str(attempt))],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        workers = []
+        try:
+            start = time.monotonic()
+            while len(workers) < 2 and time.monotonic() - start < 10:
+                time.sleep(0.1)
+                workers = _children(proc.pid)
+            assert len(workers) == 2
+            time.sleep(max(0.0, 2 - (time.monotonic() - start)))
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=15)
+            assert proc.returncode == 130, err
+            assert "interrupted" in err
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            for pid in (*workers, proc.pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            proc.communicate(timeout=15)
+
+
 def test_soundness_failure_prints_a_reproduction(capsys, monkeypatch):
     monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: -1)
     code, out, err = run(capsys, "census", "--n", "4")
@@ -187,10 +236,20 @@ def _null_count(payload):
     return payload
 
 
+def _swapped_without_checksum(payload):
+    """Classes 1 and 2 swapped, which no other check at n = 5 notices."""
+    del payload["checksum"]
+    for key in ("counts_by_complexity", "descent_matrix"):
+        table = payload[key]
+        table[1], table[2] = table[2], table[1]
+    return payload
+
+
 MALFORMED_REPORTS = {
     "no counts_by_row": (_without_rows, "no counts_by_row"),
     "a JSON list": (lambda payload: [payload], "not a JSON object"),
     "a null count": (_null_count, "counts_by_row is not a table of decimal strings"),
+    "no checksum": (_swapped_without_checksum, "checksum missing"),
 }
 
 
