@@ -11,7 +11,10 @@ The shard kernel walks the prefix tree of its rank range depth first, so
 words that share a prefix share its work: the letters of a prefix go
 through the stack pass, the position table and the descent count once for
 every word below them.  Each word then costs one complexity lookup of
-S(w), read off the shared stack, and one compiled classify.
+S(w), read off the shared stack, and one call of the generated function
+of its dispatch cell.  Those functions are generated for all cells of a
+length at once, with one compile() call, on the first word a process
+classifies at that length, and kept for every later shard.
 
 Every shard kernel doubles as a soundness check: for each word it compares
 the catalog classification against the independently computed complexity
@@ -42,9 +45,9 @@ from math import factorial
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import patterns
-from .patterns import (CompiledCatalog, _valid_at, builtin_catalog,
-                       certified_class, format_row, tier)
-from .words import _complexity
+from .patterns import (_valid_at, builtin_catalog, certified_class, format_row,
+                       tier)
+from .words import TABLE_CAP, _complexity, _prefix_table
 
 SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
@@ -228,8 +231,12 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     a < b are unrolled: S(...ab) is the output followed by the stack and
     {a, b} in increasing order, and S(...ba) is the output, the stack
     letters below b, then a, b and the stack letters above b.  Each word
-    then costs a lookup of S(w) without n in ``_complexity``, the compiled
-    classify and the tallies; complexity 0 is the word with no descent.
+    then costs a lookup of S(w) without n, straight from the prefix table
+    when n - 1 <= TABLE_CAP and through ``_complexity`` otherwise, one call
+    of the generated function of the word's dispatch cell, and the
+    tallies; complexity 0 is the word with no descent.  The compiled
+    catalog is the process's own (``Catalog.compiled``), shared with
+    ``classify``, so its cells are generated once per process and length.
     Words are checked in rank order, so the first clash raised is the
     lowest-ranked one.
     """
@@ -237,10 +244,11 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     if hi <= lo:
         return tallies
     cnt, rows, dm = tallies.values()
-    cc = CompiledCatalog(builtin_catalog(), n)
+    cc = builtin_catalog().compiled(n)
     certified = {cr.label: certified_class(cr.label, n) for cr in cc.rows}
     ceiling = _none_ceiling(n)
-    classify = cc.classify
+    dispatch = cc.dispatch
+    table = _prefix_table(n - 1) if n - 1 <= TABLE_CAP else None
     fact = [factorial(m) for m in range(n + 1)]
     w = [0] * n
     pos = [0] * (n + 1)
@@ -250,9 +258,9 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
 
     def tally(u, d, r):
         """Count the word in ``w`` (rank r, d descents); u is S(w) without n."""
-        c = _complexity(u)
+        c = table[bytes(u)] if table is not None else _complexity(u)
         k = c + 1 if c or d else 0
-        label = classify(w, pos)
+        label = dispatch[pos[n]][w[-1]](w, pos)
         if label is None:
             if k > ceiling:
                 raise CensusSoundnessError(

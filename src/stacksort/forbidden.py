@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .words import Word
+from .words import Word, _as_word
 
 Witness = Tuple[Tuple[int, ...], int, int]  # (B values in position order, c, a)
 
@@ -120,7 +120,7 @@ def forbidden_report(w: Sequence[int]) -> ForbiddenReport:
     >>> forbidden_report((2, 3, 5, 1, 4)).max_uninterrupted_order
     2
     """
-    w = Word(w)
+    w = _as_word(w)
     best, at, best_un, at_un = _orders(w)
     return ForbiddenReport(w, best, best_un, _witness(w, at, best, False),
                            _witness(w, at_un, best_un, True))
@@ -139,7 +139,7 @@ def complexity_bounds(w: Sequence[int]) -> tuple:
     >>> complexity_bounds((1, 2, 3, 4))
     (0, 0)
     """
-    w = Word(w)
+    w = _as_word(w)
     best, _, best_un, _ = _orders(w)
     if not best and all(a < b for a, b in zip(w, w[1:])):
         return (0, 0)

@@ -29,10 +29,13 @@ counts follow closed formulas (see :mod:`stacksort.formulas`).
 All matching, the census kernel's included, runs through one positional
 matcher: in a word with distinct letters every pinned letter has one
 position, so a pattern compiles, once per word length, into position
-comparisons with no backtracking.  :class:`CompiledCatalog` dispatches each
-word on the number of letters after n and on its last letter.
-``naive=True`` swaps in a blunt enumerator of star extents, the independent
-oracle the test suite checks the matcher against.
+comparisons with no backtracking.  Those comparisons are written out as
+Python source with every position and letter an int literal, and compiled
+into functions on the first probe.  :class:`CompiledCatalog` dispatches
+each word on the number of letters after n and on its last letter, to one
+generated function per cell of that dispatch.  ``naive=True`` swaps in a
+blunt enumerator of star extents, the independent oracle the test suite
+checks the matcher against.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Optional, Sequence, Union
 
-from .words import Word
+from .words import _as_word
 
 # ---------------------------------------------------------------------------
 # tokens and rows
@@ -409,7 +412,7 @@ def matches(tokens: Sequence[Token], w: Sequence[int], naive: bool = False) -> b
     pos = _positions(w)
     if naive:
         return any(_naive_all(b, w) for b in expand_alternations(tokens))
-    return any(br.match(w, pos) for br in _compile(tokens, len(w)))
+    return any(br.match(w, pos) for br in _compile(tuple(tokens), len(w)))
 
 
 def row_matches(row: PatternRow, w: Sequence[int], naive: bool = False) -> bool:
@@ -461,7 +464,7 @@ def count_matches(row: PatternRow, n: int) -> int:
 class Catalog:
     """An ordered collection of rows; earlier rows shadow later ones."""
     rows: tuple
-    # one CompiledCatalog per word length, built on first use
+    # one CompiledCatalog per word length, built on first use (compiled())
     _compiled: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -474,13 +477,21 @@ class Catalog:
                 return r
         raise KeyError(label)
 
+    def compiled(self, n: int) -> "CompiledCatalog":
+        """The catalog compiled for length n, built on first use and kept;
+        its dispatch is generated on its first probe."""
+        cc = self._compiled.get(n)
+        if cc is None:
+            cc = self._compiled[n] = CompiledCatalog(self, n)
+        return cc
+
     def classify(self, w: Sequence[int], naive: bool = False) -> Optional[str]:
         """Label of the first matching row valid at this length, or None.
 
-        Uses the catalog compiled for the word's length, built on first use
-        and kept; ``naive=True`` tries each row with the oracle instead.
+        Uses the catalog compiled for the word's length (:meth:`compiled`);
+        ``naive=True`` tries each row with the oracle instead.
         """
-        w = Word(w)
+        w = _as_word(w)
         if not w.is_standard():
             raise ValueError("classify() needs a standard word")
         n = len(w)
@@ -489,12 +500,9 @@ class Catalog:
                 if _valid_at(row.label, n) and row_matches(row, w, naive=True):
                     return row.label
             return None
-        cc = self._compiled.get(n)
-        if cc is None:
-            if n < min(floor for _, _, floor in _TIERS):
-                return None
-            cc = self._compiled[n] = CompiledCatalog(self, n)
-        return cc.classify_word(w)
+        if n < min(floor for _, _, floor in _TIERS):
+            return None
+        return self.compiled(n).classify(w, _positions(w))
 
 
 def parse_catalog(text: str) -> Catalog:
@@ -544,12 +552,15 @@ class _CompiledBranch:
     at least as long as its ``?`` count.  A block at an end of the branch
     with no star beside it has a fixed position (a branch with no star is
     one run of exactly n letters); any other block floats, its start read
-    off the position of its first pinned letter.  The shape is settled
-    here, so a probe only compares positions.
+    off the position of its first pinned letter.  The floating blocks
+    chain: the first starts at ``head`` or later, each next one where the
+    one before it ends or later, and the last ends at ``tail`` or earlier.
+    A gap holds more letters than its ``?`` tokens exactly when its link of
+    the chain is strict.  The shape is settled here, and :meth:`source`
+    writes the checks as one boolean expression with every position and
+    letter an int literal; the functions generated from it are the only
+    matcher.
     """
-
-    __slots__ = ("fixed", "head", "floating", "tail", "last", "gaps", "mins",
-                 "nonempty", "watch", "alive")
 
     def __init__(self, ts: tuple, n: int, nonempty: tuple = ()):
         # runs[0] stars[0] runs[1] ... hold each letter's value, None for ?
@@ -605,21 +616,34 @@ class _CompiledBranch:
                       and len(ts) - m <= n and (m > 0 or len(ts) == n)
                       and (bool(self.watch) or not nonempty))
 
-    def match(self, w: Sequence[int], pos: Sequence[int]) -> bool:
-        """True iff w matches; ``pos[v]`` is the index of letter v in w."""
-        for p, v in self.fixed:
-            if w[p] != v:
-                return False
-        prev = self.head
-        for v, off, rest, step in self.floating:
-            start = pos[v] - off
-            if start < prev:
-                return False
-            for u, i in rest:
-                if pos[u] != start + i:
-                    return False
-            prev = start + step
-        return prev <= self.tail and (not self.watch or self._spare(pos))
+    def source(self) -> str:
+        """The branch's checks as one boolean expression over ``w`` and
+        ``pos`` (``pos[v]`` is the index of letter v in w).  Block b binds
+        the position of its first pinned letter to ``p<b>``, and every link
+        of the chain compares it against the previous binding plus a
+        constant."""
+        checks = [f"w[{p}] == {v}" for p, v in self.fixed]
+        if not self.floating:  # the chain is the one link head <= tail
+            holds = self.head < self.tail if self.watch else self.head <= self.tail
+            return (" and ".join(checks) or "True") if holds else "False"
+        strict = []  # the links as strict comparisons, gap by gap
+        prev, end = None, self.head  # the chain so far ends at prev + end
+        for b, (v, off, rest, step) in enumerate(self.floating):
+            least = _plus(prev, end + off)
+            checks.append(f"{least} <= (p{b} := pos[{v}])")
+            strict.append(f"{least} < p{b}")
+            checks += [f"pos[{u}] == {_plus(f'p{b}', i - off)}" for u, i in rest]
+            prev, end = f"p{b}", step - off
+        checks.append(f"{prev} <= {self.tail - end}")
+        strict.append(f"{prev} < {self.tail - end}")
+        if self.watch:
+            checks.append("(" + " or ".join(strict[g] for g in self.watch) + ")")
+        return " and ".join(checks)
+
+    @cached_property
+    def match(self):
+        """The generated probe ``match(w, pos)``: True iff w matches."""
+        return _generate([f"return {self.source()}"])[0]
 
     def _bounds(self, pos: Sequence[int]) -> list:
         """(start, end) of every gap of a matching word."""
@@ -630,11 +654,6 @@ class _CompiledBranch:
             lo = start + step - self.mins[g + 1]
         out.append((lo, self.tail))
         return out
-
-    def _spare(self, pos: Sequence[int]) -> bool:
-        """True iff some watched gap holds more letters than its ``?`` tokens."""
-        bounds = self._bounds(pos)
-        return any(bounds[g][1] - bounds[g][0] > self.mins[g] for g in self.watch)
 
     def spans(self, pos: Sequence[int]) -> dict:
         """{name: (start, end)} of the named stars in one match of a matching
@@ -675,8 +694,36 @@ class _CompiledBranch:
         return [(e, x) for e in range(n - 1 - hi, n - lo) for x in lasts]
 
 
-def _compile(tokens: Sequence[Token], n: int, nonempty: tuple = ()) -> tuple:
-    """The branches of a token sequence at length n that can match at all."""
+def _plus(name: Optional[str], k: int) -> str:
+    """Source for ``name + k``, or for k alone when name is None."""
+    if name is None:
+        return str(k)
+    return name if not k else f"{name} {'+' if k > 0 else '-'} {abs(k)}"
+
+
+def _generate(bodies: Sequence[str], results: tuple = ()) -> list:
+    """One function ``f(w, pos)`` per body, all from one compile() call.
+
+    A body is one statement per line.  The generated code reads nothing
+    but its arguments and ``R``, the tuple ``results``: a row label reaches
+    it only as an index into R, never as source text.
+    """
+    text = "".join(f"def f{i}(w, pos):\n    " + body.replace("\n", "\n    ") + "\n"
+                   for i, body in enumerate(bodies))
+    scope = {"R": results}
+    exec(compile(text, "<stacksort.patterns>", "exec"), scope)
+    return [scope[f"f{i}"] for i in range(len(bodies))]
+
+
+def _either(branches: Sequence[_CompiledBranch]) -> str:
+    """Source true iff some branch matches."""
+    return " or ".join(f"({br.source()})" for br in branches) or "False"
+
+
+@lru_cache(maxsize=1024)
+def _compile(tokens: tuple, n: int, nonempty: tuple = ()) -> tuple:
+    """The branches of a token sequence at length n that can match at all,
+    kept, with their probes, for the next word of that length."""
     branches = (_CompiledBranch(b, n, nonempty) for b in expand_alternations(tokens))
     return tuple(br for br in branches if br.alive)
 
@@ -684,22 +731,22 @@ def _compile(tokens: Sequence[Token], n: int, nonempty: tuple = ()) -> tuple:
 class CompiledRow:
     """A row compiled for one word length."""
 
-    __slots__ = ("label", "branches", "exclusions")
-
     def __init__(self, row: PatternRow, n: int):
         self.label = row.label
         self.branches = _compile(row.tokens, n, row.nonempty)
         self.exclusions = (_compile(row.exclusion, n)
                            if row.exclusion is not None else ())
 
-    def match(self, w: Sequence[int], pos: Sequence[int]) -> bool:
-        for br in self.branches:
-            if br.match(w, pos):
-                for ex in self.exclusions:
-                    if ex.match(w, pos):
-                        return False
-                return True
-        return False
+    def source(self) -> str:
+        """Source true iff some branch matches and no exclusion does."""
+        if not self.exclusions:
+            return _either(self.branches)
+        return f"({_either(self.branches)}) and not ({_either(self.exclusions)})"
+
+    @cached_property
+    def match(self):
+        """The generated probe ``match(w, pos)``: True iff w matches the row."""
+        return _generate([f"return {self.source()}"])[0]
 
 
 @lru_cache(maxsize=1024)
@@ -715,10 +762,11 @@ class CompiledCatalog:
     and its last letter.  Each compiled branch gives the cells it can match
     in: e from the positions its blocks and gaps leave for n, the last
     letter from the final token of a block fixed at the right end (any
-    letter for ``?`` or a trailing star).  The classifier probes only the
-    rows of the word's cell, in catalog order, so it returns the first
-    matching row of the whole catalog.  Only cells that some row reaches
-    get a list of their own.
+    letter for ``?`` or a trailing star).  Only cells that some row reaches
+    get a list of their own.  Each distinct cell becomes one generated
+    function that tries its rows in catalog order, so it returns the first
+    matching row of the whole catalog; :attr:`dispatch` generates them all
+    with one compile() call on the first probe, never here.
     """
 
     def __init__(self, catalog: Catalog, n: int):
@@ -744,16 +792,28 @@ class CompiledCatalog:
                  if any(cr in cell for by_last in span for cell in by_last)]
                 for span in spans]
 
+    @cached_property
+    def dispatch(self) -> list:
+        """``dispatch[p][last](w, pos)``: the label of the first row matching
+        a word whose letter n sits at index p and whose last letter is
+        ``last``, or None; the generated function of that word's cell."""
+        index = {id(cr): k for k, cr in enumerate(self.rows)}
+        keys = [[tuple(index[id(cr)] for cr in cell) for cell in by_last]
+                for by_last in reversed(self.cells)]
+        distinct = dict.fromkeys(key for by_last in keys for key in by_last)
+        sources = [cr.source() for cr in self.rows]
+        bodies = ["".join(f"if {sources[k]}: return R[{k}]\n" for k in key)
+                  + "return None" for key in distinct]
+        functions = dict(zip(distinct, _generate(
+            bodies, tuple(cr.label for cr in self.rows))))
+        return [[functions[key] for key in by_last] for by_last in keys]
+
     def classify(self, w: Sequence[int], pos: Sequence[int]) -> Optional[str]:
         """First-match label using a precomputed position table.
 
         ``pos`` must satisfy ``pos[v] = index of letter v in w``.
         """
-        n = len(w)
-        for cr in self.cells[n - 1 - pos[n]][w[-1]]:
-            if cr.match(w, pos):
-                return cr.label
-        return None
+        return self.dispatch[pos[len(w)]][w[-1]](w, pos)
 
     def classify_word(self, w: Sequence[int]) -> Optional[str]:
         """Convenience wrapper building the position table itself."""

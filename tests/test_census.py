@@ -116,15 +116,32 @@ def _seeded_ranges(n, rng, count, width):
 
 
 @pytest.mark.parametrize("n, count, width", [(6, 40, 720), (7, 30, 3000),
-                                             (8, 12, 6000), (9, 2, 4000)])
+                                             (8, 12, 6000), (9, 2, 4000),
+                                             (10, 2, 3000), (12, 2, 3000)])
 def test_walk_matches_reference_on_seeded_ranges(n, count, width):
     rng = random.Random(n)
     ranges = _seeded_ranges(n, rng, count, width)
-    if n == 9:  # S_9 is too long to replay word by word here
-        ranges.remove((0, factorial(9)))
+    if n >= 9:  # S_9 and up are too long to replay word by word here
+        ranges.remove((0, factorial(n)))
     for lo, hi in ranges:
         assert census_mod._shard_kernel(n, lo, hi) == _reference_kernel(
             n, lo, hi), (n, lo, hi)
+
+
+def test_kernel_generates_the_cells_once_per_process(monkeypatch):
+    calls = []
+    generate = patterns_mod._generate
+    monkeypatch.setattr(patterns_mod, "_generate",
+                        lambda bodies, results=(): calls.append(len(bodies))
+                        or generate(bodies, results))
+    catalog = builtin_catalog()
+    monkeypatch.delitem(catalog._compiled, 9, raising=False)
+    first = census_mod._shard_kernel(9, 0, 5000)
+    assert len(calls) == 1  # every cell of n = 9 in one generation
+    assert census_mod._shard_kernel(9, 0, 5000) == first
+    assert len(calls) == 1
+    assert catalog.compiled(9).classify_word((3, 4, 5, 6, 7, 8, 2, 9, 1)) == "L1"
+    assert len(calls) == 1  # classify shares the kernel's compiled catalog
 
 
 @pytest.mark.parametrize("patch", ["tiers", "ceiling"])

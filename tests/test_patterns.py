@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from itertools import permutations
 from math import factorial
 
@@ -37,7 +38,7 @@ from stacksort.patterns import (
     row_matches,
     tier,
 )
-from stacksort.patterns import _compiled_row, _naive_all, _positions
+from stacksort.patterns import _compile, _compiled_row, _naive_all, _positions
 from stacksort.words import Word
 
 
@@ -231,6 +232,24 @@ def test_row_matches_reuses_the_compiled_row():
     assert _compiled_row(row, 6) is first
 
 
+def test_matches_reuses_the_compiled_branches():
+    # every token type hashes, so a token sequence can key the cache
+    alt = Alt(((AbsValue(1), AnyOne()), (Star("A"), RelValue(2))))
+    assert len({Star(), Star("A"), AnyOne(), RelValue(1), AbsValue(1), alt}) == 6
+    tokens = parse_tokens("* n { 1 ? | ? 1 }")
+    first = _compile(tokens, 6)
+    probes = [br.match for br in first]
+    before = _compile.cache_info().hits
+    words = list(permutations(range(1, 7)))
+    for w in words:
+        assert matches(tokens, w) == matches(tokens, w, naive=True), w
+    assert _compile.cache_info().hits - before == len(words)
+    # a list of tokens finds the same entry, and no probe is generated again
+    assert matches(list(tokens), (5, 2, 3, 6, 1, 4))
+    assert _compile(tokens, 6) is first
+    assert [br.match for br in first] == probes
+
+
 _flat_token = st.one_of(
     st.just(Star()),
     st.sampled_from("ABC").map(Star),
@@ -334,7 +353,7 @@ def test_classify_respects_floors():
 
 def test_compiled_catalog_matches_production():
     cat = builtin_catalog()
-    for n in range(1, 8):
+    for n in range(1, 9):
         cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
             label = cc.classify_word(p)
@@ -344,13 +363,51 @@ def test_compiled_catalog_matches_production():
             assert label is None or label in [cr.label for cr in bucket]
 
 
-def test_compiled_catalog_matches_production_random_n8():
+def test_compiled_catalog_matches_production_random_n9_to_n16():
     cat = builtin_catalog()
     rng = random.Random(8)
-    cc = CompiledCatalog(cat, 8)
-    for _ in range(2000):
-        w = rng.sample(range(1, 9), 8)
-        assert cc.classify_word(w) == cat.classify(w, naive=True), w
+    for n in range(9, 17):
+        cc = CompiledCatalog(cat, n)
+        for _ in range(2000):
+            w = rng.sample(range(1, n + 1), n)
+            assert cc.classify_word(w) == cat.classify(w, naive=True), w
+
+
+def _generated(cc):
+    """Every function generated for a compiled catalog: its cells, and the
+    probes of its rows and of their branches."""
+    yield from {id(f): f for by_last in cc.dispatch for f in by_last}.values()
+    for cr in cc.rows:
+        yield cr.match
+        for br in cr.branches + cr.exclusions:
+            yield br.match
+
+
+def test_generated_code_holds_no_catalog_text():
+    # labels reach generated code only as indices into a tuple
+    cat = builtin_catalog()
+    for n in range(2, 17):
+        for f in _generated(CompiledCatalog(cat, n)):
+            consts = f.__code__.co_consts
+            assert all(c is None or isinstance(c, (int, types.CodeType))
+                       for c in consts), (n, consts)
+
+
+def test_dispatch_generates_every_distinct_cell_in_one_compile(monkeypatch):
+    calls = []
+    generate = stacksort.patterns._generate
+    monkeypatch.setattr(stacksort.patterns, "_generate",
+                        lambda bodies, results=(): calls.append(len(bodies))
+                        or generate(bodies, results))
+    cc = CompiledCatalog(builtin_catalog(), 9)
+    assert calls == []  # the constructor generates nothing
+    assert cc.classify_word((3, 4, 5, 6, 7, 8, 2, 9, 1)) == "L1"
+    distinct = {tuple(cell) for by_last in cc.cells for cell in by_last}
+    assert calls == [len(distinct)]
+    rng = random.Random(9)
+    for _ in range(1000):
+        cc.classify_word(rng.sample(range(1, 10), 9))
+    assert calls == [len(distinct)]
 
 
 def test_classify_compiles_each_length_on_first_use():
@@ -393,6 +450,8 @@ def test_compiled_general_shapes_agree_with_oracle():
     L1d: ? *A ? *B ? where nonempty(A)
     L1e: ? ? ?
     L2: * n * ? * 1 minus { n * 1 }
+    L2a: * { n 1 | (n-1) * 2 } *A ? where nonempty(A)
+    L2b: { 1 * | * 2 ? } * n minus { { 1 | 2 } * (n-1) n }
     """)
     for n in range(1, 8):
         cc = CompiledCatalog(cat, n)

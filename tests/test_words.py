@@ -10,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stacksort.words
+from stacksort.forbidden import complexity_bounds, forbidden_report
+from stacksort.patterns import classify
 from stacksort.words import (
     Word,
     complexity,
@@ -45,6 +47,19 @@ def test_word_validation():
     assert Word([]) == ()
     assert Word([7, 2]).is_standard() is False
     assert Word([2, 1]).is_standard() is True
+
+
+@pytest.mark.parametrize("call", [classify, forbidden_report, complexity_bounds])
+@pytest.mark.parametrize("letters, message", [
+    ((2, 3, 2), "repeated letter 2"),
+    ((2, 0, 1), "letters must be positive, got 0"),
+    ((2, 1.0, 3), "letters must be integers, got 1.0"),
+])
+def test_entry_points_validate_plain_sequences(call, letters, message):
+    # a Word is taken as it is; a tuple or a list is still validated
+    for w in (letters, list(letters)):
+        with pytest.raises(ValueError, match=message):
+            call(w)
 
 
 def test_parse_and_format():
