@@ -232,7 +232,9 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     {a, b} in increasing order, and S(...ba) is the output, the stack
     letters below b, then a, b and the stack letters above b.  Each word
     then costs a lookup of S(w) without n, straight from the prefix table
-    when n - 1 <= TABLE_CAP and through ``_complexity`` otherwise, one call
+    when n - 1 <= TABLE_CAP and otherwise through ``_complexity``, which
+    drops the settled maxima at the end of S(w) and of each later pass
+    until the table answers, one call
     of the generated function of the word's dispatch cell, and the
     tallies; complexity 0 is the word with no descent.  The compiled
     catalog is the process's own (``Catalog.compiled``), shared with

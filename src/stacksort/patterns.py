@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Optional, Sequence, Union
 
-from .words import _as_word
+from .words import Word, _as_word
 
 # ---------------------------------------------------------------------------
 # tokens and rows
@@ -95,6 +95,8 @@ class PatternRow:
 # (label prefix, complexity offset, smallest valid n): the one tier table,
 # from which every other tier fact is derived
 _TIERS = (("L1", 1, 2), ("L2", 2, 4), ("T", 3, 6))
+# shortest length at which any tier certifies: shorter words match no row
+_MIN_FLOOR = min(floor for _, _, floor in _TIERS)
 
 
 def tier(label: str) -> tuple:
@@ -359,10 +361,11 @@ def _positions(w: tuple) -> list:
 
     Covers the letters 1..len(w), the only values a resolved pattern pins.
     A repeated letter raises ValueError: the positional matcher relies on
-    each pinned letter having one position.
+    each pinned letter having one position.  A ``Word`` has distinct
+    letters by construction, so only other sequences are checked.
     """
     n = len(w)
-    if len(set(w)) != n:
+    if not isinstance(w, Word) and len(set(w)) != n:
         raise ValueError(f"word {w!r} has a repeated letter")
     pos = [-1] * (n + 1)
     for i, x in enumerate(w):
@@ -500,7 +503,7 @@ class Catalog:
                 if _valid_at(row.label, n) and row_matches(row, w, naive=True):
                     return row.label
             return None
-        if n < min(floor for _, _, floor in _TIERS):
+        if n < _MIN_FLOOR:
             return None
         return self.compiled(n).classify(w, _positions(w))
 

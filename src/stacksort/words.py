@@ -10,11 +10,13 @@ smaller one (see :func:`stack_sort_pass`).
 
 The complexity of a permutation is the least number of applications of
 ``S`` needed to reach the identity; it is at most ``n - 1``.  One pass
-leaves the largest letter last, and ``complexity(u n) == complexity(u)``,
-so :func:`complexity` passes over a window that shrinks by a letter each
-time until at most ``TABLE_CAP`` letters remain, then looks the rest up in
-a table over that symmetric group.  The table is built on first use, from
-the same pass, and kept for the life of the process.
+leaves the largest letter last, and ``complexity(u m) == complexity(u)``
+for the largest letter ``m``, so a trailing run of maxima is settled.
+:func:`complexity` drops that run before every pass, which can take
+several letters at once, and once at most ``TABLE_CAP`` letters remain it
+looks the rest up in a table over that symmetric group.  The table is
+built on first use, from the same pass, and kept for the life of the
+process.
 """
 from __future__ import annotations
 
@@ -215,17 +217,21 @@ def complexity(w: Iterable[int]) -> int:
 
 
 def _complexity(v: list) -> int:
-    # A pass leaves the largest letter m last, and complexity(u m) equals
-    # complexity(u), so each pass shrinks the window by one letter until the
-    # prefix table answers.  v is a standard word as a list.
+    # complexity(u m) equals complexity(u) for the largest letter m, so each
+    # round first drops every trailing letter equal to the current maximum.
+    # What remains ends below its maximum, so it is not sorted and needs a
+    # pass, unless the prefix table answers it.  v is a standard word as a
+    # list; it is consumed.
+    k = 0
     m = len(v)
-    if m <= TABLE_CAP:
-        return _prefix_table(m)[bytes(v)]
-    u = _pass(v, m + 1)
-    u.pop()
-    c = _complexity(u)
-    # c == 0 means S(v) is the identity: v needed one pass unless it is sorted
-    return c + 1 if c or v != sorted(v) else 0
+    while True:
+        while m and v[-1] == m:
+            v.pop()
+            m -= 1
+        if m <= TABLE_CAP:
+            return k + _prefix_table(m)[bytes(v)]
+        v = _pass(v, m + 1)
+        k += 1
 
 
 def descents(w: Iterable[int]) -> int:

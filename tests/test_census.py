@@ -20,7 +20,15 @@ from stacksort.census import (
 )
 from stacksort.formulas import verify_census
 from stacksort.patterns import CompiledCatalog, builtin_catalog, tier
-from stacksort.words import complexity, descents, next_permutation, rank, unrank
+from stacksort.words import (
+    Word,
+    descents,
+    identity_word,
+    next_permutation,
+    rank,
+    stack_sort_pass,
+    unrank,
+)
 
 
 # Frozen small-length distributions, cross-checked against the counting
@@ -37,34 +45,46 @@ KNOWN_COUNTS = {
 
 
 # Report checksums: n = 5 as quoted in the README, n = 8, 9 and 10 as
-# pinned in perfbench/bench.py from runs of the first census kernel.
+# pinned in perfbench/bench.py from runs of the first census kernel, n = 11
+# from `census --n 11 --shards 64 --jobs 2` with the prefix-tree kernel.
 PINNED_CHECKSUMS = {
     5: "sha256:4a51e5f10e58aeb4f4aa691dc9bd3be58dba9304af968057e9308d56dc4336ee",
     8: "sha256:e154f75f4a5e366a4534504b1e5c22b9e34a7b50f13388cf8825318a08e371f1",
     9: "sha256:8f46fe43396003e268dbc969fb19c194ddfd5015c71e1f514dece2cfb3b9faaa",
     10: "sha256:17a798e2941afe4bdd69497883eff703bafc33e19f113c8c7c9352296a4ede34",
+    11: "sha256:ae082d295913ddd5e17480ccaab7f56bda29fcfbd09baef271fdaf0c3dab0a86",
 }
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_CHECKSUMS))
 def test_pinned_checksums(n, census_cache, extended):
-    if n == 10 and not extended:
-        pytest.skip("n = 10 runs with STACKSORT_EXTENDED=1")
+    if n >= 10 and not extended:
+        pytest.skip(f"n = {n} runs with STACKSORT_EXTENDED=1")
     assert census_cache(n).checksum == PINNED_CHECKSUMS[n]
+
+
+def _passes_to_identity(w):
+    """Complexity with no prefix table and no settled letters dropped:
+    whole stack passes, counted until the word is the identity."""
+    w, ident, k = Word(w), identity_word(len(w)), 0
+    while w != ident:
+        w, k = stack_sort_pass(w), k + 1
+    return k
 
 
 def _reference_words(n, lo, hi):
     """(complexity, descents, label) of ranks [lo, hi), one word at a time
-    through unrank, next_permutation, complexity, descents and the compiled
-    classify: the census kernel before the prefix-tree walk, kept as its
-    oracle.  Raises CensusSoundnessError (empty message) like the kernel."""
+    through unrank, next_permutation, whole stack passes, descents and the
+    compiled classify: the census kernel before the prefix-tree walk, kept
+    as its oracle.  Raises CensusSoundnessError (empty message) like the
+    kernel."""
     if hi <= lo:
         return
     cc = CompiledCatalog(builtin_catalog(), n)
     ceiling = census_mod._none_ceiling(n)
     w = list(unrank(n, lo))
     for r in range(lo, hi):
-        k, label = complexity(w), cc.classify_word(w)
+        k, label = _passes_to_identity(w), cc.classify_word(w)
         certified = ceiling if label is None else n - tier(label)[0]
         if k > certified or (label is not None and k != certified):
             raise CensusSoundnessError(w, r, label, k, certified, "")

@@ -1,5 +1,6 @@
 import doctest
 import os
+import random
 import subprocess
 import sys
 from itertools import permutations
@@ -107,7 +108,7 @@ def test_complexity_table_s3():
 def test_complexity_edges():
     assert complexity(Word()) == 0
     assert complexity(Word([1])) == 0
-    for n in range(2, 9):
+    for n in range(2, 17):
         assert complexity(identity_word(n)) == 0
         assert complexity(Word(range(n, 0, -1))) == 1
     with pytest.raises(ValueError):
@@ -147,9 +148,59 @@ def _oracle_complexity(w):
 
 
 def test_complexity_matches_oracle_exhaustive():
-    for n in range(8):
+    # through S_8, the first length past the table
+    for n in range(9):
         for p in permutations(range(1, n + 1)):
             assert complexity(p) == _oracle_complexity(p), p
+
+
+def _settled_tail(w):
+    """Number of trailing letters of w settled as a run of its maxima."""
+    k = 0
+    while k < len(w) and w[len(w) - 1 - k] == len(w) - k:
+        k += 1
+    return k
+
+
+def test_complexity_drops_settled_tails():
+    # words of length 9-16 that end in a long run of their maxima, or in
+    # an increasing block below the maximum
+    rng = random.Random(9)
+    for _ in range(300):
+        n = rng.randrange(9, 17)
+        m = rng.randrange(n // 2)
+        head = list(range(1, m + 1))
+        rng.shuffle(head)
+        w = head + list(range(m + 1, n + 1))
+        assert _settled_tail(w) >= n - m
+        assert complexity(w) == _oracle_complexity(w), w
+        lo = rng.randrange(1, n - 1)
+        hi = rng.randrange(lo + 2, n + 1)  # the block lo..hi-1 stops below n
+        rest = [x for x in range(1, n + 1) if not lo <= x < hi]
+        rng.shuffle(rest)
+        w = rest + list(range(lo, hi))
+        assert complexity(w) == _oracle_complexity(w), w
+
+
+def test_complexity_when_one_pass_settles_several_letters():
+    # a word opening with its j largest letters in decreasing order passes
+    # to S(rest) followed by those j letters in increasing order
+    rng = random.Random(10)
+    for _ in range(300):
+        n = rng.randrange(9, 17)
+        j = rng.randrange(2, n - 1)
+        rest = list(range(1, n - j + 1))
+        rng.shuffle(rest)
+        w = list(range(n, n - j, -1)) + rest
+        assert _settled_tail(w) == 0
+        assert _settled_tail(stack_sort_pass(w)) >= j
+        assert complexity(w) == _oracle_complexity(w), w
+
+
+def test_complexity_leaves_its_argument_unchanged():
+    v = [3, 1, 2, 5, 4, 6, 7, 8, 9, 10, 11, 12]
+    complexity(v)
+    assert v == [3, 1, 2, 5, 4, 6, 7, 8, 9, 10, 11, 12]
 
 
 @given(st.integers(8, 20).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
