@@ -13,8 +13,13 @@ through the stack pass, the position table and the descent count once for
 every word below them.  Each word then costs one complexity lookup of
 S(w), read off the shared stack, and one call of the generated function
 of its dispatch cell.  Those functions are generated for all cells of a
-length at once, with one compile() call, on the first word a process
-classifies at that length, and kept for every later shard.
+length at once, with one compile() call, and kept for every later shard.
+They and the prefix table behind the lookup are the per-length state a
+process builds once (:func:`_length_state`).  A run that starts a process
+pool builds that state in the calling process first, so workers forked
+from it inherit it, and every later census of that length in the same
+process starts warm.  Under the ``spawn`` or ``forkserver`` start methods
+workers inherit nothing and each builds the state on its first shard.
 
 Every shard kernel doubles as a soundness check: for each word it compares
 the catalog classification against the independently computed complexity
@@ -218,6 +223,16 @@ def _none_ceiling(n: int) -> int:
     return n - 1 - max(offsets) if offsets else 0
 
 
+def _length_state(n: int) -> tuple:
+    """``(dispatch, table)`` for length n: the generated dispatch of the
+    built-in catalog compiled for n and the prefix table over
+    S_min(n-1, TABLE_CAP).  Both are built on the first call in a process
+    and kept for its life, so a call before a pool starts builds them
+    once for every worker forked from it."""
+    return (builtin_catalog().compiled(n).dispatch,
+            _prefix_table(min(n - 1, TABLE_CAP)))
+
+
 def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     """Tally ranks [lo, hi) of S_n; raise on any classification/complexity clash.
 
@@ -234,23 +249,26 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     then costs a lookup of S(w) without n, straight from the prefix table
     when n - 1 <= TABLE_CAP and otherwise through ``_complexity``, which
     drops the settled maxima at the end of S(w) and of each later pass
-    until the table answers, one call
-    of the generated function of the word's dispatch cell, and the
-    tallies; complexity 0 is the word with no descent.  The compiled
-    catalog is the process's own (``Catalog.compiled``), shared with
-    ``classify``, so its cells are generated once per process and length.
-    Words are checked in rank order, so the first clash raised is the
-    lowest-ranked one.
+    until the table answers, one call of the generated function of the
+    word's dispatch cell, and the tallies; complexity 0 is the word with
+    no descent.  The dispatch and the table come from
+    :func:`_length_state`: the compiled catalog is the process's own
+    (``Catalog.compiled``), shared with ``classify``, so both are built
+    once per process and length.  A forked pool worker inherits them from
+    the calling process of :func:`run_census`; a worker started by
+    ``spawn`` or ``forkserver`` builds them on its first shard.  Words are
+    checked in rank order, so the first clash raised is the lowest-ranked
+    one.
     """
     tallies = _zero_tallies(n)
     if hi <= lo:
         return tallies
     cnt, rows, dm = tallies.values()
-    cc = builtin_catalog().compiled(n)
-    certified = {cr.label: certified_class(cr.label, n) for cr in cc.rows}
+    certified = {label: certified_class(label, n) for label in rows}
     ceiling = _none_ceiling(n)
-    dispatch = cc.dispatch
-    table = _prefix_table(n - 1) if n - 1 <= TABLE_CAP else None
+    dispatch, table = _length_state(n)
+    if n - 1 > TABLE_CAP:  # S(w) without n is longer than the table's words
+        table = None
     fact = [factorial(m) for m in range(n + 1)]
     w = [0] * n
     pos = [0] * (n + 1)
@@ -453,9 +471,15 @@ def run_census(
     rank range, kernel version and catalog hash) and its checksum, shape
     and row labels check out; any other file is logged and recomputed.
     Only the shards left to compute go to the kernel, in a pool of
-    ``min(jobs, shards left)`` workers when more than one is left.  When
-    the wait for that pool is cut short, by an interrupt or a failed
-    shard, the pool is stopped at once: no queued shard is waited for.
+    ``min(jobs, shards left)`` workers when more than one is left.  Just
+    before that pool starts, this process builds the kernel's per-length
+    state (the dispatch and prefix table of :func:`_length_state`), so
+    forked workers inherit it instead of each building its own; under
+    ``spawn`` or ``forkserver`` each worker builds it on its first shard.
+    Without a pool, the state is built by the first shard computed here,
+    and a resume with no shard left builds none.  When the wait for that
+    pool is cut short, by an interrupt or a failed shard, the pool is
+    stopped at once: no queued shard is waited for.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
@@ -482,6 +506,7 @@ def run_census(
     if jobs == 1 or len(todo) <= 1:
         computed = [_shard_task(t) for t in todo]
     else:
+        _length_state(n)  # here, so that forked workers inherit it
         with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
             try:
                 computed = list(pool.map(_shard_task, todo))

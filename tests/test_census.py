@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import pickle
 import random
@@ -8,6 +9,7 @@ import pytest
 
 import stacksort.census as census_mod
 import stacksort.patterns as patterns_mod
+import stacksort.words as words_mod
 from stacksort.census import (
     Census,
     CensusSoundnessError,
@@ -331,6 +333,44 @@ def test_resume_of_a_finished_run_starts_no_pool(tmp_path, census_cache, monkeyp
     monkeypatch.setattr(census_mod, "ProcessPoolExecutor", no_pool)
     c = run_census(6, shard_count=8, jobs=2, checkpoint_dir=d, resume=True)
     assert c.checksum == census_cache(6).checksum
+
+
+def _drop_length_state(monkeypatch, n):
+    """Forget the prefix tables and the catalog compiled for length n that
+    this process holds, so that the next use builds them again."""
+    words_mod._prefix_table.cache_clear()
+    monkeypatch.delitem(builtin_catalog()._compiled, n, raising=False)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit the caller's state")
+def test_forked_workers_inherit_the_per_length_state(census_cache, monkeypatch):
+    serial = census_cache(7).checksum
+    parent = os.getpid()
+
+    def here_only(f):
+        def guarded(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError(f"a worker called {f.__name__}")
+            return f(*args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(patterns_mod, "_generate", here_only(patterns_mod._generate))
+    monkeypatch.setattr(words_mod, "_pass", here_only(words_mod._pass))
+    _drop_length_state(monkeypatch, 7)
+    assert run_census(7, shard_count=4, jobs=2).checksum == serial
+
+
+def test_resume_of_a_finished_run_builds_no_state(tmp_path, census_cache,
+                                                  monkeypatch):
+    serial = census_cache(7).checksum
+    d = str(tmp_path / "ck")
+    run_census(7, shard_count=4, jobs=2, checkpoint_dir=d)
+    _drop_length_state(monkeypatch, 7)
+    c = run_census(7, shard_count=4, jobs=2, checkpoint_dir=d, resume=True)
+    assert c.checksum == serial
+    assert words_mod._prefix_table.cache_info().currsize == 0
+    assert 7 not in builtin_catalog()._compiled
 
 
 def test_partial_resume_computes_only_missing_shards(tmp_path, census_cache,

@@ -1,4 +1,5 @@
 import doctest
+import os
 from fractions import Fraction
 from math import comb, factorial
 from types import SimpleNamespace
@@ -20,6 +21,9 @@ from stacksort.formulas import (
 )
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def test_doctests():
     assert doctest.testmod(stacksort.formulas).failed == 0
 
@@ -38,6 +42,15 @@ def test_registry_known_values():
     assert REGISTRY["sortable-n-4"].evaluate(6) == 408
     assert REGISTRY["sortable-n-4"].evaluate(8) == 31104
     assert REGISTRY["sortable-n-5"].evaluate(8) == 21426
+
+
+def test_readme_states_the_n12_predictions():
+    # the conjectures' predictions for n = 12, quoted before any such census
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    for name in ("exact-n-4", "sortable-n-5"):
+        assert f"`{name}` predicts {REGISTRY[name].evaluate(12):,}" in text
+    assert f"of the {factorial(12):,}" in text
     assert [REGISTRY["sortable-1"].evaluate(n) for n in range(1, 9)] == [
         1, 2, 5, 14, 42, 132, 429, 1430]
     assert [REGISTRY["sortable-2"].evaluate(n) for n in range(1, 9)] == [
