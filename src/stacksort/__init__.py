@@ -36,10 +36,8 @@ from .patterns import (
     builtin_catalog,
     certified_class,
     classify,
-    count_matches,
     format_row,
     format_tokens,
-    match_spans,
     matches,
     parse_catalog,
     parse_row,
@@ -59,9 +57,7 @@ from .formulas import (
     VerifyCheck,
     VerifyReport,
     canonical_prefactor,
-    expected_row_count,
     fit_binomial,
-    forward_differences,
     verify_census,
 )
 from .census import (

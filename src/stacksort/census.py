@@ -33,9 +33,11 @@ decimal strings so they survive parsers that would round large values.
 
 A resume reads the saved shards in the calling process and trusts a shard
 file only when its identity (length, shard, rank range, kernel version and
-catalog hash), its checksum, its shape and its row labels all match; any
-other file is logged on the ``stacksort.census`` logger and recomputed.
-Reports are read back through the same tally reader and shape checks.
+catalog hash), its checksum, its shape and its row labels all match and
+its counts, descent rows and tier rows add up; any other file is logged on
+the ``stacksort.census`` logger and recomputed.
+Reports are read back through the same tally reader and checks, with a
+total of n!.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from . import patterns
 from .patterns import (_valid_at, builtin_catalog, certified_class, format_row,
                        tier)
-from .words import TABLE_CAP, _complexity, _prefix_table
+from .words import TABLE_CAP, _complexity, _prefix_table, format_word
 
 SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
@@ -71,17 +73,24 @@ class CensusSoundnessError(AssertionError):
     None.
     """
 
-    def __init__(self, word, rank, label, complexity, certified, message):
+    def __init__(self, word, rank, label, complexity, certified):
         self.word = tuple(word)
         self.rank = rank
         self.label = label
         self.complexity = complexity
         self.certified = certified
-        super().__init__(message)
+        found = f"word {format_word(self.word)} (rank {rank})"
+        if label is None:
+            super().__init__(f"{found} has complexity {complexity} but matches no "
+                             f"catalog row (unclassified words certify at most "
+                             f"{certified})")
+        else:
+            super().__init__(f"{found} matches {label} (certifies {certified}) "
+                             f"but has complexity {complexity}")
 
     def __reduce__(self):  # survive the trip back from a worker process
         return (type(self), (self.word, self.rank, self.label, self.complexity,
-                             self.certified, self.args[0]))
+                             self.certified))
 
 
 @dataclass(frozen=True)
@@ -111,24 +120,11 @@ class Census:
                               self.counts_by_row, self.descent_matrix)
 
     def validate(self) -> None:
-        """Raise ValueError unless the tallies pass a saved shard's shape checks
-        and sum to n!, by descents to each count and by tier to its level."""
-        n, cnt = self.n, self.counts_by_complexity
-        _check_tallies(n, frozenset(_eligible_labels(n)), cnt,
+        """Raise ValueError unless the tallies pass a saved shard's checks
+        with a total of n!."""
+        n = self.n
+        _check_tallies(n, _tier_offsets(n), factorial(n), self.counts_by_complexity,
                        self.counts_by_row, self.descent_matrix)
-        if sum(cnt) != factorial(n):
-            raise ValueError("counts do not sum to n!")
-        for c, row in enumerate(self.descent_matrix):
-            if sum(row) != cnt[c]:
-                raise ValueError(f"descent row {c} does not sum to its count")
-        sums: dict = {}
-        for label, v in self.counts_by_row.items():
-            offset = tier(label)[0]
-            sums[offset] = sums.get(offset, 0) + v
-        for offset, total in sums.items():
-            if total != cnt[n - offset]:
-                raise ValueError(f"rows certifying n-{offset} sum to {total}, "
-                                 f"expected {cnt[n - offset]}")
 
     def cumulative(self, c: int) -> int:
         """Number of words with complexity at most c."""
@@ -181,17 +177,35 @@ def _read_tallies(payload, header: dict, keys) -> dict:
             "descents": [_decimals(row, keys[2]) for row in descents]}
 
 
-def _check_tallies(n: int, labels: frozenset, counts, rows, descents) -> None:
+def _check_tallies(n: int, offsets: dict, total: int, counts, rows,
+                   descents) -> None:
     """Raise ValueError unless the tables have the sizes of length n, the row
-    labels are exactly ``labels`` and no entry is negative."""
+    labels are exactly the keys of ``offsets`` (:func:`_tier_offsets`), no
+    entry is negative, the counts sum to ``total``, each descent row sums to
+    its count and the rows of each tier sum to the count of the level they
+    certify.  The sums hold for any rank range, the kernel having checked
+    every word in it."""
     size = max(n, 1)
     if len(descents) != size or any(len(row) != size for row in (counts, *descents)):
         raise ValueError("tables of the wrong size")
-    if rows.keys() != labels:
-        raise ValueError(f"row labels {sorted(rows.keys() ^ labels)} do not "
+    if rows.keys() != offsets.keys():
+        raise ValueError(f"row labels {sorted(rows.keys() ^ offsets.keys())} do not "
                          "match the catalog")
     if min([*counts, *rows.values(), *map(min, descents)]) < 0:
         raise ValueError("negative count")
+    if sum(counts) != total:
+        whole = "n!" if total == factorial(n) else "the shard's word count"
+        raise ValueError(f"counts do not sum to {whole}")
+    for c, row in enumerate(descents):
+        if sum(row) != counts[c]:
+            raise ValueError(f"descent row {c} does not sum to its count")
+    sums: dict = {}
+    for label, v in rows.items():
+        sums[offsets[label]] = sums.get(offsets[label], 0) + v
+    for offset, got in sums.items():
+        if got != counts[n - offset]:
+            raise ValueError(f"rows certifying n-{offset} sum to {got}, "
+                             f"expected {counts[n - offset]}")
 
 
 def _zero_tallies(n: int) -> dict:
@@ -213,6 +227,11 @@ def _catalog_sha256() -> str:
 
 def _eligible_labels(n: int) -> list:
     return [r.label for r in builtin_catalog().rows if _valid_at(r.label, n)]
+
+
+def _tier_offsets(n: int) -> dict:
+    """The complexity offset of each row label valid at length n."""
+    return {label: tier(label)[0] for label in _eligible_labels(n)}
 
 
 def _none_ceiling(n: int) -> int:
@@ -283,19 +302,9 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
         label = dispatch[pos[n]][w[-1]](w, pos)
         if label is None:
             if k > ceiling:
-                raise CensusSoundnessError(
-                    w, r, None, k, ceiling,
-                    f"word {''.join(map(str, w)) if n <= 9 else w} (rank {r}) "
-                    f"has complexity {k} but matches no catalog row "
-                    f"(unclassified words certify at most {ceiling})",
-                )
+                raise CensusSoundnessError(w, r, None, k, ceiling)
         elif k != certified[label]:
-            raise CensusSoundnessError(
-                w, r, label, k, certified[label],
-                f"word {''.join(map(str, w)) if n <= 9 else w} (rank {r}) "
-                f"matches {label} (certifies {certified[label]}) but has "
-                f"complexity {k}",
-            )
+            raise CensusSoundnessError(w, r, label, k, certified[label])
         else:
             rows[label] += 1
         cnt[k] += 1
@@ -388,10 +397,10 @@ def _shard_header(n, shard_count, index, lo, hi, catalog_sha) -> dict:
     }
 
 
-def _read_shard(path: str, header: dict, labels: frozenset) -> dict:
+def _read_shard(path: str, header: dict, offsets: dict) -> dict:
     """The tallies of a saved shard, checked against the expected ``header``
-    and the stored checksum, for the shape of a shard with the row
-    ``labels``, and for a total of the shard's word count.
+    and the stored checksum, then by :func:`_check_tallies` with the row
+    labels of ``offsets`` and a total of the shard's word count.
 
     Raises FileNotFoundError when there is no file and ValueError, naming
     the reason, when the file cannot be used.
@@ -403,9 +412,8 @@ def _read_shard(path: str, header: dict, labels: frozenset) -> dict:
     head = text[:text.rfind(_CHECKSUM_KEY) + len(_CHECKSUM_KEY)]
     if saved.get("checksum") != _sha256(head):
         raise ValueError("checksum mismatch")
-    _check_tallies(header["n"], labels, *tallies.values())
-    if sum(tallies["counts"]) != header["hi"] - header["lo"]:
-        raise ValueError("counts do not sum to the shard's word count")
+    _check_tallies(header["n"], offsets, header["hi"] - header["lo"],
+                   *tallies.values())
     return tallies
 
 
@@ -426,14 +434,14 @@ def _shard_task(args: tuple) -> dict:
 def _resume_shards(n, shard_count, bounds, checkpoint_dir, catalog_sha) -> dict:
     """Saved shards that pass every check, by index; each unusable file is
     logged once and left out, so that it is recomputed."""
-    labels = frozenset(_eligible_labels(n))
+    offsets = _tier_offsets(n)
     found = {}
     for i in range(shard_count):
         path = _checkpoint_path(checkpoint_dir, n, shard_count, i)
         header = _shard_header(n, shard_count, i, bounds[i], bounds[i + 1],
                                catalog_sha)
         try:
-            found[i] = _read_shard(path, header, labels)
+            found[i] = _read_shard(path, header, offsets)
         except FileNotFoundError:
             pass
         except ValueError as exc:
@@ -468,8 +476,8 @@ def run_census(
     shard is saved, and ``resume=True`` first reads the shard files already
     there in this process, so an interrupted run continues where it stopped.
     A file is reused only when it matches this run (n, shard count, index,
-    rank range, kernel version and catalog hash) and its checksum, shape
-    and row labels check out; any other file is logged and recomputed.
+    rank range, kernel version and catalog hash) and its checksum, shape,
+    row labels and sums check out; any other file is logged and recomputed.
     Only the shards left to compute go to the kernel, in a pool of
     ``min(jobs, shards left)`` workers when more than one is left.  Just
     before that pool starts, this process builds the kernel's per-length

@@ -33,18 +33,10 @@ from .patterns import builtin_catalog, certified_class, format_row
 from .words import complexity, descents, format_word, parse_word, stack_sort_pass
 
 
-def _word_arg(text: str):
-    try:
-        return parse_word(text)
-    except ValueError as exc:
-        raise SystemExit(f"stacksort: {exc}") from None
-
-
 def _cmd_sort(args) -> int:
-    w = _word_arg(args.word)
+    w = parse_word(args.word)
     if args.passes < 0:
-        print("stacksort: --passes must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--passes must be >= 0")
     for _ in range(args.passes):
         w = stack_sort_pass(w)
     print(format_word(w))
@@ -52,17 +44,12 @@ def _cmd_sort(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    w = _word_arg(args.word)
-    try:
-        print(complexity(w))
-    except ValueError as exc:
-        print(f"stacksort: {exc}", file=sys.stderr)
-        return 2
+    print(complexity(parse_word(args.word)))
     return 0
 
 
 def _cmd_descents(args) -> int:
-    print(descents(_word_arg(args.word)))
+    print(descents(parse_word(args.word)))
     return 0
 
 
@@ -74,7 +61,7 @@ def _fmt_witness(wit) -> str:
 
 
 def _cmd_forbidden(args) -> int:
-    w = _word_arg(args.word)
+    w = parse_word(args.word)
     rep = forbidden_report(w)
     lower, upper = complexity_bounds(w)
     print(f"word: {format_word(w)}")
@@ -88,12 +75,8 @@ def _cmd_forbidden(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    w = _word_arg(args.word)
-    try:
-        label = builtin_catalog().classify(w)
-    except ValueError as exc:
-        print(f"stacksort: {exc}", file=sys.stderr)
-        return 2
+    w = parse_word(args.word)
+    label = builtin_catalog().classify(w)
     print("none" if label is None else label)
     if args.explain:
         if label is not None:
@@ -180,10 +163,7 @@ def _cmd_fit(args) -> int:
             data[int(left)] = int(right)
         except ValueError:
             raise SystemExit(f"stacksort: bad --data {item!r}, want n=count")
-    try:
-        fit = formulas.fit_binomial(args.k, data, degree=args.degree)
-    except ValueError as exc:
-        raise SystemExit(f"stacksort: {exc}")
+    fit = formulas.fit_binomial(args.k, data, degree=args.degree)
     print(f"k: {fit.k}")
     print(f"degree: {fit.degree}")
     print("data: " + " ".join(f"{n}={data[n]}" for n in fit.ns))

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .patterns import _valid_at, tier
+from .patterns import _valid_at
 
 
 class InexactDivision(ArithmeticError):
@@ -171,13 +171,6 @@ ROW_COUNTS: Dict[str, Callable[[int], int]] = {
 }
 
 
-def expected_row_count(label: str, n: int) -> int:
-    """Closed-form first-match count for a built-in row at length n."""
-    if not _valid_at(label, n):
-        raise ValueError(f"row {label} needs n >= {tier(label)[1]}, got {n}")
-    return ROW_COUNTS[label](n)
-
-
 # ---------------------------------------------------------------------------
 # verification against a census
 
@@ -245,23 +238,6 @@ def canonical_prefactor(k: int, n: int) -> Fraction:
     return Fraction(factorial(k - 1) * factorial(n - k - 1), factorial(2 * k - 2))
 
 
-def forward_differences(values: Sequence) -> tuple:
-    """Leading forward differences (Newton coefficients) of a sequence.
-
-    These are exactly the binomial-basis coefficients of the polynomial
-    interpolating values[i] at i = 0, 1, 2, ...
-
-    >>> forward_differences([16, 23, 30])
-    (16, 7, 0)
-    """
-    row = [Fraction(v) for v in values]
-    out = []
-    while row:
-        out.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return tuple(int(v) if v.denominator == 1 else v for v in out)
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of fitting census counts to the canonical binomial shape."""
@@ -272,17 +248,6 @@ class FitResult:
     prefactor_exact: bool         # every count divisible by the prefactor
     consistent: bool              # residuals vanish on every data point
     natural: bool                 # all coefficients are non-negative integers
-
-    def predict(self, n: int):
-        total = sum(Fraction(a) * comb(n - 2 * self.k, i)
-                    for i, a in enumerate(self.coeffs))
-        v = canonical_prefactor(self.k, n) * total
-        return int(v) if v.denominator == 1 else v
-
-    def formula(self) -> BinomialFormula:
-        if not (self.consistent and self.natural):
-            raise ValueError("fit did not land on a natural exact formula")
-        return BinomialFormula(self.k, tuple(int(a) for a in self.coeffs))
 
 
 def _solve_exact(rows, rhs):
@@ -310,8 +275,8 @@ def fit_binomial(k: int, data: Mapping[int, int],
     ``data`` maps word length n to the number of words of complexity n-k;
     every n must be >= 2k.  The fitted degree defaults to k-1, the observed
     pattern for the known rows of the family; surplus data points become
-    consistency checks.  Raises ValueError when the data cannot pin down
-    the coefficients.
+    consistency checks.  Raises ValueError on a negative degree and when
+    the data cannot pin down the coefficients.
 
     >>> fit_binomial(2, {4: 8, 5: 23}).coeffs
     (16, 7)
@@ -320,6 +285,8 @@ def fit_binomial(k: int, data: Mapping[int, int],
         raise ValueError("k must be >= 1")
     if degree is None:
         degree = k - 1
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     ns = sorted(data)
     if any(n < 2 * k for n in ns):
         raise ValueError(f"every data point needs n >= {2 * k}")

@@ -14,10 +14,11 @@ length n, by pinning letters relative to the largest value.  Text grammar::
             | "{" seq ("|" seq)+ "}"   -- alternation over branches
     NAME   := one uppercase letter
 
-A named star such as ``*A`` captures the span of letters it absorbs.  The
-clause ``where nonempty(A|B)`` keeps a word only if some successful match
-gives at least one of the named stars a non-empty span; ``minus { ... }``
-subtracts every word matching the bracketed sequence.
+A named star such as ``*A`` names the span of letters it absorbs, for
+the one clause that reads it: ``where nonempty(A|B)`` keeps a word only if
+some successful match gives at least one of the named stars a non-empty
+span.  ``minus { ... }`` subtracts every word matching the bracketed
+sequence.
 
 Row labels carry a certified complexity tier by prefix: a word matching an
 ``L1`` row has stack-sorting complexity exactly n-1 (meaningful for n >= 2),
@@ -29,7 +30,8 @@ counts follow closed formulas (see :mod:`stacksort.formulas`).
 All matching, the census kernel's included, runs through one positional
 matcher: in a word with distinct letters every pinned letter has one
 position, so a pattern compiles, once per word length, into position
-comparisons with no backtracking.  Those comparisons are written out as
+comparisons with no backtracking.  The matcher answers only whether a word
+matches; it reports no witness of where the stars fall.  Those comparisons are written out as
 Python source with every position and letter an int literal, and compiled
 into functions on the first probe.  :class:`CompiledCatalog` dispatches
 each word on the number of letters after n and on its last letter, to one
@@ -42,7 +44,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import permutations
 from typing import Optional, Sequence, Union
 
 from .words import Word, _as_word
@@ -433,32 +434,6 @@ def row_matches(row: PatternRow, w: Sequence[int], naive: bool = False) -> bool:
     return False
 
 
-def match_spans(row: PatternRow, w: Sequence[int]) -> Optional[dict]:
-    """A witness {name: (start, end)} for one accepted match, or None.
-
-    >>> match_spans(parse_row("X: * n *A 1 where nonempty(A)"), (3, 2, 1))
-    {'A': (1, 2)}
-    """
-    w = tuple(w)
-    pos = _positions(w)
-    cr = _compiled_row(row, len(w))
-    if any(ex.match(w, pos) for ex in cr.exclusions):
-        return None
-    for br in cr.branches:
-        if br.match(w, pos):
-            return br.spans(pos)
-    return None
-
-
-def count_matches(row: PatternRow, n: int) -> int:
-    """Number of standard words of length n matching the row, by brute force.
-
-    Enumerates all n! words; intended for small n in tests and exploration.
-    """
-    cr = _compiled_row(row, n)
-    return sum(1 for p in permutations(range(1, n + 1)) if cr.match(p, _positions(p)))
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -559,10 +534,11 @@ class _CompiledBranch:
     chain: the first starts at ``head`` or later, each next one where the
     one before it ends or later, and the last ends at ``tail`` or earlier.
     A gap holds more letters than its ``?`` tokens exactly when its link of
-    the chain is strict.  The shape is settled here, and :meth:`source`
-    writes the checks as one boolean expression with every position and
-    letter an int literal; the functions generated from it are the only
-    matcher.
+    the chain is strict, so a ``nonempty`` clause needs only the indices
+    of the gaps holding its stars (``watch``), not the gaps themselves.
+    The shape is settled here, and :meth:`source` writes the checks as one
+    boolean expression with every position and letter an int literal; the
+    functions generated from it are the only matcher.
     """
 
     def __init__(self, ts: tuple, n: int, nonempty: tuple = ()):
@@ -600,8 +576,6 @@ class _CompiledBranch:
             else:  # a run of ? tokens only
                 gaps[-1].extend(run)
                 mins[-1] += len(run)
-        self.gaps = gaps
-        self.mins = mins
         self.head = len(left) + mins[0]
         self.tail = n - len(right)
         floating = []
@@ -611,7 +585,6 @@ class _CompiledBranch:
                              len(run) + mins[b + 1]))
         self.floating = tuple(floating)
         self.last = right[-1] if right else None
-        self.nonempty = nonempty
         # gaps holding a star named in the row's nonempty clause
         self.watch = tuple(g for g, gap in enumerate(gaps) if any(
             isinstance(t, Star) and t.name in nonempty for t in gap)) if nonempty else ()
@@ -647,36 +620,6 @@ class _CompiledBranch:
     def match(self):
         """The generated probe ``match(w, pos)``: True iff w matches."""
         return _generate([f"return {self.source()}"])[0]
-
-    def _bounds(self, pos: Sequence[int]) -> list:
-        """(start, end) of every gap of a matching word."""
-        out, lo = [], self.head - self.mins[0]
-        for g, (v, off, _, step) in enumerate(self.floating):
-            start = pos[v] - off
-            out.append((lo, start))
-            lo = start + step - self.mins[g + 1]
-        out.append((lo, self.tail))
-        return out
-
-    def spans(self, pos: Sequence[int]) -> dict:
-        """{name: (start, end)} of the named stars in one match of a matching
-        word: each gap's spare letters go to its last star, or to its last
-        star named in the nonempty clause when it has one."""
-        caps = {}
-        for (at, end), gap, least in zip(self._bounds(pos), self.gaps, self.mins):
-            stars = [i for i, t in enumerate(gap) if isinstance(t, Star)]
-            taker = max(stars, key=lambda i: (gap[i].name in self.nonempty, i),
-                        default=None)
-            spare = end - at - least
-            for i, t in enumerate(gap):
-                if isinstance(t, Star):
-                    stop = at + spare if i == taker else at
-                    if t.name:
-                        caps[t.name] = (at, stop)
-                    at = stop
-                else:
-                    at += 1
-        return caps
 
     def keys(self, n: int) -> list:
         """Every (e, last letter) a matching word can have; e counts the
@@ -817,8 +760,3 @@ class CompiledCatalog:
         ``pos`` must satisfy ``pos[v] = index of letter v in w``.
         """
         return self.dispatch[pos[len(w)]][w[-1]](w, pos)
-
-    def classify_word(self, w: Sequence[int]) -> Optional[str]:
-        """Convenience wrapper building the position table itself."""
-        w = tuple(w)
-        return self.classify(w, _positions(w))

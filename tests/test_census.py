@@ -21,7 +21,7 @@ from stacksort.census import (
     save_report,
 )
 from stacksort.formulas import verify_census
-from stacksort.patterns import CompiledCatalog, builtin_catalog, tier
+from stacksort.patterns import CompiledCatalog, _positions, builtin_catalog, tier
 from stacksort.words import (
     Word,
     descents,
@@ -78,18 +78,17 @@ def _reference_words(n, lo, hi):
     """(complexity, descents, label) of ranks [lo, hi), one word at a time
     through unrank, next_permutation, whole stack passes, descents and the
     compiled classify: the census kernel before the prefix-tree walk, kept
-    as its oracle.  Raises CensusSoundnessError (empty message) like the
-    kernel."""
+    as its oracle.  Raises CensusSoundnessError like the kernel."""
     if hi <= lo:
         return
     cc = CompiledCatalog(builtin_catalog(), n)
     ceiling = census_mod._none_ceiling(n)
     w = list(unrank(n, lo))
     for r in range(lo, hi):
-        k, label = _passes_to_identity(w), cc.classify_word(w)
+        k, label = _passes_to_identity(w), cc.classify(w, _positions(w))
         certified = ceiling if label is None else n - tier(label)[0]
         if k > certified or (label is not None and k != certified):
-            raise CensusSoundnessError(w, r, label, k, certified, "")
+            raise CensusSoundnessError(w, r, label, k, certified)
         yield k, descents(w), label
         next_permutation(w)
 
@@ -162,7 +161,8 @@ def test_kernel_generates_the_cells_once_per_process(monkeypatch):
     assert len(calls) == 1  # every cell of n = 9 in one generation
     assert census_mod._shard_kernel(9, 0, 5000) == first
     assert len(calls) == 1
-    assert catalog.compiled(9).classify_word((3, 4, 5, 6, 7, 8, 2, 9, 1)) == "L1"
+    w = (3, 4, 5, 6, 7, 8, 2, 9, 1)
+    assert catalog.compiled(9).classify(w, _positions(w)) == "L1"
     assert len(calls) == 1  # classify shares the kernel's compiled catalog
 
 
@@ -460,6 +460,23 @@ def _extra_word(payload):
     return _stamped(payload)
 
 
+def _moved_descent(payload):
+    """One word moved from descent row 1 to row 2, counts left as they were."""
+    rows = payload["descents"]
+    d = next(d for d, v in enumerate(rows[1]) if v != "0")
+    rows[1][d] = str(int(rows[1][d]) - 1)
+    rows[2][d] = str(int(rows[2][d]) + 1)
+    return _stamped(payload)
+
+
+def _moved_row_word(payload):
+    """One word moved from row L1 to row L2-1, counts left as they were."""
+    rows = payload["rows"]
+    rows["L1"] = str(int(rows["L1"]) - 1)
+    rows["L2-1"] = str(int(rows["L2-1"]) + 1)
+    return _stamped(payload)
+
+
 BAD_SHARDS = {
     "tampered tally, stale checksum": (_swap_classes, "checksum mismatch"),
     "wrong lo": (lambda p: _stamped(dict(p, lo=p["lo"] + 1)), "lo is 181"),
@@ -477,6 +494,9 @@ BAD_SHARDS = {
     "null count": (lambda p: _stamped(dict(p, rows={**p["rows"], "L1": None})),
                    "rows is not a table of decimal strings"),
     "one word too many": (_extra_word, "do not sum to the shard's word count"),
+    "word moved between descent rows": (
+        _moved_descent, "descent row 1 does not sum to its count"),
+    "word moved between tiers": (_moved_row_word, "rows certifying n-1 sum to"),
 }
 
 
@@ -623,6 +643,14 @@ def test_soundness_guard_trips_on_wrong_offset(monkeypatch):
     assert f"(rank {rank((2, 3, 4, 1))})" in str(e.value)
     assert e.value.label == "L1"
     assert e.value.complexity == 3
+
+
+def test_soundness_message_writes_the_word_as_the_cli_does():
+    # letters above 9 are space-separated, as in the reproduction command
+    w = (2, 10, 1, 3, 4, 5, 6, 7, 8, 9)
+    exc = CensusSoundnessError(w, rank(w), "L1", 8, 9)
+    assert str(exc) == (f"word 2 10 1 3 4 5 6 7 8 9 (rank {rank(w)}) matches L1 "
+                        "(certifies 9) but has complexity 8")
 
 
 def test_soundness_error_carries_the_certified_level(monkeypatch):

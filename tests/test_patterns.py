@@ -26,11 +26,9 @@ from stacksort.patterns import (
     builtin_catalog,
     certified_class,
     classify,
-    count_matches,
     expand_alternations,
     format_row,
     format_tokens,
-    match_spans,
     matches,
     parse_catalog,
     parse_row,
@@ -154,43 +152,6 @@ def test_exclusion_clause():
     assert not row_matches(row, Word([2, 3, 6, 4, 5, 1]))  # excluded shape
 
 
-def _is_witness(row, w, caps):
-    """True iff caps is one of the oracle's match assignments of the row."""
-    w = tuple(w)
-    if row.nonempty and not any(
-            nm in caps and caps[nm][0] < caps[nm][1] for nm in row.nonempty):
-        return False
-    return any(caps == c for b in expand_alternations(row.tokens)
-               for c in _naive_all(b, w))
-
-
-def test_match_spans_witness():
-    row = parse_row("T5a: * n *A (n-2) *B (n-1) 2 where nonempty(A|B)")
-    caps = match_spans(row, Word([6, 1, 4, 3, 5, 2]))
-    assert caps is not None
-    a0, a1 = caps["A"]
-    assert a1 > a0
-    assert _is_witness(row, (6, 1, 4, 3, 5, 2), caps)
-    assert match_spans(row, Word([1, 3, 6, 4, 5, 2])) is None
-    # two named stars share a gap: the spare letters go to the watched one
-    row = parse_row("X: * n *A ? *B 1 where nonempty(A)")
-    caps = match_spans(row, (5, 2, 3, 4, 1))
-    assert caps == {"A": (1, 3), "B": (4, 4)}
-    assert _is_witness(row, (5, 2, 3, 4, 1), caps)
-
-
-def test_match_spans_witnesses_rematch():
-    cat = builtin_catalog()
-    for n in (4, 5, 6):
-        for p in permutations(range(1, n + 1)):
-            for row in cat.rows:
-                caps = match_spans(row, p)
-                assert (caps is not None) == row_matches(row, p, naive=True), (
-                    row.label, p)
-                if caps is not None:
-                    assert _is_witness(row, p, caps), (row.label, p, caps)
-
-
 def _words_n7_and_n8():
     """Every word of length <= 7, then 2000 seeded words of length 8."""
     for n in range(1, 8):
@@ -224,11 +185,9 @@ def test_row_matches_reuses_the_compiled_row():
     words = list(permutations(range(1, 7)))
     for w in words:
         hit = row_matches(row, w)
-        spans = match_spans(row, w)
-        assert hit == (spans is not None)
         # the oracle: some branch of the row has a blunt-force match
         assert hit == any(_naive_all(b, w) for b in expand_alternations(row.tokens))
-    assert _compiled_row.cache_info().hits - before == 2 * len(words)
+    assert _compiled_row.cache_info().hits - before == len(words)
     assert _compiled_row(row, 6) is first
 
 
@@ -282,8 +241,6 @@ def test_random_flat_rows_agree_with_oracle(row, n):
     for p in permutations(range(1, n + 1)):
         hit = cr.match(p, _positions(p))
         assert hit == row_matches(row, p, naive=True), (format_row(row), p)
-        if hit:
-            assert _is_witness(row, p, match_spans(row, p)), (format_row(row), p)
 
 
 def test_repeated_letters_rejected():
@@ -292,7 +249,6 @@ def test_repeated_letters_rejected():
                  lambda w: matches(row.tokens, w, naive=True),
                  lambda w: row_matches(row, w),
                  lambda w: row_matches(row, w, naive=True),
-                 lambda w: match_spans(row, w),
                  classify):
         with pytest.raises(ValueError):
             call((2, 2, 1))
@@ -304,7 +260,7 @@ def test_non_standard_words():
     assert not matches(parse_tokens("* n 1"), (5, 7, 1))
     assert matches(parse_tokens("* ? 1"), (9, 1))
     assert row_matches(parse_row("X: * n *A 1 where nonempty(A)"), (3, 8, 1))
-    assert match_spans(parse_row("X: *A 2 * 1"), (0, 2, 9, 1)) == {"A": (0, 1)}
+    assert row_matches(parse_row("X: *A 2 * 1"), (0, 2, 9, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +312,7 @@ def test_compiled_catalog_matches_production():
     for n in range(1, 9):
         cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
-            label = cc.classify_word(p)
+            label = cc.classify(p, _positions(p))
             assert label == cat.classify(p, naive=True), p
             # the derived bucket view holds every row the classifier returns
             bucket = cc.buckets[min(n - 1 - p.index(n), 4)]
@@ -370,7 +326,7 @@ def test_compiled_catalog_matches_production_random_n9_to_n16():
         cc = CompiledCatalog(cat, n)
         for _ in range(2000):
             w = rng.sample(range(1, n + 1), n)
-            assert cc.classify_word(w) == cat.classify(w, naive=True), w
+            assert cc.classify(w, _positions(w)) == cat.classify(w, naive=True), w
 
 
 def _generated(cc):
@@ -401,12 +357,14 @@ def test_dispatch_generates_every_distinct_cell_in_one_compile(monkeypatch):
                         or generate(bodies, results))
     cc = CompiledCatalog(builtin_catalog(), 9)
     assert calls == []  # the constructor generates nothing
-    assert cc.classify_word((3, 4, 5, 6, 7, 8, 2, 9, 1)) == "L1"
+    w = (3, 4, 5, 6, 7, 8, 2, 9, 1)
+    assert cc.classify(w, _positions(w)) == "L1"
     distinct = {tuple(cell) for by_last in cc.cells for cell in by_last}
     assert calls == [len(distinct)]
     rng = random.Random(9)
     for _ in range(1000):
-        cc.classify_word(rng.sample(range(1, 10), 9))
+        w = rng.sample(range(1, 10), 9)
+        cc.classify(w, _positions(w))
     assert calls == [len(distinct)]
 
 
@@ -425,11 +383,12 @@ def test_classify_compiles_each_length_on_first_use():
 def test_compiled_keeps_nonempty_star_before_n():
     # the constrained star sits before n: the row must still be dispatched
     cat = Catalog((parse_row("L1: *A (n-1) * n 1 where nonempty(A)"),))
-    assert CompiledCatalog(cat, 5).classify_word((2, 3, 4, 5, 1)) == "L1"
+    w = (2, 3, 4, 5, 1)
+    assert CompiledCatalog(cat, 5).classify(w, _positions(w)) == "L1"
     for n in range(1, 7):
         cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
-            assert cc.classify_word(p) == cat.classify(p), p
+            assert cc.classify(p, _positions(p)) == cat.classify(p), p
 
 
 def test_dispatch_reaches_every_row():
@@ -456,21 +415,26 @@ def test_compiled_general_shapes_agree_with_oracle():
     for n in range(1, 8):
         cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
-            assert cc.classify_word(p) == cat.classify(p, naive=True), p
+            assert cc.classify(p, _positions(p)) == cat.classify(p, naive=True), p
             for row in cat.rows:
                 assert row_matches(row, p) == row_matches(row, p, naive=True), (
                     row.label, p)
 
 
+def _count_matches(row, n):
+    """Number of words of length n matching the row, first match or not."""
+    return sum(row_matches(row, p) for p in permutations(range(1, n + 1)))
+
+
 def test_count_matches_known_values():
     cat = builtin_catalog()
-    assert count_matches(cat.row("L1"), 5) == factorial(3)
-    assert count_matches(cat.row("L2-5"), 5) == 3
-    assert count_matches(cat.row("T4a"), 6) == factorial(4) - factorial(2)
-    assert count_matches(cat.row("T5a"), 6) == factorial(4) // 2 - factorial(2)
+    assert _count_matches(cat.row("L1"), 5) == factorial(3)
+    assert _count_matches(cat.row("L2-5"), 5) == 3
+    assert _count_matches(cat.row("T4a"), 6) == factorial(4) - factorial(2)
+    assert _count_matches(cat.row("T5a"), 6) == factorial(4) // 2 - factorial(2)
     # raw matches exceed first-match counts when an earlier row shadows:
     # words matching "* n 2 ?" with ? = 1 are claimed by "* n ? 1" first
-    assert count_matches(cat.row("T3a"), 6) == 4 * factorial(3)
+    assert _count_matches(cat.row("T3a"), 6) == 4 * factorial(3)
 
 
 def test_custom_catalog_classify():
