@@ -49,7 +49,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import patterns
 from .patterns import (_valid_at, builtin_catalog, certified_class, format_row,
@@ -126,12 +126,10 @@ class Census:
         _check_tallies(n, _tier_offsets(n), factorial(n), self.counts_by_complexity,
                        self.counts_by_row, self.descent_matrix)
 
-    def cumulative(self, c: int) -> int:
-        """Number of words with complexity at most c."""
-        return sum(self.counts_by_complexity[: c + 1])
-
 
 _REPORT_KEYS = ("counts_by_complexity", "counts_by_row", "descent_matrix")
+# what a census report carries and load_census requires, before its tallies
+_REPORT_HEADER = {"schema_version": SCHEMA_VERSION, "kind": "stacksort-census"}
 _SHARD_KEYS = ("counts", "rows", "descents")
 
 
@@ -473,8 +471,9 @@ def run_census(
     ``shard_count`` splits the rank range [0, n!) at i*n!//shard_count; the
     merged tallies are identical for every shard count.  With ``jobs > 1``
     shards run in separate processes.  With ``checkpoint_dir`` each finished
-    shard is saved, and ``resume=True`` first reads the shard files already
-    there in this process, so an interrupted run continues where it stopped.
+    shard is saved, and ``resume=True``, which needs ``checkpoint_dir``,
+    first reads the shard files already there in this process, so an
+    interrupted run continues where it stopped.
     A file is reused only when it matches this run (n, shard count, index,
     rank range, kernel version and catalog hash) and its checksum, shape,
     row labels and sums check out; any other file is logged and recomputed.
@@ -493,6 +492,8 @@ def run_census(
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if resume and checkpoint_dir is None:
+        raise ValueError("resume needs a checkpoint directory")
     if shard_count is None:
         shard_count = 16 if checkpoint_dir else max(1, jobs)
     if shard_count < 1:
@@ -554,16 +555,10 @@ def descent_polynomial(census: Census, cutoff: Optional[int] = None) -> tuple:
 # persistence
 
 
-def save_report(
-    census: Census,
-    path: str,
-    verify=None,
-    fits: Iterable = (),
-) -> None:
-    """Write the census (plus optional verification and fits) as JSON."""
+def save_report(census: Census, path: str, verify=None) -> None:
+    """Write the census (plus an optional verification) as JSON."""
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "stacksort-census",
+        **_REPORT_HEADER,
         "n": census.n,
         "shard_count": census.shard_count,
         **census._tally_fields(),
@@ -580,32 +575,18 @@ def save_report(
             }
             for c in verify.checks
         ]
-    fits = list(fits)
-    if fits:
-        payload["fits"] = [
-            {
-                "k": f.k,
-                "degree": f.degree,
-                "coeffs": [str(a) for a in f.coeffs],
-                "ns": list(f.ns),
-                "prefactor_exact": f.prefactor_exact,
-                "consistent": f.consistent,
-                "natural": f.natural,
-            }
-            for f in fits
-        ]
     _write_atomic(path, json.dumps(payload, indent=1))
 
 
 def load_census(path: str) -> Census:
-    """Read a census report back through the shard reader's parsing; the
-    checksum, which every saved report carries, and :meth:`Census.validate`
-    are re-checked.  Raises ValueError naming the file and the cause."""
+    """Read a census report back through the shard reader's parsing; its
+    schema version and kind, the checksum, which every saved report
+    carries, and :meth:`Census.validate` are re-checked.  Raises ValueError
+    naming the file and the cause."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        tallies = _read_tallies(payload, {"schema_version": SCHEMA_VERSION},
-                                _REPORT_KEYS)
+        tallies = _read_tallies(payload, _REPORT_HEADER, _REPORT_KEYS)
         n, shard_count = payload.get("n"), payload.get("shard_count", 1)
         if type(n) is not int or type(shard_count) is not int:
             raise ValueError("n and shard_count must be integers")

@@ -149,6 +149,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.k < 1:  # before a report's counts are read at n - k
+        raise ValueError("k must be >= 1")
     data = {}
     for path in args.census or ():
         c = census_mod.load_census(path)

@@ -31,13 +31,13 @@ All matching, the census kernel's included, runs through one positional
 matcher: in a word with distinct letters every pinned letter has one
 position, so a pattern compiles, once per word length, into position
 comparisons with no backtracking.  The matcher answers only whether a word
-matches; it reports no witness of where the stars fall.  Those comparisons are written out as
-Python source with every position and letter an int literal, and compiled
-into functions on the first probe.  :class:`CompiledCatalog` dispatches
-each word on the number of letters after n and on its last letter, to one
-generated function per cell of that dispatch.  ``naive=True`` swaps in a
-blunt enumerator of star extents, the independent oracle the test suite
-checks the matcher against.
+matches; it reports no witness of where the stars fall.  Those comparisons
+are written out as Python source with every position and letter an int
+literal, and compiled into functions on the first probe: one per row, or,
+in :class:`CompiledCatalog`, one per cell of a dispatch on the number of
+letters after n and on the last letter.  The independent oracle the test
+suite checks the matcher against, a blunt enumerator of star extents, is
+test code (``tests/_matching_oracle.py``).
 """
 from __future__ import annotations
 
@@ -375,36 +375,7 @@ def _positions(w: tuple) -> list:
     return pos
 
 
-def _naive_all(ts: tuple, w: tuple, ti: int = 0, pos: int = 0) -> list:
-    """Every match assignment of a flat branch, by blunt enumeration of star
-    extents; relative letters resolve against len(w).
-
-    Exponential on purpose: an independent oracle for the positional matcher.
-    """
-    if ti == len(ts):
-        return [{}] if pos == len(w) else []
-    t = ts[ti]
-    out = []
-    if isinstance(t, Star):
-        for end in range(pos, len(w) + 1):
-            for rest in _naive_all(ts, w, ti + 1, end):
-                if t.name:
-                    d = {t.name: (pos, end)}
-                    d.update(rest)
-                    out.append(d)
-                else:
-                    out.append(rest)
-    elif isinstance(t, AnyOne):
-        if pos < len(w):
-            out = _naive_all(ts, w, ti + 1, pos + 1)
-    else:
-        v = len(w) - t.offset if isinstance(t, RelValue) else t.value
-        if pos < len(w) and 1 <= v <= len(w) and w[pos] == v:
-            out = _naive_all(ts, w, ti + 1, pos + 1)
-    return out
-
-
-def matches(tokens: Sequence[Token], w: Sequence[int], naive: bool = False) -> bool:
+def matches(tokens: Sequence[Token], w: Sequence[int]) -> bool:
     """True iff the word matches the token sequence (any alternation branch).
 
     >>> matches(parse_tokens("* n 1"), (2, 3, 1))
@@ -412,26 +383,13 @@ def matches(tokens: Sequence[Token], w: Sequence[int], naive: bool = False) -> b
     >>> matches(parse_tokens("* n 1"), (3, 2, 1))
     False
     """
-    w = tuple(w)
-    pos = _positions(w)
-    if naive:
-        return any(_naive_all(b, w) for b in expand_alternations(tokens))
-    return any(br.match(w, pos) for br in _compile(tuple(tokens), len(w)))
+    return row_matches(PatternRow("", tuple(tokens)), w)
 
 
-def row_matches(row: PatternRow, w: Sequence[int], naive: bool = False) -> bool:
+def row_matches(row: PatternRow, w: Sequence[int]) -> bool:
     """True iff the word matches the row, honoring minus/nonempty clauses."""
     w = tuple(w)
-    pos = _positions(w)
-    if not naive:
-        return _compiled_row(row, len(w)).match(w, pos)
-    for b in expand_alternations(row.tokens):
-        for caps in _naive_all(b, w):
-            spans = [caps.get(nm, (0, 0)) for nm in row.nonempty]
-            if not spans or any(lo < hi for lo, hi in spans):
-                return not (row.exclusion is not None
-                            and matches(row.exclusion, w, naive=True))
-    return False
+    return _compiled_row(row, len(w)).match(w, _positions(w))
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +421,14 @@ class Catalog:
             cc = self._compiled[n] = CompiledCatalog(self, n)
         return cc
 
-    def classify(self, w: Sequence[int], naive: bool = False) -> Optional[str]:
-        """Label of the first matching row valid at this length, or None.
-
-        Uses the catalog compiled for the word's length (:meth:`compiled`);
-        ``naive=True`` tries each row with the oracle instead.
+    def classify(self, w: Sequence[int]) -> Optional[str]:
+        """Label of the first matching row valid at this length, or None,
+        from the catalog compiled for the word's length (:meth:`compiled`).
         """
         w = _as_word(w)
         if not w.is_standard():
             raise ValueError("classify() needs a standard word")
         n = len(w)
-        if naive:
-            for row in self.rows:
-                if _valid_at(row.label, n) and row_matches(row, w, naive=True):
-                    return row.label
-            return None
         if n < _MIN_FLOOR:
             return None
         return self.compiled(n).classify(w, _positions(w))
@@ -616,11 +567,6 @@ class _CompiledBranch:
             checks.append("(" + " or ".join(strict[g] for g in self.watch) + ")")
         return " and ".join(checks)
 
-    @cached_property
-    def match(self):
-        """The generated probe ``match(w, pos)``: True iff w matches."""
-        return _generate([f"return {self.source()}"])[0]
-
     def keys(self, n: int) -> list:
         """Every (e, last letter) a matching word can have; e counts the
         letters after n."""
@@ -666,10 +612,8 @@ def _either(branches: Sequence[_CompiledBranch]) -> str:
     return " or ".join(f"({br.source()})" for br in branches) or "False"
 
 
-@lru_cache(maxsize=1024)
 def _compile(tokens: tuple, n: int, nonempty: tuple = ()) -> tuple:
-    """The branches of a token sequence at length n that can match at all,
-    kept, with their probes, for the next word of that length."""
+    """The branches of a token sequence at length n that can match at all."""
     branches = (_CompiledBranch(b, n, nonempty) for b in expand_alternations(tokens))
     return tuple(br for br in branches if br.alive)
 
@@ -697,7 +641,9 @@ class CompiledRow:
 
 @lru_cache(maxsize=1024)
 def _compiled_row(row: PatternRow, n: int) -> CompiledRow:
-    """The row compiled for length n, kept for the next word of that length."""
+    """The row compiled for length n, kept, with its probe, for the next word
+    of that length: the one cache of compiled rows, which :func:`row_matches`,
+    :func:`matches` and every :class:`CompiledCatalog` build through."""
     return CompiledRow(row, n)
 
 
@@ -717,7 +663,7 @@ class CompiledCatalog:
 
     def __init__(self, catalog: Catalog, n: int):
         self.n = n
-        self.rows = [CompiledRow(row, n) for row in catalog.rows
+        self.rows = [_compiled_row(row, n) for row in catalog.rows
                      if _valid_at(row.label, n)]
         cells: dict = {}
         for cr in self.rows:

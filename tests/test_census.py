@@ -234,6 +234,8 @@ def test_run_census_argument_errors():
         run_census(5, jobs=0)
     with pytest.raises(ValueError):
         run_census(5, shard_count=0)
+    with pytest.raises(ValueError, match="resume needs a checkpoint directory"):
+        run_census(5, resume=True)
 
 
 def test_checkpoints_written_and_resumed(tmp_path, census_cache):

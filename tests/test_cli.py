@@ -110,6 +110,8 @@ def test_census_checkpoint_resume(tmp_path, capsys):
     code, out2, _ = run(capsys, "census", "--n", "4", "--shards", "4",
                         "--checkpoint", str(d), "--resume")
     assert code == 0 and out1 == out2
+    code, out, err = run(capsys, "census", "--n", "4", "--resume")
+    assert (code, out, err) == (2, "", "stacksort: resume needs a checkpoint directory\n")
 
 
 @pytest.mark.parametrize("exc, code", [(KeyboardInterrupt, 130),
@@ -246,6 +248,10 @@ def _swapped_without_checksum(payload):
 
 
 MALFORMED_REPORTS = {
+    "another kind": (lambda payload: {**payload, "kind": "stacksort-preimages"},
+                     "kind is 'stacksort-preimages', expected 'stacksort-census'"),
+    "no kind": (lambda payload: {k: v for k, v in payload.items() if k != "kind"},
+                "no kind"),
     "no counts_by_row": (_without_rows, "no counts_by_row"),
     "a JSON list": (lambda payload: [payload], "not a JSON object"),
     "a null count": (_null_count, "counts_by_row is not a table of decimal strings"),
@@ -266,7 +272,7 @@ def test_malformed_report_exits_2(case, command, tmp_path, capsys):
     assert err.splitlines() == [f"stacksort: {path}: {reason}"]
 
 
-def test_fit_command(capsys):
+def test_fit_command(tmp_path, capsys):
     code, out, _ = run(capsys, "fit", "--k", "2", "--data", "4=8", "--data", "5=23")
     assert code == 0
     assert "coeffs: 16 7" in out
@@ -286,6 +292,13 @@ def test_fit_command(capsys):
 
     code, out, err = run(capsys, "fit", "--k", "2", "--degree", "-1", "--data", "4=0")
     assert (code, out, err) == (2, "", "stacksort: degree must be >= 0\n")
+
+    report = str(tmp_path / "c4.json")
+    save_report(census_mod.run_census(4), report)
+    for k in ("0", "-1"):
+        for source in ("--data", "4=8"), ("--census", report):
+            code, out, err = run(capsys, "fit", "--k", k, *source)
+            assert (code, out, err) == (2, "", "stacksort: k must be >= 1\n"), source
 
 
 def test_fit_from_census_files(tmp_path, capsys):

@@ -36,8 +36,10 @@ from stacksort.patterns import (
     row_matches,
     tier,
 )
-from stacksort.patterns import _compile, _compiled_row, _naive_all, _positions
+from stacksort.patterns import _compiled_row, _positions
 from stacksort.words import Word
+
+import _matching_oracle as oracle
 
 
 def test_doctests():
@@ -170,12 +172,11 @@ def test_naive_oracle_agrees_with_matcher():
             compiled[n] = [CompiledRow(row, n) for row in rows]
         pos = _positions(w)
         for row, cr in zip(rows, compiled[n]):
-            assert cr.match(w, pos) == row_matches(row, w, naive=True), (
-                row.label, w)
+            assert cr.match(w, pos) == oracle.row_matches(row, w), (row.label, w)
     # row_matches itself goes through the same compiled rows
     for p in permutations(range(1, 6)):
         for row in rows:
-            assert row_matches(row, p) == row_matches(row, p, naive=True)
+            assert row_matches(row, p) == oracle.row_matches(row, p)
 
 
 def test_row_matches_reuses_the_compiled_row():
@@ -186,27 +187,27 @@ def test_row_matches_reuses_the_compiled_row():
     for w in words:
         hit = row_matches(row, w)
         # the oracle: some branch of the row has a blunt-force match
-        assert hit == any(_naive_all(b, w) for b in expand_alternations(row.tokens))
+        assert hit == oracle.matches(row.tokens, w)
     assert _compiled_row.cache_info().hits - before == len(words)
     assert _compiled_row(row, 6) is first
 
 
-def test_matches_reuses_the_compiled_branches():
+def test_matches_reuses_the_compiled_row():
     # every token type hashes, so a token sequence can key the cache
     alt = Alt(((AbsValue(1), AnyOne()), (Star("A"), RelValue(2))))
     assert len({Star(), Star("A"), AnyOne(), RelValue(1), AbsValue(1), alt}) == 6
     tokens = parse_tokens("* n { 1 ? | ? 1 }")
-    first = _compile(tokens, 6)
-    probes = [br.match for br in first]
-    before = _compile.cache_info().hits
+    first = _compiled_row(PatternRow("", tokens), 6)
+    probe = first.match
+    before = _compiled_row.cache_info().hits
     words = list(permutations(range(1, 7)))
     for w in words:
-        assert matches(tokens, w) == matches(tokens, w, naive=True), w
-    assert _compile.cache_info().hits - before == len(words)
+        assert matches(tokens, w) == oracle.matches(tokens, w), w
+    assert _compiled_row.cache_info().hits - before == len(words)
     # a list of tokens finds the same entry, and no probe is generated again
     assert matches(list(tokens), (5, 2, 3, 6, 1, 4))
-    assert _compile(tokens, 6) is first
-    assert [br.match for br in first] == probes
+    assert _compiled_row(PatternRow("", tokens), 6) is first
+    assert first.match is probe
 
 
 _flat_token = st.one_of(
@@ -240,16 +241,17 @@ def test_random_flat_rows_agree_with_oracle(row, n):
     cr = CompiledRow(row, n)
     for p in permutations(range(1, n + 1)):
         hit = cr.match(p, _positions(p))
-        assert hit == row_matches(row, p, naive=True), (format_row(row), p)
+        assert hit == oracle.row_matches(row, p), (format_row(row), p)
 
 
 def test_repeated_letters_rejected():
     row = parse_row("L1: * n 1")
     for call in (lambda w: matches(row.tokens, w),
-                 lambda w: matches(row.tokens, w, naive=True),
+                 lambda w: oracle.matches(row.tokens, w),
                  lambda w: row_matches(row, w),
-                 lambda w: row_matches(row, w, naive=True),
-                 classify):
+                 lambda w: oracle.row_matches(row, w),
+                 classify,
+                 lambda w: oracle.classify(builtin_catalog(), w)):
         with pytest.raises(ValueError):
             call((2, 2, 1))
 
@@ -313,7 +315,7 @@ def test_compiled_catalog_matches_production():
         cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
             label = cc.classify(p, _positions(p))
-            assert label == cat.classify(p, naive=True), p
+            assert label == oracle.classify(cat, p), p
             # the derived bucket view holds every row the classifier returns
             bucket = cc.buckets[min(n - 1 - p.index(n), 4)]
             assert label is None or label in [cr.label for cr in bucket]
@@ -326,17 +328,15 @@ def test_compiled_catalog_matches_production_random_n9_to_n16():
         cc = CompiledCatalog(cat, n)
         for _ in range(2000):
             w = rng.sample(range(1, n + 1), n)
-            assert cc.classify(w, _positions(w)) == cat.classify(w, naive=True), w
+            assert cc.classify(w, _positions(w)) == oracle.classify(cat, w), w
 
 
 def _generated(cc):
     """Every function generated for a compiled catalog: its cells, and the
-    probes of its rows and of their branches."""
+    probes of its rows."""
     yield from {id(f): f for by_last in cc.dispatch for f in by_last}.values()
     for cr in cc.rows:
         yield cr.match
-        for br in cr.branches + cr.exclusions:
-            yield br.match
 
 
 def test_generated_code_holds_no_catalog_text():
@@ -415,10 +415,9 @@ def test_compiled_general_shapes_agree_with_oracle():
     for n in range(1, 8):
         cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
-            assert cc.classify(p, _positions(p)) == cat.classify(p, naive=True), p
+            assert cc.classify(p, _positions(p)) == oracle.classify(cat, p), p
             for row in cat.rows:
-                assert row_matches(row, p) == row_matches(row, p, naive=True), (
-                    row.label, p)
+                assert row_matches(row, p) == oracle.row_matches(row, p), (row.label, p)
 
 
 def _count_matches(row, n):
