@@ -590,6 +590,10 @@ def load_census(path: str) -> Census:
         n, shard_count = payload.get("n"), payload.get("shard_count", 1)
         if type(n) is not int or type(shard_count) is not int:
             raise ValueError("n and shard_count must be integers")
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+        if shard_count < 1:
+            raise ValueError(f"shard_count must be >= 1, got {shard_count}")
         census = Census(n, tuple(tallies["counts"]), tallies["rows"],
                         tuple(map(tuple, tallies["descents"])), shard_count)
         stored = payload.get("checksum")

@@ -4,21 +4,21 @@ A pattern row describes a family of standard words, one family per word
 length n, by pinning letters relative to the largest value.  Text grammar::
 
     row    := LABEL ":" seq [ "minus" "{" seq "}" ]
-                          [ "where" "nonempty" "(" NAME ("|" NAME)* ")" ]
     seq    := token+
-    token  := "*" [NAME]          -- a run of letters, possibly empty
+    token  := "*"                 -- a run of letters, possibly empty
             | "?"                 -- exactly one letter, any value
             | "n"                 -- the letter n (the largest)
             | "(n-" INT ")"       -- the letter n - INT
             | INT                 -- the letter with that exact value
             | "{" seq ("|" seq)+ "}"   -- alternation over branches
-    NAME   := one uppercase letter
 
-A named star such as ``*A`` names the span of letters it absorbs, for
-the one clause that reads it: ``where nonempty(A|B)`` keeps a word only if
-some successful match gives at least one of the named stars a non-empty
-span.  ``minus { ... }`` subtracts every word matching the bracketed
-sequence.
+``minus { ... }`` subtracts every word matching the bracketed sequence; it
+is the one clause that removes words from a row.  In a word with distinct
+letters the pinned letters fix every span between them, so "one of these
+stars between pinned letters holds a letter" is the row minus the same row
+with those stars left out::
+
+    T5a: * n * (n-2) * (n-1) 2 minus { * n (n-2) (n-1) 2 }
 
 Row labels carry a certified complexity tier by prefix: a word matching an
 ``L1`` row has stack-sorting complexity exactly n-1 (meaningful for n >= 2),
@@ -54,8 +54,7 @@ from .words import Word, _as_word
 
 @dataclass(frozen=True)
 class Star:
-    """A run of letters, possibly empty; optionally named for capture."""
-    name: Optional[str] = None
+    """A run of letters, possibly empty."""
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,10 @@ Token = Union[Star, AnyOne, RelValue, AbsValue, Alt]
 
 @dataclass(frozen=True)
 class PatternRow:
-    """A labelled pattern with optional subtraction and span constraint."""
+    """A labelled pattern, with an optional subtraction."""
     label: str
     tokens: tuple
     exclusion: Optional[tuple] = None
-    nonempty: tuple = ()
 
 
 # (label prefix, complexity offset, smallest valid n): the one tier table,
@@ -129,25 +127,28 @@ def certified_class(label: str, n: int) -> int:
 
 
 class PatternSyntaxError(ValueError):
-    """A parse error, carrying the offending text and column."""
+    """A parse error, carrying the offending text, the 0-based index ``pos``
+    into it and, for a catalog, the 1-based number of its ``line``."""
 
-    def __init__(self, message: str, text: str, pos: int):
+    def __init__(self, message: str, text: str, pos: int,
+                 line: Optional[int] = None):
+        self.message = message
         self.text = text
         self.pos = pos
-        super().__init__(f"{message} (column {pos + 1})")
+        self.line = line
+        where = f"column {pos + 1}" if line is None else f"line {line}, column {pos + 1}"
+        super().__init__(f"{message} ({where})")
 
 
 _SCAN = re.compile(
     r"""(?P<ws>\s+)
       | (?P<rel>\(\s*n\s*-\s*(?P<off>\d+)\s*\))
-      | (?P<kw>minus\b|where\b|nonempty\b)
+      | (?P<minus>minus\b)
       | (?P<bare_n>n\b)
-      | (?P<star>\*(?P<sname>[A-Z])?)
+      | (?P<star>\*)
       | (?P<q>\?)
       | (?P<int>\d+)
       | (?P<lbrace>\{) | (?P<rbrace>\}) | (?P<pipe>\|)
-      | (?P<lpar>\() | (?P<rpar>\))
-      | (?P<name>[A-Z]\b)
     """,
     re.VERBOSE,
 )
@@ -161,27 +162,15 @@ def _scan(text: str, start: int = 0) -> list:
         m = _SCAN.match(text, pos)
         if m is None:
             raise PatternSyntaxError(f"unexpected character {text[pos]!r}", text, pos)
-        if m.group("ws"):
-            pass
-        elif m.group("rel"):
+        kind = m.lastgroup
+        if kind == "rel":
             out.append(("val", RelValue(int(m.group("off"))), pos))
-        elif m.group("kw"):
-            out.append(("kw", m.group("kw"), pos))
-        elif m.group("bare_n"):
+        elif kind == "bare_n":
             out.append(("val", RelValue(0), pos))
-        elif m.group("star"):
-            out.append(("star", m.group("sname"), pos))
-        elif m.group("q"):
-            out.append(("q", None, pos))
-        elif m.group("int"):
+        elif kind == "int":
             out.append(("val", AbsValue(int(m.group("int"))), pos))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), pos))
-        else:
-            for kind in ("lbrace", "rbrace", "pipe", "lpar", "rpar"):
-                if m.group(kind):
-                    out.append((kind, None, pos))
-                    break
+        elif kind != "ws":
+            out.append((kind, None, pos))
         pos = m.end()
     return out
 
@@ -218,7 +207,8 @@ class _Parser:
             if k == "end" or k in stop:
                 break
             if k == "star":
-                tokens.append(Star(self.take()[1]))
+                self.take()
+                tokens.append(Star())
             elif k == "q":
                 self.take()
                 tokens.append(AnyOne())
@@ -248,24 +238,13 @@ def parse_tokens(text: str) -> tuple:
     """Parse a bare token sequence.
 
     >>> parse_tokens("* n 1")
-    (Star(name=None), RelValue(offset=0), AbsValue(value=1))
+    (Star(), RelValue(offset=0), AbsValue(value=1))
     """
     p = _Parser(text, _scan(text))
     tokens = p.seq(frozenset())
     if p.peek() != "end":
         p.fail("unexpected trailing input")
     return tokens
-
-
-def _star_names(tokens: tuple) -> list:
-    names = []
-    for t in tokens:
-        if isinstance(t, Star) and t.name:
-            names.append(t.name)
-        elif isinstance(t, Alt):
-            for b in t.branches:
-                names.extend(_star_names(b))
-    return names
 
 
 def parse_row(line: str) -> PatternRow:
@@ -278,44 +257,26 @@ def parse_row(line: str) -> PatternRow:
     if not sep:
         raise PatternSyntaxError("missing ':' after row label", line, len(line))
     start = len(label) + 1
+    indent = len(label) - len(label.lstrip())
     label = label.strip()
     if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", label or ""):
-        raise PatternSyntaxError(f"bad row label {label!r}", line, 0)
+        raise PatternSyntaxError(f"bad row label {label!r}", line, indent)
     p = _Parser(line, _scan(line, start))
-    tokens = p.seq(frozenset({"kw"}))
+    tokens = p.seq(frozenset({"minus"}))
     exclusion = None
-    nonempty: tuple = ()
-    if p.peek() == "kw" and p.toks[p.i][1] == "minus":
+    if p.peek() == "minus":
         p.take()
         p.expect("lbrace", "'{' after 'minus'")
         exclusion = p.seq(frozenset({"rbrace"}))
         p.expect("rbrace", "'}'")
-    if p.peek() == "kw" and p.toks[p.i][1] == "where":
-        p.take()
-        if not (p.peek() == "kw" and p.toks[p.i][1] == "nonempty"):
-            p.fail("expected 'nonempty' after 'where'")
-        p.take()
-        p.expect("lpar", "'('")
-        names = [p.expect("name", "a star name")[1]]
-        while p.peek() == "pipe":
-            p.take()
-            names.append(p.expect("name", "a star name")[1])
-        p.expect("rpar", "')'")
-        nonempty = tuple(names)
     if p.peek() != "end":
         p.fail("unexpected trailing input")
-    declared = _star_names(tokens)
-    if len(declared) != len(set(declared)):
-        raise PatternSyntaxError("duplicate star name", line, start)
-    for nm in nonempty:
-        if nm not in declared:
-            raise PatternSyntaxError(f"nonempty() names unknown star {nm!r}", line, start)
-    return PatternRow(label, tokens, exclusion, nonempty)
+    return PatternRow(label, tokens, exclusion)
 
 
 def format_token(t: Token) -> str:
     if isinstance(t, Star):
-        return "*" + (t.name or "")
+        return "*"
     if isinstance(t, AnyOne):
         return "?"
     if isinstance(t, RelValue):
@@ -336,8 +297,6 @@ def format_row(row: PatternRow) -> str:
     s = f"{row.label}: {format_tokens(row.tokens)}"
     if row.exclusion is not None:
         s += f" minus {{ {format_tokens(row.exclusion)} }}"
-    if row.nonempty:
-        s += f" where nonempty({'|'.join(row.nonempty)})"
     return s
 
 
@@ -387,7 +346,7 @@ def matches(tokens: Sequence[Token], w: Sequence[int]) -> bool:
 
 
 def row_matches(row: PatternRow, w: Sequence[int]) -> bool:
-    """True iff the word matches the row, honoring minus/nonempty clauses."""
+    """True iff the word matches the row and not its ``minus`` clause."""
     w = tuple(w)
     return _compiled_row(row, len(w)).match(w, _positions(w))
 
@@ -435,16 +394,21 @@ class Catalog:
 
 
 def parse_catalog(text: str) -> Catalog:
-    """Parse catalog text: one row per line, '#' comments, blank lines ok."""
+    """Parse catalog text: one row per line, '#' comments, blank lines ok;
+    a :class:`PatternSyntaxError` names the 1-based line and its column."""
     rows = []
     seen = set()
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
+    for number, line in enumerate(text.splitlines(), 1):
+        body = line.split("#", 1)[0]
+        if not body.strip():
             continue
-        row = parse_row(body)
-        if row.label in seen:
-            raise PatternSyntaxError(f"duplicate row label {row.label!r}", body, 0)
+        try:
+            row = parse_row(body)
+            if row.label in seen:
+                raise PatternSyntaxError(f"duplicate row label {row.label!r}", body,
+                                         len(body) - len(body.lstrip()))
+        except PatternSyntaxError as exc:
+            raise PatternSyntaxError(exc.message, line, exc.pos, number) from None
         seen.add(row.label)
         rows.append(row)
     return Catalog(tuple(rows))
@@ -484,20 +448,16 @@ class _CompiledBranch:
     off the position of its first pinned letter.  The floating blocks
     chain: the first starts at ``head`` or later, each next one where the
     one before it ends or later, and the last ends at ``tail`` or earlier.
-    A gap holds more letters than its ``?`` tokens exactly when its link of
-    the chain is strict, so a ``nonempty`` clause needs only the indices
-    of the gaps holding its stars (``watch``), not the gaps themselves.
     The shape is settled here, and :meth:`source` writes the checks as one
     boolean expression with every position and letter an int literal; the
     functions generated from it are the only matcher.
     """
 
-    def __init__(self, ts: tuple, n: int, nonempty: tuple = ()):
-        # runs[0] stars[0] runs[1] ... hold each letter's value, None for ?
-        runs, stars, pins, pinned = [[]], [], [], [False]
+    def __init__(self, ts: tuple, n: int):
+        # runs[0] * runs[1] * ... hold each letter's value, None for ?
+        runs, pins, pinned = [[]], [], [False]
         for t in ts:
             if isinstance(t, Star):
-                stars.append(t)
                 runs.append([])
                 pinned.append(False)
             elif isinstance(t, AnyOne):
@@ -507,25 +467,21 @@ class _CompiledBranch:
                 runs[-1].append(v)
                 pins.append(v)
                 pinned[-1] = True
-        m = len(stars)
+        m = len(runs) - 1  # the number of stars
         left = runs[0] if pinned[0] or not m else []
         right = runs[m] if m and pinned[m] else []
         self.fixed = tuple(
             (start + i, v)
             for start, run in ((0, left), (n - len(right), right))
             for i, v in enumerate(run) if v is not None)
-        gaps, mins, blocks = [[]], [0], []
+        mins, blocks = [0], []
         for j, run in enumerate(runs):
-            if j:
-                gaps[-1].append(stars[j - 1])
             if (j == 0 and left) or (j == m and right):
                 continue
             if pinned[j]:
                 blocks.append(run)
-                gaps.append([])
                 mins.append(0)
             else:  # a run of ? tokens only
-                gaps[-1].extend(run)
                 mins[-1] += len(run)
         self.head = len(left) + mins[0]
         self.tail = n - len(right)
@@ -536,12 +492,8 @@ class _CompiledBranch:
                              len(run) + mins[b + 1]))
         self.floating = tuple(floating)
         self.last = right[-1] if right else None
-        # gaps holding a star named in the row's nonempty clause
-        self.watch = tuple(g for g, gap in enumerate(gaps) if any(
-            isinstance(t, Star) and t.name in nonempty for t in gap)) if nonempty else ()
         self.alive = (all(1 <= v <= n for v in pins)
-                      and len(ts) - m <= n and (m > 0 or len(ts) == n)
-                      and (bool(self.watch) or not nonempty))
+                      and len(ts) - m <= n and (m > 0 or len(ts) == n))
 
     def source(self) -> str:
         """The branch's checks as one boolean expression over ``w`` and
@@ -551,20 +503,14 @@ class _CompiledBranch:
         constant."""
         checks = [f"w[{p}] == {v}" for p, v in self.fixed]
         if not self.floating:  # the chain is the one link head <= tail
-            holds = self.head < self.tail if self.watch else self.head <= self.tail
+            holds = self.head <= self.tail
             return (" and ".join(checks) or "True") if holds else "False"
-        strict = []  # the links as strict comparisons, gap by gap
         prev, end = None, self.head  # the chain so far ends at prev + end
         for b, (v, off, rest, step) in enumerate(self.floating):
-            least = _plus(prev, end + off)
-            checks.append(f"{least} <= (p{b} := pos[{v}])")
-            strict.append(f"{least} < p{b}")
+            checks.append(f"{_plus(prev, end + off)} <= (p{b} := pos[{v}])")
             checks += [f"pos[{u}] == {_plus(f'p{b}', i - off)}" for u, i in rest]
             prev, end = f"p{b}", step - off
         checks.append(f"{prev} <= {self.tail - end}")
-        strict.append(f"{prev} < {self.tail - end}")
-        if self.watch:
-            checks.append("(" + " or ".join(strict[g] for g in self.watch) + ")")
         return " and ".join(checks)
 
     def keys(self, n: int) -> list:
@@ -612,9 +558,9 @@ def _either(branches: Sequence[_CompiledBranch]) -> str:
     return " or ".join(f"({br.source()})" for br in branches) or "False"
 
 
-def _compile(tokens: tuple, n: int, nonempty: tuple = ()) -> tuple:
+def _compile(tokens: tuple, n: int) -> tuple:
     """The branches of a token sequence at length n that can match at all."""
-    branches = (_CompiledBranch(b, n, nonempty) for b in expand_alternations(tokens))
+    branches = (_CompiledBranch(b, n) for b in expand_alternations(tokens))
     return tuple(br for br in branches if br.alive)
 
 
@@ -623,7 +569,7 @@ class CompiledRow:
 
     def __init__(self, row: PatternRow, n: int):
         self.label = row.label
-        self.branches = _compile(row.tokens, n, row.nonempty)
+        self.branches = _compile(row.tokens, n)
         self.exclusions = (_compile(row.exclusion, n)
                            if row.exclusion is not None else ())
 

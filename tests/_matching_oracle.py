@@ -16,30 +16,20 @@ def _distinct(w) -> tuple:
     return w
 
 
-def _naive_all(ts: tuple, w: tuple, ti: int = 0, pos: int = 0) -> list:
-    """Every match assignment of a flat branch, by blunt enumeration of star
-    extents; relative letters resolve against len(w)."""
+def _naive_all(ts: tuple, w: tuple, ti: int = 0, pos: int = 0) -> bool:
+    """True iff a flat branch matches w from token ti and letter pos on, by
+    blunt enumeration of star extents; relative letters resolve against
+    len(w)."""
     if ti == len(ts):
-        return [{}] if pos == len(w) else []
+        return pos == len(w)
     t = ts[ti]
-    out = []
     if isinstance(t, Star):
-        for end in range(pos, len(w) + 1):
-            for rest in _naive_all(ts, w, ti + 1, end):
-                if t.name:
-                    d = {t.name: (pos, end)}
-                    d.update(rest)
-                    out.append(d)
-                else:
-                    out.append(rest)
-    elif isinstance(t, AnyOne):
-        if pos < len(w):
-            out = _naive_all(ts, w, ti + 1, pos + 1)
-    else:
-        v = len(w) - t.offset if isinstance(t, RelValue) else t.value
-        if pos < len(w) and 1 <= v <= len(w) and w[pos] == v:
-            out = _naive_all(ts, w, ti + 1, pos + 1)
-    return out
+        return any(_naive_all(ts, w, ti + 1, end) for end in range(pos, len(w) + 1))
+    if isinstance(t, AnyOne):
+        return pos < len(w) and _naive_all(ts, w, ti + 1, pos + 1)
+    v = len(w) - t.offset if isinstance(t, RelValue) else t.value
+    return (pos < len(w) and 1 <= v <= len(w) and w[pos] == v
+            and _naive_all(ts, w, ti + 1, pos + 1))
 
 
 def matches(tokens, w) -> bool:
@@ -49,14 +39,9 @@ def matches(tokens, w) -> bool:
 
 
 def row_matches(row, w) -> bool:
-    """True iff the word matches the row, honoring minus/nonempty clauses."""
-    w = _distinct(w)
-    for b in expand_alternations(row.tokens):
-        for caps in _naive_all(b, w):
-            spans = [caps.get(nm, (0, 0)) for nm in row.nonempty]
-            if not spans or any(lo < hi for lo, hi in spans):
-                return not (row.exclusion is not None and matches(row.exclusion, w))
-    return False
+    """True iff the word matches the row and not its ``minus`` clause."""
+    return matches(row.tokens, w) and not (
+        row.exclusion is not None and matches(row.exclusion, w))
 
 
 def classify(catalog, w):

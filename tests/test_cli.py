@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from importlib.resources import files
 
 import pytest
 
@@ -82,6 +83,10 @@ def test_catalog(capsys):
     lines = out.strip().splitlines()
     assert code == 0 and len(lines) == 28
     assert lines[0] == "L1: * n 1"
+    # the packaged rows, verbatim: a row not written in canonical form fails
+    text = files("stacksort").joinpath("catalog.txt").read_text(encoding="utf-8")
+    assert out.splitlines() == [line for line in text.splitlines()
+                                if line.strip() and not line.startswith("#")]
 
 
 def test_census_with_outputs(tmp_path, capsys):
@@ -247,6 +252,15 @@ def _swapped_without_checksum(payload):
     return payload
 
 
+def _restamped(n):
+    """An edit giving a report length n and the tallies of a census of the
+    empty word, with a checksum that matches them."""
+    def edit(payload):
+        fake = Census(n, (1,), {}, ((1,),))
+        return {**payload, "n": n, **fake._tally_fields(), "checksum": fake.checksum}
+    return edit
+
+
 MALFORMED_REPORTS = {
     "another kind": (lambda payload: {**payload, "kind": "stacksort-preimages"},
                      "kind is 'stacksort-preimages', expected 'stacksort-census'"),
@@ -256,6 +270,10 @@ MALFORMED_REPORTS = {
     "a JSON list": (lambda payload: [payload], "not a JSON object"),
     "a null count": (_null_count, "counts_by_row is not a table of decimal strings"),
     "no checksum": (_swapped_without_checksum, "checksum missing"),
+    "n 0": (_restamped(0), f"n must be in 1..{census_mod.MAX_N}, got 0"),
+    "negative n": (_restamped(-2), f"n must be in 1..{census_mod.MAX_N}, got -2"),
+    "no shards": (lambda payload: {**payload, "shard_count": 0},
+                  "shard_count must be >= 1, got 0"),
 }
 
 
