@@ -15,8 +15,11 @@ Exit status: 0 on success, 1 when a verification or fit check fails or a
 census finds a word whose catalog row contradicts its complexity (the
 message gives a ``classify --explain`` command that shows the word),
 2 on usage errors or malformed input, 3 when a census worker process dies,
-130 when interrupted.  After 3 or 130, the shards already saved under
-``--checkpoint`` are kept, and rerunning with ``--resume`` continues there.
+130 when interrupted.  A usage error that argparse does not catch itself
+prints one ``stacksort:`` line on stderr.
+After 3 or 130 a ``census`` run with ``--checkpoint`` keeps the shards
+already saved there, and its line says that ``--resume`` continues the run;
+any other run has nothing to resume, and its line says only why it stopped.
 """
 from __future__ import annotations
 
@@ -91,28 +94,9 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _run_or_load(args) -> census_mod.Census:
-    """The report given by ``--census``, where the command takes one, or a
-    census of ``--n`` run with the command's options."""
-    if getattr(args, "census", None):
-        c = census_mod.load_census(args.census)
-        if args.n is not None and args.n != c.n:
-            raise SystemExit(
-                f"stacksort: census file has n={c.n}, but --n {args.n} was given")
-        return c
-    if args.n is None:
-        raise SystemExit("stacksort: need --n or --census FILE")
-    return census_mod.run_census(
-        args.n,
-        shard_count=getattr(args, "shards", None),
-        jobs=getattr(args, "jobs", 1),
-        checkpoint_dir=getattr(args, "checkpoint", None),
-        resume=getattr(args, "resume", False),
-    )
-
-
 def _cmd_census(args) -> int:
-    c = _run_or_load(args)
+    c = census_mod.run_census(args.n, shard_count=args.shards, jobs=args.jobs,
+                              checkpoint_dir=args.checkpoint, resume=args.resume)
     print(f"n: {c.n}")
     for cls, v in enumerate(c.counts_by_complexity):
         print(f"class {cls}: {v}")
@@ -122,19 +106,24 @@ def _cmd_census(args) -> int:
         report = formulas.verify_census(c)
         census_mod.save_report(c, args.out, verify=report)
         print(f"report: {args.out}")
-    if args.class_csv:
-        with open(args.class_csv, "w", encoding="utf-8") as fh:
-            fh.write(census_mod.class_counts_csv(c))
-        print(f"class_csv: {args.class_csv}")
-    if args.row_csv:
-        with open(args.row_csv, "w", encoding="utf-8") as fh:
-            fh.write(census_mod.row_counts_csv(c))
-        print(f"row_csv: {args.row_csv}")
+    for name, path, table in (("class_csv", args.class_csv, census_mod.class_counts_csv),
+                              ("row_csv", args.row_csv, census_mod.row_counts_csv)):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(table(c))
+            print(f"{name}: {path}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    c = _run_or_load(args)
+    if args.census:
+        c = census_mod.load_census(args.census)
+        if args.n is not None and args.n != c.n:
+            raise ValueError(f"census file has n={c.n}, but --n {args.n} was given")
+    elif args.n is None:
+        raise ValueError("need --n or --census FILE")
+    else:
+        c = census_mod.run_census(args.n, jobs=args.jobs)
     report = formulas.verify_census(c)
     for chk in report.checks:
         tag = " (conjectural)" if chk.conjectural else ""
@@ -151,20 +140,27 @@ def _cmd_verify(args) -> int:
 def _cmd_fit(args) -> int:
     if args.k < 1:  # before a report's counts are read at n - k
         raise ValueError("k must be >= 1")
-    data = {}
+    points = []
     for path in args.census or ():
         c = census_mod.load_census(path)
         if c.n < 2 * args.k:
-            raise SystemExit(
-                f"stacksort: census n={c.n} is below the k={args.k} "
-                f"fit range (needs n >= {2 * args.k})")
-        data[c.n] = c.counts_by_complexity[c.n - args.k]
+            raise ValueError(f"census n={c.n} is below the k={args.k} "
+                             f"fit range (needs n >= {2 * args.k})")
+        points.append((c.n, c.counts_by_complexity[c.n - args.k]))
     for item in args.data or ():
         try:
             left, right = item.split("=", 1)
-            data[int(left)] = int(right)
+            n, count = int(left), int(right)
         except ValueError:
-            raise SystemExit(f"stacksort: bad --data {item!r}, want n=count")
+            raise ValueError(f"bad --data {item!r}, want n=count") from None
+        if count < 0:
+            raise ValueError(f"bad --data {item!r}, a count cannot be negative")
+        points.append((n, count))
+    data = {}
+    for n, count in points:
+        if n in data:
+            raise ValueError(f"two data points for n={n}")
+        data[n] = count
     fit = formulas.fit_binomial(args.k, data, degree=args.degree)
     print(f"k: {fit.k}")
     print(f"degree: {fit.degree}")
@@ -228,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify", help="check counting formulas against a census")
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--census", help="verify a saved report instead of recomputing")
-    s.add_argument("--shards", type=int, default=None)
     s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(fn=_cmd_verify)
 
@@ -244,33 +239,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_SAVED_SHARDS = ("shards finished under --checkpoint are saved, "
-                 "and --resume continues the run")
-
-
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
     except census_mod.CensusSoundnessError as exc:
         print(f"stacksort: soundness failure: {exc}", file=sys.stderr)
         print("stacksort: reproduce with: stacksort classify "
               f"{shlex.quote(format_word(exc.word))} --explain", file=sys.stderr)
         return 1
     except BrokenProcessPool:
-        print(f"stacksort: a worker process died; {_SAVED_SHARDS}", file=sys.stderr)
-        return 3
+        stopped, code = "a worker process died", 3
     except KeyboardInterrupt:
-        print(f"stacksort: interrupted; {_SAVED_SHARDS}", file=sys.stderr)
-        return 130
+        stopped, code = "interrupted", 130
     except (ValueError, OSError) as exc:
         print(f"stacksort: {exc}", file=sys.stderr)
         return 2
+    if args.command == "census" and args.checkpoint:
+        stopped += ("; shards finished under --checkpoint are saved, "
+                    "and --resume continues the run")
+    print(f"stacksort: {stopped}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -126,12 +126,17 @@ def test_long_run_stops_cleanly(exc, code, tmp_path, capsys, monkeypatch):
         raise exc()
 
     monkeypatch.setattr(census_mod, "run_census", stopped)
-    got, out, err = run(capsys, "census", "--n", "9", "--jobs", "2",
+    long_run = ("--n", "9", "--jobs", "2")
+    got, out, err = run(capsys, "census", *long_run,
                         "--checkpoint", str(tmp_path / "ck"))
     assert got == code and out == ""
     [line] = err.splitlines()
     assert line.startswith("stacksort: ")
     assert "are saved" in line and "--resume continues the run" in line
+    # with no checkpoint directory nothing was saved, so no resume is offered
+    why = {130: "interrupted", 3: "a worker process died"}[code]
+    for command in ("census", "verify"):
+        assert run(capsys, command, *long_run) == (code, "", f"stacksort: {why}\n")
 
 
 def _children(pid):
@@ -331,6 +336,19 @@ def test_fit_from_census_files(tmp_path, capsys):
 
     code, _, err = run(capsys, "fit", "--k", "3", "--census", paths[0])
     assert code == 2 and "below the k=3 fit range" in err
+
+
+def test_fit_rejects_a_repeated_n_and_a_negative_count(tmp_path, capsys):
+    report = str(tmp_path / "c4.json")
+    save_report(census_mod.run_census(4), report)
+    for sources in (("--data", "4=8", "--data", "4=9", "--data", "5=23"),
+                    ("--census", report, "--data", "4=9", "--data", "5=23"),
+                    ("--census", report, "--census", report, "--data", "5=23")):
+        code, out, err = run(capsys, "fit", "--k", "2", *sources)
+        assert (code, out, err) == (2, "", "stacksort: two data points for n=4\n"), sources
+    code, out, err = run(capsys, "fit", "--k", "2", "--data", "4=-8", "--data", "5=23")
+    assert (code, out, err) == (
+        2, "", "stacksort: bad --data '4=-8', a count cannot be negative\n")
 
 
 def test_usage_error_exits_2(capsys):

@@ -17,6 +17,7 @@ from stacksort.formulas import (
     fit_binomial,
     verify_census,
 )
+from stacksort.patterns import builtin_catalog
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -102,6 +103,11 @@ def test_tier_sums_match_row_counts():
         assert l2 == REGISTRY["exact-n-2"].evaluate(n)
         assert t == REGISTRY["exact-n-3"].evaluate(n)
     assert ROW_COUNTS["T5a"](6) == 10
+
+
+def test_row_counts_cover_the_catalog():
+    # verify_census checks each row's count through ROW_COUNTS alone
+    assert list(ROW_COUNTS) == builtin_catalog().labels()
 
 
 def test_inexact_division_raises():
