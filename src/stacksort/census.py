@@ -10,9 +10,16 @@ resumed.
 The shard kernel walks the prefix tree of its rank range depth first, so
 words that share a prefix share its work: the letters of a prefix go
 through the stack pass, the position table and the descent count once for
-every word below them.  Each word then costs one complexity lookup of
-S(w), read off the shared stack, and one call of the generated function
-of its dispatch cell.  Those functions are generated for all cells of a
+every word below them.  Words whose prefixes leave that first pass in the
+same state (the same output and stack) share S(w) as well: the kernel
+computes the complexities of both S(w) of such a leaf once, in a memo
+that is local to one kernel call and cleared at a fixed size, and reads
+them back for every later prefix with that state.  The memo's key is the
+exact state, so a hit gives what recomputing would, and every word is
+still classified, checked and tallied on its own in rank order: no tally
+can differ from a word-by-word walk.  Each word then costs one memo hit
+or complexity lookup and one call of the generated function of its
+dispatch cell.  Those functions are generated for all cells of a
 length at once, with one compile() call, and kept for every later shard.
 They and the prefix table behind the lookup are the per-length state a
 process builds once (:func:`_length_state`).  A run that starts a process
@@ -59,6 +66,8 @@ from .words import TABLE_CAP, _complexity, _prefix_table, format_word
 SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
 MAX_N = 14
+# entries of one kernel call's leaf memo before it is cleared
+_MEMO_CAP = 1 << 18
 
 log = logging.getLogger(__name__)
 
@@ -262,20 +271,33 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     word below it, and undoes all of it on return.  The last two letters
     a < b are unrolled: S(...ab) is the output followed by the stack and
     {a, b} in increasing order, and S(...ba) is the output, the stack
-    letters below b, then a, b and the stack letters above b.  Each word
-    then costs a lookup of S(w) without n, straight from the prefix table
-    when n - 1 <= TABLE_CAP and otherwise through ``_complexity``, which
-    drops the settled maxima at the end of S(w) and of each later pass
-    until the table answers, one call of the generated function of the
-    word's dispatch cell, and the tallies; complexity 0 is the word with
-    no descent.  The dispatch and the table come from
-    :func:`_length_state`: the compiled catalog is the process's own
-    (``Catalog.compiled``), shared with ``classify``, so both are built
-    once per process and length.  A forked pool worker inherits them from
-    the calling process of :func:`run_census`; a worker started by
-    ``spawn`` or ``forkserver`` builds them on its first shard.  Words are
-    checked in rank order, so the first clash raised is the lowest-ranked
-    one.
+    letters below b, then a, b and the stack letters above b.
+
+    So both S(w) of a leaf are fixed by its first-pass state, the output
+    and the stack (a and b are the letters in neither), and prefixes that
+    reach the same state, such as 132 and 312, give the same two words.  A
+    memo local to this call maps the state, as ``bytes(out + stack)``,
+    where the guard letter n + 1 marks the boundary, to the complexities
+    of both S(w) without n.  Only on a miss does the leaf build them and
+    look them up: straight in the prefix table when n - 1 <= TABLE_CAP
+    and otherwise through ``_complexity``, which drops the settled maxima
+    at the end of S(w) and of each later pass until the table answers.
+    The memo is cleared when it holds ``_MEMO_CAP`` entries, which bounds
+    a one-shard census of any length (about 25 MiB at the cap), and dies
+    with the call, so every census recomputes.  A key is the exact state,
+    never a hash of it, so a hit returns what a miss would compute and no
+    tally can change.
+
+    Each word then costs one call of the generated function of its
+    dispatch cell and the tallies; complexity 0 is the word with no
+    descent.  The dispatch and the table come from :func:`_length_state`:
+    the compiled catalog is the process's own (``Catalog.compiled``),
+    shared with ``classify``, so both are built once per process and
+    length.  A forked pool worker inherits them from the calling process
+    of :func:`run_census`; a worker started by ``spawn`` or ``forkserver``
+    builds them on its first shard.  Words are classified, checked and
+    tallied one at a time in rank order, so the first clash raised is the
+    lowest-ranked one.
     """
     tallies = _zero_tallies(n)
     if hi <= lo:
@@ -292,10 +314,15 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     free = list(range(1, n + 1))  # letters not yet placed, increasing
     stack = [n + 1]               # decreasing upwards, over a guard letter
     out = []                      # letters popped so far, in output order
+    memo = {}  # bytes(out + stack) at a leaf -> complexities of S(w) without n
+    pairs = [[(x, y) for y in range(n)] for x in range(n)]  # the memo's values
 
-    def tally(u, d, r):
-        """Count the word in ``w`` (rank r, d descents); u is S(w) without n."""
-        c = table[bytes(u)] if table is not None else _complexity(u)
+    def lookup(u):
+        return table[bytes(u)] if table is not None else _complexity(u)
+
+    def tally(c, d, r):
+        """Count the word in ``w`` (rank r, d descents); c is the complexity
+        of S(w) without n."""
         k = c + 1 if c or d else 0
         label = dispatch[pos[n]][w[-1]](w, pos)
         if label is None:
@@ -313,26 +340,32 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
         share the prefix w[:depth] ending in ``prev`` with d descents."""
         if depth == n - 2:
             a, b = free
+            key = bytes(out + stack)
+            pair = memo.get(key)
+            if pair is None:
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                u = out + sorted(stack[1:] + free)
+                u.pop()
+                rest = stack[:0:-1]
+                j = bisect_left(rest, b)
+                v = out + rest[:j]
+                v += free
+                v += rest[j:]
+                v.pop()
+                pair = memo[key] = pairs[lookup(u)][lookup(v)]
             if lo <= base:
                 w[depth] = a
                 w[depth + 1] = b
                 pos[a] = depth
                 pos[b] = depth + 1
-                u = out + sorted(stack[1:] + free)
-                u.pop()
-                tally(u, d + (prev > a), base)
+                tally(pair[0], d + (prev > a), base)
             if base + 1 < hi:
                 w[depth] = b
                 w[depth + 1] = a
                 pos[b] = depth
                 pos[a] = depth + 1
-                rest = stack[:0:-1]
-                j = bisect_left(rest, b)
-                u = out + rest[:j]
-                u += free
-                u += rest[j:]
-                u.pop()
-                tally(u, d + (prev > b) + 1, base + 1)
+                tally(pair[1], d + (prev > b) + 1, base + 1)
             return
         m = n - depth
         s = fact[m - 1]
@@ -352,7 +385,7 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
 
     if n == 1:  # no last two letters to unroll
         w[0] = 1
-        tally([], 0, 0)
+        tally(0, 0, 0)
     else:
         walk(0, 0, 0, 0)
         del walk  # it refers to itself through its closure

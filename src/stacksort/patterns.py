@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
-from .words import Word, _as_word
+from .words import Word, _as_word, _require_standard
 
 # ---------------------------------------------------------------------------
 # tokens and rows
@@ -384,9 +384,7 @@ class Catalog:
         """Label of the first matching row valid at this length, or None,
         from the catalog compiled for the word's length (:meth:`compiled`).
         """
-        w = _as_word(w)
-        if not w.is_standard():
-            raise ValueError("classify() needs a standard word")
+        w = _require_standard(_as_word(w))
         n = len(w)
         if n < _MIN_FLOOR:
             return None

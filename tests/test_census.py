@@ -139,14 +139,43 @@ def _seeded_ranges(n, rng, count, width):
 @pytest.mark.parametrize("n, count, width", [(6, 40, 720), (7, 30, 3000),
                                              (8, 12, 6000), (9, 2, 4000),
                                              (10, 2, 3000), (12, 2, 3000)])
-def test_walk_matches_reference_on_seeded_ranges(n, count, width):
+def test_walk_matches_reference_on_seeded_ranges(n, count, width, monkeypatch):
     rng = random.Random(n)
     ranges = _seeded_ranges(n, rng, count, width)
     if n >= 9:  # S_9 and up are too long to replay word by word here
         ranges.remove((0, factorial(n)))
+    # a leaf memo of 1 or 3 entries is cleared at almost every miss
+    caps = [census_mod._MEMO_CAP] + ([1, 3] if 8 <= n <= 10 else [])
     for lo, hi in ranges:
-        assert census_mod._shard_kernel(n, lo, hi) == _reference_kernel(
-            n, lo, hi), (n, lo, hi)
+        want = _reference_kernel(n, lo, hi)
+        for cap in caps:
+            monkeypatch.setattr(census_mod, "_MEMO_CAP", cap)
+            assert census_mod._shard_kernel(n, lo, hi) == want, (n, lo, hi, cap)
+
+
+def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
+    # the 40,320 words of S_9 that start with 1 reach 4,060 first-pass
+    # states at their leaves, each computed once for both orders
+    calls = []
+    complexity = census_mod._complexity
+    monkeypatch.setattr(census_mod, "_complexity",
+                        lambda u: calls.append(1) or complexity(u))
+    first = census_mod._shard_kernel(9, 0, 40320)
+    once = len(calls)
+    assert census_mod._shard_kernel(9, 0, 40320) == first
+    assert len(calls) == 2 * once  # nothing carried over from the first call
+    assert once <= 2 * 4060
+    assert first == _reference_kernel(9, 0, 40320)
+
+
+def test_leaf_memo_cap_leaves_an_n12_shard_unchanged(extended, monkeypatch):
+    if not extended:
+        pytest.skip("n = 12 runs with STACKSORT_EXTENDED=1")
+    total = factorial(12)
+    lo, hi = 100 * total // 256, 101 * total // 256  # shard 100 of --shards 256
+    want = census_mod._shard_kernel(12, lo, hi)
+    monkeypatch.setattr(census_mod, "_MEMO_CAP", 1)
+    assert census_mod._shard_kernel(12, lo, hi) == want
 
 
 def test_kernel_generates_the_cells_once_per_process(monkeypatch):
@@ -166,17 +195,25 @@ def test_kernel_generates_the_cells_once_per_process(monkeypatch):
     assert len(calls) == 1  # classify shares the kernel's compiled catalog
 
 
-@pytest.mark.parametrize("patch", ["tiers", "ceiling"])
+@pytest.mark.parametrize("patch", ["tiers", "ceiling", "T5 tier"])
 def test_walk_raises_on_the_reference_word(patch, monkeypatch):
     # an L1 offset one too high, or an unclassified ceiling one too low, makes
-    # many words fail: both kernels must raise on the same, first one
+    # many words fail: both kernels must raise on the same, first one.  T5
+    # rows certifying one level too high make few words fail, so the first
+    # of them is at times (17 of its 95 ranges that raise) a word whose leaf
+    # state an earlier prefix of the range reached: a memo hit
     if patch == "tiers":
         monkeypatch.setattr(patterns_mod, "_TIERS",
                             (("L1", 2, 2), ("L2", 2, 4), ("T", 3, 6)))
-    else:
+    elif patch == "ceiling":
         monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: n - 5)
+    else:
+        monkeypatch.setattr(patterns_mod, "_TIERS",
+                            (("T5", 2, 6), *patterns_mod._TIERS))
     rng = random.Random(7)
-    ranges = [(n, lo, hi) for n in (6, 7) for lo, hi in _seeded_ranges(n, rng, 10, 2000)]
+    ranges = [(n, lo, hi) for n in (6, 7, 8, 9)
+              for lo, hi in _seeded_ranges(n, rng, 10, 2000)
+              if (lo, hi) != (0, factorial(9))]  # too long to replay here
     raised = 0
     for n, lo, hi in ranges:
         try:

@@ -78,6 +78,13 @@ def test_classify(capsys):
     assert "complexity: 3" in out.splitlines()
 
 
+@pytest.mark.parametrize("command", ["classify", "complexity"])
+def test_non_standard_word_is_named(command, capsys):
+    # one message for a word that is not a permutation, whichever command
+    assert run(capsys, command, "35") == (
+        2, "", "stacksort: word '35' is not a standard permutation\n")
+
+
 def test_catalog(capsys):
     code, out, _ = run(capsys, "catalog")
     lines = out.strip().splitlines()
