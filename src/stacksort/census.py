@@ -10,16 +10,19 @@ resumed.
 The shard kernel walks the prefix tree of its rank range depth first, so
 words that share a prefix share its work: the letters of a prefix go
 through the stack pass, the position table and the descent count once for
-every word below them.  Words whose prefixes leave that first pass in the
-same state (the same output and stack) share S(w) as well: the kernel
-computes the complexities of both S(w) of such a leaf once, in a memo
-that is local to one kernel call and cleared at a fixed size, and reads
-them back for every later prefix with that state.  The memo's key is the
-exact state, so a hit gives what recomputing would, and every word is
-still classified, checked and tallied on its own in rank order: no tally
-can differ from a word-by-word walk.  Each word then costs one memo hit
-or complexity lookup and one call of the generated function of its
-dispatch cell.  Those functions are generated for all cells of a
+every word below them.  The walk stops three letters short of a word, at a
+leaf that serves the six orders of its last three letters.  Leaves whose
+prefixes leave that first pass in the same state (the same output and
+stack) share all six S(w): the kernel computes their complexities once,
+in a memo that is local to one kernel call and cleared at a fixed size,
+and reads them back for every later prefix with that state.  On a miss it
+finishes the pass in each order and looks each S(w) up in a second dict
+keyed by S(w) itself, since different states can give the same S(w).
+Both keys are exact, so a hit gives what recomputing would, and every
+word is still classified, checked and tallied on its own in rank order:
+no tally can differ from a word-by-word walk.  Each word then costs one
+read of its leaf's memo entry and one call of the generated function of
+its dispatch cell.  Those functions are generated for all cells of a
 length at once, with one compile() call, and kept for every later shard.
 They and the prefix table behind the lookup are the per-length state a
 process builds once (:func:`_length_state`).  A run that starts a process
@@ -52,9 +55,9 @@ import hashlib
 import json
 import logging
 import os
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial
 from typing import Dict, Optional, Tuple
 
@@ -268,36 +271,44 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     blocks, each walked in full.  A node pushes its letter through one
     shared stack pass (the smaller letters it pops go to one shared output
     list), sets ``w`` and ``pos`` and adds its descent, once for every
-    word below it, and undoes all of it on return.  The last two letters
-    a < b are unrolled: S(...ab) is the output followed by the stack and
-    {a, b} in increasing order, and S(...ba) is the output, the stack
-    letters below b, then a, b and the stack letters above b.
+    word below it, and undoes all of it on return.  The walk stops at
+    depth n - 3: a leaf unrolls the six orders of its three free letters
+    in lexicographic order, each word of the six a rank of its block.
+    Below n = 3 the root is the leaf, and phantom letters 0 lead ``free``
+    so that the first n! of the six orders are the words of S_n.
 
-    So both S(w) of a leaf are fixed by its first-pass state, the output
-    and the stack (a and b are the letters in neither), and prefixes that
-    reach the same state, such as 132 and 312, give the same two words.  A
-    memo local to this call maps the state, as ``bytes(out + stack)``,
-    where the guard letter n + 1 marks the boundary, to the complexities
-    of both S(w) without n.  Only on a miss does the leaf build them and
-    look them up: straight in the prefix table when n - 1 <= TABLE_CAP
-    and otherwise through ``_complexity``, which drops the settled maxima
-    at the end of S(w) and of each later pass until the table answers.
-    The memo is cleared when it holds ``_MEMO_CAP`` entries, which bounds
-    a one-shard census of any length (about 25 MiB at the cap), and dies
-    with the call, so every census recomputes.  A key is the exact state,
-    never a hash of it, so a hit returns what a miss would compute and no
-    tally can change.
+    The six S(w) of a leaf are fixed by its first-pass state, the output
+    and the stack (the free letters are those in neither), so prefixes
+    that reach the same state, such as 132 and 312, give the same six
+    words.  A memo local to this call maps the state, as
+    ``bytes(out + stack)``, where the guard letter n + 1 marks the
+    boundary, to one plus the complexity of each S(w) without n, as a
+    tuple stored once however many states share it.  Only on a miss does
+    the leaf finish the stack pass from the state in each order.  Another
+    state can give the same S(w) (S of the order a < b < c is the output
+    and then every other letter in increasing order), so each S(w) without
+    n is looked up, as bytes, in a second dict: the prefix table itself
+    when n - 1 <= TABLE_CAP, since it holds all of S_{n-1} and so is only
+    ever read, and otherwise a dict of this call filled through
+    ``_complexity``, which drops the settled maxima at the end of S(w)
+    and of each later pass until the table answers.  Each dict of this
+    call is cleared when it holds ``_MEMO_CAP`` entries, which bounds a
+    one-shard census of any length, and dies with the call, so every
+    census recomputes.  A key is the exact state or word, never a hash of
+    it, so a hit returns what a miss would compute and no tally can
+    change.
 
     Each word then costs one call of the generated function of its
-    dispatch cell and the tallies; complexity 0 is the word with no
-    descent.  The dispatch and the table come from :func:`_length_state`:
-    the compiled catalog is the process's own (``Catalog.compiled``),
-    shared with ``classify``, so both are built once per process and
-    length.  A forked pool worker inherits them from the calling process
-    of :func:`run_census`; a worker started by ``spawn`` or ``forkserver``
-    builds them on its first shard.  Words are classified, checked and
-    tallied one at a time in rank order, so the first clash raised is the
-    lowest-ranked one.
+    dispatch cell, the only call in the leaf's loop, and the tallies;
+    complexity 0 is the word with no descent, and the counts are the row
+    sums of the descent matrix.  The dispatch and the table come from
+    :func:`_length_state`: the compiled catalog is the process's own
+    (``Catalog.compiled``), shared with ``classify``, so both are built
+    once per process and length.  A forked pool worker inherits them from
+    the calling process of :func:`run_census`; a worker started by
+    ``spawn`` or ``forkserver`` builds them on its first shard.  Words are
+    classified, checked and tallied one at a time in rank order, so the
+    first clash raised is the lowest-ranked one.
     """
     tallies = _zero_tallies(n)
     if hi <= lo:
@@ -306,66 +317,74 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     certified = {label: certified_class(label, n) for label in rows}
     ceiling = _none_ceiling(n)
     dispatch, table = _length_state(n)
-    if n - 1 > TABLE_CAP:  # S(w) without n is longer than the table's words
-        table = None
+    # bytes(S(w) without n) -> its complexity: the prefix table itself when
+    # it holds all of S_{n-1}, so that it only ever hits, else this call's own
+    known = table if n - 1 <= TABLE_CAP else {}
     fact = [factorial(m) for m in range(n + 1)]
+    leaf = max(n - 3, 0)  # the depth of the leaves
+    # where a leaf's three letters go: below n = 3 a phantom letter's spot,
+    # clamped to 0, is written first and then overwritten
+    l0, l1, l2 = (max(i, 0) for i in range(n - 3, n))
+    steps = [sum(a > b for a, b in zip(t, t[1:]))  # descents within each order
+             for t in permutations(range(3))]
     w = [0] * n
     pos = [0] * (n + 1)
-    free = list(range(1, n + 1))  # letters not yet placed, increasing
-    stack = [n + 1]               # decreasing upwards, over a guard letter
-    out = []                      # letters popped so far, in output order
-    memo = {}  # bytes(out + stack) at a leaf -> complexities of S(w) without n
-    pairs = [[(x, y) for y in range(n)] for x in range(n)]  # the memo's values
-
-    def lookup(u):
-        return table[bytes(u)] if table is not None else _complexity(u)
-
-    def tally(c, d, r):
-        """Count the word in ``w`` (rank r, d descents); c is the complexity
-        of S(w) without n."""
-        k = c + 1 if c or d else 0
-        label = dispatch[pos[n]][w[-1]](w, pos)
-        if label is None:
-            if k > ceiling:
-                raise CensusSoundnessError(w, r, None, k, ceiling)
-        elif k != certified[label]:
-            raise CensusSoundnessError(w, r, label, k, certified[label])
-        else:
-            rows[label] += 1
-        cnt[k] += 1
-        dm[k][d] += 1
+    free = [0] * (3 - n) + list(range(1, n + 1))  # letters not yet placed
+    stack = [n + 1]  # decreasing upwards, over a guard letter
+    out = []         # letters popped so far, in output order
+    memo = {}    # bytes(out + stack) at a leaf -> 1 + complexity of each S(w)
+    shared = {}  # the memo's values, each distinct tuple stored once
 
     def walk(depth, prev, d, base):
         """Walk the block of ranks [base, base + (n - depth)!), whose words
         share the prefix w[:depth] ending in ``prev`` with d descents."""
-        if depth == n - 2:
-            a, b = free
+        if depth == leaf:
+            a, b, c = free
+            orders = ((a, b, c, 0), (a, c, b, 1), (b, a, c, 2),  # lexicographic
+                      (b, c, a, 3), (c, a, b, 4), (c, b, a, 5))
             key = bytes(out + stack)
-            pair = memo.get(key)
-            if pair is None:
+            cs = memo.get(key)
+            if cs is None:
                 if len(memo) >= _MEMO_CAP:
                     memo.clear()
-                u = out + sorted(stack[1:] + free)
-                u.pop()
-                rest = stack[:0:-1]
-                j = bisect_left(rest, b)
-                v = out + rest[:j]
-                v += free
-                v += rest[j:]
-                v.pop()
-                pair = memo[key] = pairs[lookup(u)][lookup(v)]
-            if lo <= base:
-                w[depth] = a
-                w[depth + 1] = b
-                pos[a] = depth
-                pos[b] = depth + 1
-                tally(pair[0], d + (prev > a), base)
-            if base + 1 < hi:
-                w[depth] = b
-                w[depth + 1] = a
-                pos[b] = depth
-                pos[a] = depth + 1
-                tally(pair[1], d + (prev > b) + 1, base + 1)
+                    shared.clear()
+                cs = []
+                for *t, _ in orders:  # finish the pass in each order
+                    s, u = stack[:], out[:]
+                    for x in t:
+                        if x:  # a phantom letter is not pushed
+                            while s[-1] < x:
+                                u.append(s.pop())
+                            s.append(x)
+                    u += s[:1:-1]  # S(w) without n: s[1] is n, s[0] the guard
+                    v = bytes(u)
+                    k = known.get(v)
+                    if k is None:
+                        if len(known) >= _MEMO_CAP:
+                            known.clear()
+                        k = known[v] = _complexity(u)
+                    cs.append(k + 1)
+                cs = tuple(cs)
+                cs = memo[key] = shared.setdefault(cs, cs)
+            for x, y, z, j in orders[lo - base if lo > base else 0:hi - base]:
+                w[l0] = x
+                w[l1] = y
+                w[l2] = z
+                pos[x] = l0
+                pos[y] = l1
+                pos[z] = l2
+                e = d + (prev > x) + steps[j]
+                k = cs[j] if e else 0  # the word with no descent is sorted
+                label = dispatch[pos[n]][z](w, pos)
+                if label is None:
+                    if k > ceiling:
+                        raise CensusSoundnessError(w, base + j, None, k, ceiling)
+                elif k != certified[label]:
+                    raise CensusSoundnessError(w, base + j, label, k,
+                                               certified[label])
+                else:
+                    rows[label] += 1
+                dm[k][e] += 1
             return
         m = n - depth
         s = fact[m - 1]
@@ -383,12 +402,9 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
                 stack.append(out.pop())
             free.insert(i, x)
 
-    if n == 1:  # no last two letters to unroll
-        w[0] = 1
-        tally(0, 0, 0)
-    else:
-        walk(0, 0, 0, 0)
-        del walk  # it refers to itself through its closure
+    walk(0, 0, 0, 0)
+    del walk  # it refers to itself through its closure
+    cnt[:] = map(sum, dm)
     return tallies
 
 

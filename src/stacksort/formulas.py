@@ -11,7 +11,10 @@ of complexity exactly c, the registry below carries:
 * ``exact-n-k`` — cnt[n-k], in the canonical shape
   ``(k-1)! (n-k-1)! / (2k-2)! * sum(a_i * C(n-2k, i))`` with natural a_i;
 * ``sortable-n-k`` — the cumulative count of words of complexity <= n-k,
-  in the shape ``(n-j)! * P(n) / d`` for an integer polynomial P.
+  in the shape ``(n-j)! * P(n) / d`` for an integer polynomial P;
+* ``eulerian`` — a form of the descent kind: the words with d descents
+  number the Eulerian number A(n, d), so each column sum of the
+  complexity-by-descents matrix must equal it, one check per d.
 
 ``exact-n-4`` and ``sortable-n-5`` are conjectural: they reproduce every
 census computed here but carry no proof; verification reports flag them.
@@ -98,15 +101,31 @@ class FactorialRatio:
 
 
 @dataclass(frozen=True)
+class Eulerian:
+    """The Eulerian numbers A(n, d) for d = 0..n-1: the words of length n
+    with exactly d descents, by the alternating sum over C(n+1, i).
+
+    >>> Eulerian().evaluate(5)
+    (1, 26, 66, 26, 1)
+    """
+
+    def evaluate(self, n: int) -> Tuple[int, ...]:
+        return tuple(sum((-1) ** i * comb(n + 1, i) * (d + 1 - i) ** n
+                         for i in range(d + 1)) for d in range(n))
+
+
+@dataclass(frozen=True)
 class FormulaEntry:
     """A registered count: what it predicts, from which n, and how firmly."""
     name: str
     kind: str           # "exact" -> cnt[n-k]; "cumulative" -> sum(cnt[0..n-k]);
-                        # "sortable" -> sum(cnt[0..k])
-    k: int
+                        # "sortable" -> sum(cnt[0..k]); "descent" -> the
+                        # descent matrix's column sums, one value per d
+    k: int              # unused by the descent kind
     floor: int
     conjectural: bool
-    formula: object     # anything with evaluate(n) -> int
+    formula: object     # anything with evaluate(n) -> int, or, for the
+                        # descent kind, -> one int per d
 
     def evaluate(self, n: int) -> int:
         if n < self.floor:
@@ -133,6 +152,7 @@ REGISTRY: Dict[str, FormulaEntry] = {
                      FactorialPoly(4, (-192, 158, -4, -18, 3), 3)),
         FormulaEntry("sortable-n-5", "cumulative", 5, 8, True,
                      FactorialPoly(5, (34236, -38369, 11241, 506, -600, 60), 60)),
+        FormulaEntry("eulerian", "descent", 0, 1, False, Eulerian()),
     )
 }
 
@@ -201,9 +221,11 @@ class VerifyReport:
 def verify_census(census) -> VerifyReport:
     """Check a census against every applicable registered formula.
 
-    Covers the total, each registry entry in range, and the per-row
-    first-match counts.  The census only needs ``n``,
-    ``counts_by_complexity`` and ``counts_by_row`` attributes.
+    Covers the total, each registry entry in range (an entry of the
+    descent kind gives one check per number of descents d, named
+    ``<name>-d<d>``), and the per-row first-match counts.  The census only
+    needs ``n``, ``counts_by_complexity``, ``counts_by_row`` and
+    ``descent_matrix`` attributes.
     """
     n = census.n
     cnt = census.counts_by_complexity
@@ -216,6 +238,11 @@ def verify_census(census) -> VerifyReport:
     add("total", factorial(n), sum(cnt))
     for entry in REGISTRY.values():
         if n < entry.floor:
+            continue
+        if entry.kind == "descent":
+            columns = [sum(col) for col in zip(*census.descent_matrix)]
+            for d, expected in enumerate(entry.evaluate(n)):
+                add(f"{entry.name}-d{d}", expected, columns[d], entry.conjectural)
             continue
         if entry.kind == "exact":
             actual = cnt[n - entry.k]

@@ -144,8 +144,9 @@ def test_walk_matches_reference_on_seeded_ranges(n, count, width, monkeypatch):
     ranges = _seeded_ranges(n, rng, count, width)
     if n >= 9:  # S_9 and up are too long to replay word by word here
         ranges.remove((0, factorial(n)))
-    # a leaf memo of 1 or 3 entries is cleared at almost every miss
-    caps = [census_mod._MEMO_CAP] + ([1, 3] if 8 <= n <= 10 else [])
+    # a cap of 1 or 3 entries clears the state memo at almost every miss,
+    # and from n = 9 on the dict of S(w) too
+    caps = [census_mod._MEMO_CAP] + ([1, 3] if n >= 8 else [])
     for lo, hi in ranges:
         want = _reference_kernel(n, lo, hi)
         for cap in caps:
@@ -154,8 +155,8 @@ def test_walk_matches_reference_on_seeded_ranges(n, count, width, monkeypatch):
 
 
 def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
-    # the 40,320 words of S_9 that start with 1 reach 4,060 first-pass
-    # states at their leaves, each computed once for both orders
+    # the 40,320 words of S_9 that start with 1 give 1,780 distinct S(w),
+    # as many as S_8 has sorted words: the dict of S(w) computes each once
     calls = []
     complexity = census_mod._complexity
     monkeypatch.setattr(census_mod, "_complexity",
@@ -164,8 +165,21 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     once = len(calls)
     assert census_mod._shard_kernel(9, 0, 40320) == first
     assert len(calls) == 2 * once  # nothing carried over from the first call
-    assert once <= 2 * 4060
+    assert once <= 1780
     assert first == _reference_kernel(9, 0, 40320)
+
+
+def test_kernel_never_writes_the_prefix_table(monkeypatch):
+    # up to n = 8 the prefix table is the kernel's dict of S(w): it holds
+    # every S(w) without n, so the kernel only reads it, even when a cap of
+    # 1 would clear a dict of its own at every miss
+    table = words_mod._prefix_table(7)
+    monkeypatch.setattr(census_mod, "_MEMO_CAP", 1)
+    census_mod._shard_kernel(8, 0, factorial(8))
+    census_mod._shard_kernel(9, 0, 5000)
+    # the table as built, whatever any kernel call of the session did to it
+    assert words_mod._prefix_table(7) is table
+    assert table == words_mod._prefix_table.__wrapped__(7)
 
 
 def test_leaf_memo_cap_leaves_an_n12_shard_unchanged(extended, monkeypatch):
@@ -174,6 +188,8 @@ def test_leaf_memo_cap_leaves_an_n12_shard_unchanged(extended, monkeypatch):
     total = factorial(12)
     lo, hi = 100 * total // 256, 101 * total // 256  # shard 100 of --shards 256
     want = census_mod._shard_kernel(12, lo, hi)
+    # with a cap of 1 both the state memo and the dict of S(w) are cleared
+    # at almost every miss
     monkeypatch.setattr(census_mod, "_MEMO_CAP", 1)
     assert census_mod._shard_kernel(12, lo, hi) == want
 
@@ -195,13 +211,15 @@ def test_kernel_generates_the_cells_once_per_process(monkeypatch):
     assert len(calls) == 1  # classify shares the kernel's compiled catalog
 
 
-@pytest.mark.parametrize("patch", ["tiers", "ceiling", "T5 tier"])
+@pytest.mark.parametrize("patch", ["tiers", "ceiling", "T5 tier", "T4 tier"])
 def test_walk_raises_on_the_reference_word(patch, monkeypatch):
     # an L1 offset one too high, or an unclassified ceiling one too low, makes
-    # many words fail: both kernels must raise on the same, first one.  T5
-    # rows certifying one level too high make few words fail, so the first
-    # of them is at times (17 of its 95 ranges that raise) a word whose leaf
-    # state an earlier prefix of the range reached: a memo hit
+    # many words fail: both kernels must raise on the same, first one.  T5 or
+    # T4 rows certifying one level too high make fewer words fail.  Under
+    # the T4 patch the first failing word of the last two ranges is one
+    # whose leaf state an earlier prefix of the range reached, a memo hit;
+    # no other range of any patch raises on a hit (counted on an
+    # instrumented copy of the kernel)
     if patch == "tiers":
         monkeypatch.setattr(patterns_mod, "_TIERS",
                             (("L1", 2, 2), ("L2", 2, 4), ("T", 3, 6)))
@@ -209,11 +227,12 @@ def test_walk_raises_on_the_reference_word(patch, monkeypatch):
         monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: n - 5)
     else:
         monkeypatch.setattr(patterns_mod, "_TIERS",
-                            (("T5", 2, 6), *patterns_mod._TIERS))
+                            ((patch[:2], 2, 6), *patterns_mod._TIERS))
     rng = random.Random(7)
     ranges = [(n, lo, hi) for n in (6, 7, 8, 9)
               for lo, hi in _seeded_ranges(n, rng, 10, 2000)
               if (lo, hi) != (0, factorial(9))]  # too long to replay here
+    ranges += [(8, 886, 2886), (9, 5926, 7926)]
     raised = 0
     for n, lo, hi in ranges:
         try:
@@ -648,7 +667,10 @@ def test_wrong_tallies_with_a_matching_checksum_are_rejected(
     save_report(bad, path)
     with pytest.raises(ValueError, match=reason):
         load_census(path)
-    assert verify_census(bad).ok  # the formulas alone would not notice
+    # of the formulas, only the Eulerian column sums notice a moved descent
+    failures = {chk.name for chk in verify_census(bad).failures}
+    assert failures == ({"eulerian-d0", "eulerian-d1"}
+                        if corrupt is _moved_descent_word else set())
 
 
 def test_none_ceiling_is_derived_from_the_tiers():

@@ -245,6 +245,28 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert "FAIL exact-n-1: expected 6, got 7" in out
 
 
+def test_forged_descent_column_fails_verify(tmp_path, capsys):
+    # a saved n = 6 report with one class-2 word moved to the next descent
+    # column and its checksum stamped again: it loads, as every sum holds,
+    # but two descent columns no longer sum to their Eulerian numbers
+    path = tmp_path / "r.json"
+    run(capsys, "census", "--n", "6", "--out", str(path))
+    payload = json.loads(path.read_text())
+    row = payload["descent_matrix"][2]
+    d = next(d for d, v in enumerate(row) if v != "0")
+    row[d], row[d + 1] = str(int(row[d]) - 1), str(int(row[d + 1]) + 1)
+    payload["checksum"] = Census(
+        6, tuple(map(int, payload["counts_by_complexity"])),
+        {k: int(v) for k, v in payload["counts_by_row"].items()},
+        tuple(tuple(map(int, r)) for r in payload["descent_matrix"])).checksum
+    path.write_text(json.dumps(payload))
+    census_mod.load_census(str(path))
+    code, out, _ = run(capsys, "verify", "--census", str(path))
+    assert code == 1
+    assert f"FAIL eulerian-d{d}: " in out and f"FAIL eulerian-d{d + 1}: " in out
+    assert out.splitlines()[-1] == "checked 42 values for n=6: 2 FAILED"
+
+
 def _without_rows(payload):
     del payload["counts_by_row"]
     return payload

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import stacksort.formulas
+from stacksort.census import run_census
 from stacksort.formulas import (
     BinomialFormula,
     FactorialPoly,
@@ -203,7 +204,9 @@ def test_fit_explicit_degree():
 
 
 def _fake_census(n, counts, rows):
-    return SimpleNamespace(n=n, counts_by_complexity=counts, counts_by_row=rows)
+    """Those counts and rows over the descent matrix of a real census."""
+    return SimpleNamespace(n=n, counts_by_complexity=counts, counts_by_row=rows,
+                           descent_matrix=run_census(n).descent_matrix)
 
 
 def test_verify_census_reports_failures():
@@ -230,5 +233,19 @@ def test_verify_census_range_gating():
     assert "exact-n-2" not in names and "sortable-n-3" not in names
     assert report.ok
     report = verify_census(_fake_census(1, (1,), {}))
-    assert [c.name for c in report.checks] == ["total", "sortable-1", "sortable-2"]
+    assert [c.name for c in report.checks] == ["total", "sortable-1", "sortable-2",
+                                               "eulerian-d0"]
     assert report.ok
+
+
+def test_eulerian_numbers():
+    # A(n, d) by the recurrence (d + 1) A(n-1, d) + (n - d) A(n-1, d-1)
+    rows = {1: (1,)}
+    for n in range(2, 13):
+        up = rows[n - 1] + (0,)
+        rows[n] = tuple((d + 1) * up[d] + (n - d) * (up[d - 1] if d else 0)
+                        for d in range(n))
+    for n, row in rows.items():
+        assert REGISTRY["eulerian"].evaluate(n) == row
+        assert sum(row) == factorial(n)
+    assert not REGISTRY["eulerian"].conjectural
