@@ -62,6 +62,7 @@ from math import factorial
 from typing import Dict, Optional, Tuple
 
 from . import patterns
+from .formulas import _column_sums
 from .patterns import (_valid_at, builtin_catalog, certified_class, format_row,
                        tier)
 from .words import TABLE_CAP, _complexity, _prefix_table, format_word
@@ -592,12 +593,7 @@ def descent_polynomial(census: Census, cutoff: Optional[int] = None) -> tuple:
     and exactly d descents; ``cutoff`` defaults to n-4."""
     if cutoff is None:
         cutoff = census.n - 4
-    size = max(census.n, 1)
-    out = [0] * size
-    for c in range(0, min(cutoff, size - 1) + 1):
-        for d, v in enumerate(census.descent_matrix[c]):
-            out[d] += v
-    return tuple(out)
+    return _column_sums(census.descent_matrix, slice(max(cutoff + 1, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Exact counting formulas, census verification, and binomial-basis fitting.
 
 Counts of standard words by stack-sorting complexity follow closed forms
-at both ends of the range.  Writing cnt[c] for the number of length-n words
-of complexity exactly c, the registry below carries:
+at both ends of the range.  Each registry entry counts the words in a
+slice of the complexity classes 0..n-1, where index -k is class n-k:
 
-* ``sortable-k`` — the cumulative count of words of complexity <= k, the
-  k-stack-sortable words: Catalan(n) for k = 1 (Knuth) and
-  2(3n)!/((n+1)!(2n+1)!) for k = 2 (conjectured by West, proved by
-  Zeilberger);
-* ``exact-n-k`` — cnt[n-k], in the canonical shape
+* ``total``, ``slice(None)``: n!;
+* ``sortable-k``, ``slice(k + 1)``: the k-stack-sortable words, Catalan(n)
+  for k = 1 (Knuth) and 2(3n)!/((n+1)!(2n+1)!) for k = 2 (conjectured by
+  West, proved by Zeilberger);
+* ``exact-n-k``, ``slice(-k, -k + 1 or None)``: in the canonical shape
   ``(k-1)! (n-k-1)! / (2k-2)! * sum(a_i * C(n-2k, i))`` with natural a_i;
-* ``sortable-n-k`` — the cumulative count of words of complexity <= n-k,
-  in the shape ``(n-j)! * P(n) / d`` for an integer polynomial P;
-* ``eulerian`` — a form of the descent kind: the words with d descents
-  number the Eulerian number A(n, d), so each column sum of the
-  complexity-by-descents matrix must equal it, one check per d.
+* ``sortable-n-k``, ``slice(1 - k)``: ``(n-j)! * P(n) / d`` for integer P;
+* by descents, one count per d, against the descent matrix's column sums
+  over the slice: ``eulerian``, ``slice(None)``, A(n, d); ``narayana``,
+  ``slice(2)``, C(n, d) C(n, d+1) / n; ``jacquard-schaeffer``, ``slice(3)``,
+  (n+d)! (2n-d-1)! / ((d+1)! (n-d)! (2d+1)! (2n-2d-1)!) (Bóna's conjecture,
+  proved by Jacquard and Schaeffer).
 
 ``exact-n-4`` and ``sortable-n-5`` are conjectural: they reproduce every
 census computed here but carry no proof; verification reports flag them.
@@ -24,9 +25,9 @@ come out even raises :class:`InexactDivision` rather than rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .patterns import _valid_at
@@ -101,33 +102,28 @@ class FactorialRatio:
 
 
 @dataclass(frozen=True)
-class Eulerian:
-    """The Eulerian numbers A(n, d) for d = 0..n-1: the words of length n
-    with exactly d descents, by the alternating sum over C(n+1, i).
+class ByDescents:
+    """One count per number of descents d = 0..n-1, each ``term(n, d)``.
 
-    >>> Eulerian().evaluate(5)
+    >>> REGISTRY["eulerian"].formula.evaluate(5)  # A(5, d)
     (1, 26, 66, 26, 1)
     """
+    term: Callable[[int, int], int]
 
     def evaluate(self, n: int) -> Tuple[int, ...]:
-        return tuple(sum((-1) ** i * comb(n + 1, i) * (d + 1 - i) ** n
-                         for i in range(d + 1)) for d in range(n))
+        return tuple(self.term(n, d) for d in range(n))
 
 
 @dataclass(frozen=True)
 class FormulaEntry:
-    """A registered count: what it predicts, from which n, and how firmly."""
+    """A registered count: which classes it reads, from which n, how firmly."""
     name: str
-    kind: str           # "exact" -> cnt[n-k]; "cumulative" -> sum(cnt[0..n-k]);
-                        # "sortable" -> sum(cnt[0..k]); "descent" -> the
-                        # descent matrix's column sums, one value per d
-    k: int              # unused by the descent kind
+    classes: slice = field(hash=False)  # of 0..n-1; index -k is class n-k
     floor: int
     conjectural: bool
-    formula: object     # anything with evaluate(n) -> int, or, for the
-                        # descent kind, -> one int per d
+    formula: object     # evaluate(n) -> an int, or one int per d
 
-    def evaluate(self, n: int) -> int:
+    def evaluate(self, n: int):
         if n < self.floor:
             raise ValueError(f"{self.name} needs n >= {self.floor}, got {n}")
         return self.formula.evaluate(n)
@@ -136,23 +132,30 @@ class FormulaEntry:
 REGISTRY: Dict[str, FormulaEntry] = {
     e.name: e
     for e in (
-        FormulaEntry("sortable-1", "sortable", 1, 1, False,
+        FormulaEntry("total", slice(None), 1, False, FactorialRatio(1, (1, 0), ())),
+        FormulaEntry("sortable-1", slice(2), 1, False,
                      FactorialRatio(1, (2, 0), ((1, 0), (1, 1)))),
-        FormulaEntry("sortable-2", "sortable", 2, 1, False,
+        FormulaEntry("sortable-2", slice(3), 1, False,
                      FactorialRatio(2, (3, 0), ((1, 1), (2, 1)))),
-        FormulaEntry("exact-n-1", "exact", 1, 2, False, BinomialFormula(1, (1,))),
-        FormulaEntry("exact-n-2", "exact", 2, 4, False, BinomialFormula(2, (16, 7))),
-        FormulaEntry("exact-n-3", "exact", 3, 6, False,
+        FormulaEntry("exact-n-1", slice(-1, None), 2, False, BinomialFormula(1, (1,))),
+        FormulaEntry("exact-n-2", slice(-2, -1), 4, False, BinomialFormula(2, (16, 7))),
+        FormulaEntry("exact-n-3", slice(-3, -2), 6, False,
                      BinomialFormula(3, (1188, 776, 188))),
-        FormulaEntry("exact-n-4", "exact", 4, 8, True,
+        FormulaEntry("exact-n-4", slice(-4, -3), 8, True,
                      BinomialFormula(4, (193560, 150540, 61188, 10248))),
-        FormulaEntry("sortable-n-3", "cumulative", 3, 4, False,
+        FormulaEntry("sortable-n-3", slice(-2), 4, False,
                      FactorialPoly(3, (16, -5, -6, 2), 2)),
-        FormulaEntry("sortable-n-4", "cumulative", 4, 6, False,
+        FormulaEntry("sortable-n-4", slice(-3), 6, False,
                      FactorialPoly(4, (-192, 158, -4, -18, 3), 3)),
-        FormulaEntry("sortable-n-5", "cumulative", 5, 8, True,
+        FormulaEntry("sortable-n-5", slice(-4), 8, True,
                      FactorialPoly(5, (34236, -38369, 11241, 506, -600, 60), 60)),
-        FormulaEntry("eulerian", "descent", 0, 1, False, Eulerian()),
+        FormulaEntry("eulerian", slice(None), 1, False, ByDescents(lambda n, d: sum(
+            (-1) ** i * comb(n + 1, i) * (d + 1 - i) ** n for i in range(d + 1)))),
+        FormulaEntry("narayana", slice(2), 1, False, ByDescents(
+            lambda n, d: _exact_div(comb(n, d) * comb(n, d + 1), n))),
+        FormulaEntry("jacquard-schaeffer", slice(3), 1, False, ByDescents(
+            lambda n, d: _exact_div(factorial(n + d) * factorial(2 * n - d - 1), prod(
+                map(factorial, (d + 1, n - d, 2 * d + 1, 2 * n - 2 * d - 1)))))),
     )
 }
 
@@ -218,38 +221,39 @@ class VerifyReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
+def _column_sums(matrix, classes: slice) -> Tuple[int, ...]:
+    """The column sums of ``matrix[classes]``: zeros if it selects no row."""
+    rows = matrix[classes]
+    return tuple(sum(row[d] for row in rows) for d in range(len(matrix[0])))
+
+
 def verify_census(census) -> VerifyReport:
     """Check a census against every applicable registered formula.
 
-    Covers the total, each registry entry in range (an entry of the
-    descent kind gives one check per number of descents d, named
-    ``<name>-d<d>``), and the per-row first-match counts.  The census only
-    needs ``n``, ``counts_by_complexity``, ``counts_by_row`` and
+    An entry's int is compared with the count over its classes, and a tuple
+    with the column sums of ``descent_matrix`` over them, one check
+    ``<name>-d<d>`` per d; the per-row first-match counts follow.  The census
+    only needs ``n``, ``counts_by_complexity``, ``counts_by_row`` and
     ``descent_matrix`` attributes.
     """
     n = census.n
-    cnt = census.counts_by_complexity
     checks = []
 
     def add(name, expected, actual, conjectural=False):
         checks.append(VerifyCheck(name, expected, actual, expected == actual,
                                   conjectural))
 
-    add("total", factorial(n), sum(cnt))
     for entry in REGISTRY.values():
         if n < entry.floor:
             continue
-        if entry.kind == "descent":
-            columns = [sum(col) for col in zip(*census.descent_matrix)]
-            for d, expected in enumerate(entry.evaluate(n)):
-                add(f"{entry.name}-d{d}", expected, columns[d], entry.conjectural)
+        expected = entry.evaluate(n)
+        if not isinstance(expected, tuple):
+            add(entry.name, expected, sum(census.counts_by_complexity[entry.classes]),
+                entry.conjectural)
             continue
-        if entry.kind == "exact":
-            actual = cnt[n - entry.k]
-        else:
-            top = entry.k if entry.kind == "sortable" else n - entry.k
-            actual = sum(cnt[: top + 1])
-        add(entry.name, entry.evaluate(n), actual, entry.conjectural)
+        actual = _column_sums(census.descent_matrix, entry.classes)
+        for d, (want, got) in enumerate(zip(expected, actual, strict=True)):
+            add(f"{entry.name}-d{d}", want, got, entry.conjectural)
     for label, fn in ROW_COUNTS.items():
         if _valid_at(label, n):
             add(f"row-{label}", fn(n), census.counts_by_row.get(label, 0))

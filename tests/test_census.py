@@ -20,7 +20,7 @@ from stacksort.census import (
     run_census,
     save_report,
 )
-from stacksort.formulas import verify_census
+from stacksort.formulas import REGISTRY, verify_census
 from stacksort.patterns import CompiledCatalog, _positions, builtin_catalog, tier
 from stacksort.words import (
     Word,
@@ -259,6 +259,16 @@ def test_verify_passes_through_n8(census_cache):
     for n in range(1, 9):
         report = verify_census(census_cache(n))
         assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_verify_passes_at_the_top_lengths(n, census_cache, extended):
+    if n >= 10 and not extended:
+        pytest.skip(f"n = {n} runs with STACKSORT_EXTENDED=1")
+    report = verify_census(census_cache(n))
+    assert report.ok, report.failures
+    assert {f"{name}-d{n - 1}" for name in ("eulerian", "narayana", "jacquard-schaeffer")
+            } <= {chk.name for chk in report.checks}
 
 
 def test_shard_invariance(census_cache):
@@ -667,9 +677,10 @@ def test_wrong_tallies_with_a_matching_checksum_are_rejected(
     save_report(bad, path)
     with pytest.raises(ValueError, match=reason):
         load_census(path)
-    # of the formulas, only the Eulerian column sums notice a moved descent
+    # of the formulas, only the forms by descents notice a moved descent
     failures = {chk.name for chk in verify_census(bad).failures}
-    assert failures == ({"eulerian-d0", "eulerian-d1"}
+    assert failures == ({f"{name}-d{d}" for name in
+                         ("eulerian", "narayana", "jacquard-schaeffer") for d in (0, 1)}
                         if corrupt is _moved_descent_word else set())
 
 
@@ -742,6 +753,19 @@ def test_descent_polynomial(census_cache):
     assert dp[-1] == 1     # the reverse word sorts in one pass
     assert descent_polynomial(c, cutoff=5) == tuple(
         sum(col) for col in zip(*c.descent_matrix))
+
+
+@pytest.mark.parametrize("n, cutoff", [(n, cutoff) for n in range(1, 8)
+                                       for cutoff in range(-2, n + 1)])
+def test_descent_polynomial_by_cutoff(n, cutoff, census_cache):
+    c = census_cache(n)
+    dp = descent_polynomial(c, cutoff=cutoff)
+    if cutoff < 0:
+        assert dp == (0,) * n
+    if cutoff >= n - 1:
+        assert dp == REGISTRY["eulerian"].evaluate(n)
+    assert sum(dp) == sum(v for cls, v in enumerate(c.counts_by_complexity)
+                          if cls <= cutoff)
 
 
 def test_eulerian_totals(census_cache):

@@ -245,26 +245,46 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert "FAIL exact-n-1: expected 6, got 7" in out
 
 
-def test_forged_descent_column_fails_verify(tmp_path, capsys):
-    # a saved n = 6 report with one class-2 word moved to the next descent
-    # column and its checksum stamped again: it loads, as every sum holds,
-    # but two descent columns no longer sum to their Eulerian numbers
+def _verify_forged_report(tmp_path, capsys, moves):
+    """`verify --census` on a saved n = 6 report with one word moved between
+    descent columns for each (class, from, to) in ``moves`` and its checksum
+    stamped again: the report loads, as every sum still holds."""
     path = tmp_path / "r.json"
     run(capsys, "census", "--n", "6", "--out", str(path))
     payload = json.loads(path.read_text())
-    row = payload["descent_matrix"][2]
-    d = next(d for d, v in enumerate(row) if v != "0")
-    row[d], row[d + 1] = str(int(row[d]) - 1), str(int(row[d + 1]) + 1)
+    for c, src, dst in moves:
+        row = payload["descent_matrix"][c]
+        row[src], row[dst] = str(int(row[src]) - 1), str(int(row[dst]) + 1)
     payload["checksum"] = Census(
         6, tuple(map(int, payload["counts_by_complexity"])),
         {k: int(v) for k, v in payload["counts_by_row"].items()},
         tuple(tuple(map(int, r)) for r in payload["descent_matrix"])).checksum
     path.write_text(json.dumps(payload))
     census_mod.load_census(str(path))
-    code, out, _ = run(capsys, "verify", "--census", str(path))
+    return run(capsys, "verify", "--census", str(path))
+
+
+def test_forged_descent_column_fails_verify(tmp_path, capsys, census_cache):
+    # one class-2 word moved to the next descent column: two columns no
+    # longer sum to their Eulerian numbers, nor the words of at most two
+    # passes to Jacquard and Schaeffer's
+    d = next(d for d, v in enumerate(census_cache(6).descent_matrix[2]) if v)
+    code, out, _ = _verify_forged_report(tmp_path, capsys, [(2, d, d + 1)])
     assert code == 1
-    assert f"FAIL eulerian-d{d}: " in out and f"FAIL eulerian-d{d + 1}: " in out
-    assert out.splitlines()[-1] == "checked 42 values for n=6: 2 FAILED"
+    for name in ("eulerian", "jacquard-schaeffer"):
+        assert f"FAIL {name}-d{d}: " in out and f"FAIL {name}-d{d + 1}: " in out
+    assert out.splitlines()[-1] == "checked 54 values for n=6: 4 FAILED"
+
+
+def test_cancelling_descent_forgery_fails_verify(tmp_path, capsys):
+    # a class-2 word moved from 1 to 2 descents and a class-3 word from 2
+    # to 1: every column sum still holds, but the words of at most two
+    # passes no longer fit Jacquard and Schaeffer's form
+    code, out, _ = _verify_forged_report(tmp_path, capsys, [(2, 1, 2), (3, 2, 1)])
+    assert code == 1
+    fails = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL jacquard-schaeffer-d1", "FAIL jacquard-schaeffer-d2"]
+    assert out.splitlines()[-1] == "checked 54 values for n=6: 2 FAILED"
 
 
 def _without_rows(payload):

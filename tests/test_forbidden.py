@@ -1,4 +1,3 @@
-import doctest
 import random
 from itertools import permutations
 
@@ -6,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stacksort.forbidden
 from stacksort.forbidden import ForbiddenReport, complexity_bounds, forbidden_report
 from stacksort.words import Word, complexity, standardize
 
@@ -118,10 +116,6 @@ def test_witnesses_are_obstructions_of_the_reported_order(letters):
             k = eligible.index(b[0])
             assert tuple(eligible[k:k + order]) == b
             assert all(x < c for x in w[pos[b[0]]:pos[b[-1]]])
-
-
-def test_doctests():
-    assert doctest.testmod(stacksort.forbidden).failed == 0
 
 
 def test_report_examples():

@@ -1,4 +1,3 @@
-import doctest
 import os
 from fractions import Fraction
 from math import comb, factorial
@@ -6,7 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import stacksort.formulas
 from stacksort.census import run_census
 from stacksort.formulas import (
     BinomialFormula,
@@ -22,10 +20,6 @@ from stacksort.patterns import builtin_catalog
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-
-
-def test_doctests():
-    assert doctest.testmod(stacksort.formulas).failed == 0
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +98,27 @@ def test_tier_sums_match_row_counts():
         assert l2 == REGISTRY["exact-n-2"].evaluate(n)
         assert t == REGISTRY["exact-n-3"].evaluate(n)
     assert ROW_COUNTS["T5a"](6) == 10
+
+
+def _named_classes(name, n):
+    """The complexity classes of length n that an entry's name says it counts."""
+    k = int(name.rpartition("-")[2]) if name[-1].isdigit() else None
+    if name.startswith("exact-n-"):
+        return range(n - k, n - k + 1)
+    if name.startswith("sortable-n-"):
+        return range(n - k + 1)
+    if name.startswith("sortable-"):
+        return range(min(k + 1, n))
+    top = {"total": n, "eulerian": n, "narayana": 2, "jacquard-schaeffer": 3}[name]
+    return range(min(top, n))
+
+
+def test_registry_classes_are_the_named_ranges():
+    for entry in REGISTRY.values():
+        for n in range(entry.floor, 13):
+            assert range(n)[entry.classes] == _named_classes(entry.name, n), (
+                entry.name, n)
+    assert len(set(REGISTRY.values())) == len(REGISTRY)  # entries stay hashable
 
 
 def test_row_counts_cover_the_catalog():
@@ -234,7 +249,8 @@ def test_verify_census_range_gating():
     assert report.ok
     report = verify_census(_fake_census(1, (1,), {}))
     assert [c.name for c in report.checks] == ["total", "sortable-1", "sortable-2",
-                                               "eulerian-d0"]
+                                               "eulerian-d0", "narayana-d0",
+                                               "jacquard-schaeffer-d0"]
     assert report.ok
 
 

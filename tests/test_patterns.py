@@ -1,4 +1,3 @@
-import doctest
 import os
 import random
 import subprocess
@@ -40,10 +39,6 @@ from stacksort.patterns import _compiled_row, _positions
 from stacksort.words import Word
 
 import _matching_oracle as oracle
-
-
-def test_doctests():
-    assert doctest.testmod(stacksort.patterns).failed == 0
 
 
 # ---------------------------------------------------------------------------

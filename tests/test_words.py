@@ -1,4 +1,3 @@
-import doctest
 import os
 import random
 import subprocess
@@ -27,11 +26,6 @@ from stacksort.words import (
     standardize,
     unrank,
 )
-
-
-def test_doctests():
-    results = doctest.testmod(stacksort.words)
-    assert results.failed == 0
 
 
 def test_word_validation():
