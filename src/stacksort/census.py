@@ -36,7 +36,9 @@ the catalog classification against the independently computed complexity
 and raises :class:`CensusSoundnessError` on any disagreement, naming the
 word, its rank and the level the catalog certified for it.  A completed
 census is therefore an exhaustive proof, for that n, that the catalog
-certifies exactly what it claims.
+certifies exactly what :mod:`stacksort.patterns` states: the level of each
+row valid at n in ``Catalog.levels(n)``, and ``none_ceiling(n)`` for words
+no row matches.
 
 Counters are exact integers end to end; the JSON report stores them as
 decimal strings so they survive parsers that would round large values.
@@ -61,10 +63,8 @@ from itertools import permutations
 from math import factorial
 from typing import Dict, Optional, Tuple
 
-from . import patterns
 from .formulas import _column_sums
-from .patterns import (_valid_at, builtin_catalog, certified_class, format_row,
-                       tier)
+from .patterns import builtin_catalog, format_row, none_ceiling
 from .words import TABLE_CAP, _complexity, _prefix_table, format_word
 
 SCHEMA_VERSION = 1
@@ -81,9 +81,9 @@ class CensusSoundnessError(AssertionError):
 
     ``rank`` is the word's lexicographic rank among the words of its
     length, so ``unrank(len(word), rank)`` rebuilds it.  ``certified`` is
-    the level the catalog vouches for: n - offset of the matched row, or
-    the largest complexity an unclassified word may have when ``label`` is
-    None.
+    the level the catalog vouches for: the matched row's level in
+    ``Catalog.levels(n)``, or ``none_ceiling(n)``, the largest complexity an
+    unclassified word may have, when ``label`` is None.
     """
 
     def __init__(self, word, rank, label, complexity, certified):
@@ -136,8 +136,8 @@ class Census:
         """Raise ValueError unless the tallies pass a saved shard's checks
         with a total of n!."""
         n = self.n
-        _check_tallies(n, _tier_offsets(n), factorial(n), self.counts_by_complexity,
-                       self.counts_by_row, self.descent_matrix)
+        _check_tallies(n, builtin_catalog().levels(n), factorial(n),
+                       self.counts_by_complexity, self.counts_by_row, self.descent_matrix)
 
 
 _REPORT_KEYS = ("counts_by_complexity", "counts_by_row", "descent_matrix")
@@ -188,19 +188,17 @@ def _read_tallies(payload, header: dict, keys) -> dict:
             "descents": [_decimals(row, keys[2]) for row in descents]}
 
 
-def _check_tallies(n: int, offsets: dict, total: int, counts, rows,
+def _check_tallies(n: int, levels: dict, total: int, counts, rows,
                    descents) -> None:
     """Raise ValueError unless the tables have the sizes of length n, the row
-    labels are exactly the keys of ``offsets`` (:func:`_tier_offsets`), no
+    labels are exactly the keys of ``levels`` (``Catalog.levels(n)``), no
     entry is negative, the counts sum to ``total``, each descent row sums to
-    its count and the rows of each tier sum to the count of the level they
-    certify.  The sums hold for any rank range, the kernel having checked
-    every word in it."""
-    size = max(n, 1)
-    if len(descents) != size or any(len(row) != size for row in (counts, *descents)):
+    its count and the rows certifying each level sum to its count.  The sums
+    hold for any rank range, the kernel having checked every word in it."""
+    if len(descents) != n or any(len(row) != n for row in (counts, *descents)):
         raise ValueError("tables of the wrong size")
-    if rows.keys() != offsets.keys():
-        raise ValueError(f"row labels {sorted(rows.keys() ^ offsets.keys())} do not "
+    if rows.keys() != levels.keys():
+        raise ValueError(f"row labels {sorted(rows.keys() ^ levels.keys())} do not "
                          "match the catalog")
     if min([*counts, *rows.values(), *map(min, descents)]) < 0:
         raise ValueError("negative count")
@@ -212,18 +210,17 @@ def _check_tallies(n: int, offsets: dict, total: int, counts, rows,
             raise ValueError(f"descent row {c} does not sum to its count")
     sums: dict = {}
     for label, v in rows.items():
-        sums[offsets[label]] = sums.get(offsets[label], 0) + v
-    for offset, got in sums.items():
-        if got != counts[n - offset]:
-            raise ValueError(f"rows certifying n-{offset} sum to {got}, "
-                             f"expected {counts[n - offset]}")
+        sums[levels[label]] = sums.get(levels[label], 0) + v
+    for level, got in sums.items():
+        if got != counts[level]:
+            raise ValueError(f"rows certifying n-{n - level} sum to {got}, "
+                             f"expected {counts[level]}")
 
 
 def _zero_tallies(n: int) -> dict:
     """Empty tallies for length n, in the form the kernel returns."""
-    size = max(n, 1)
-    return {"counts": [0] * size, "rows": dict.fromkeys(_eligible_labels(n), 0),
-            "descents": [[0] * size for _ in range(size)]}
+    return {"counts": [0] * n, "rows": dict.fromkeys(builtin_catalog().levels(n), 0),
+            "descents": [[0] * n for _ in range(n)]}
 
 
 def _sha256(data: bytes) -> str:
@@ -234,23 +231,6 @@ def _catalog_sha256() -> str:
     """sha256 of the built-in catalog's canonical rows, binding saved shards
     to the catalog that classified them."""
     return _sha256("\n".join(format_row(row) for row in builtin_catalog().rows).encode())
-
-
-def _eligible_labels(n: int) -> list:
-    return [r.label for r in builtin_catalog().rows if _valid_at(r.label, n)]
-
-
-def _tier_offsets(n: int) -> dict:
-    """The complexity offset of each row label valid at length n."""
-    return {label: tier(label)[0] for label in _eligible_labels(n)}
-
-
-def _none_ceiling(n: int) -> int:
-    """Largest complexity an unclassified word may have at this length:
-    one below the lowest level the tiers valid at n certify, or 0 when no
-    tier is valid."""
-    offsets = [offset for _, offset, floor in patterns._TIERS if floor <= n]
-    return n - 1 - max(offsets) if offsets else 0
 
 
 def _length_state(n: int) -> tuple:
@@ -315,8 +295,8 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     if hi <= lo:
         return tallies
     cnt, rows, dm = tallies.values()
-    certified = {label: certified_class(label, n) for label in rows}
-    ceiling = _none_ceiling(n)
+    certified = builtin_catalog().levels(n)
+    ceiling = none_ceiling(n)
     dispatch, table = _length_state(n)
     # bytes(S(w) without n) -> its complexity: the prefix table itself when
     # it holds all of S_{n-1}, so that it only ever hits, else this call's own
@@ -445,10 +425,10 @@ def _shard_header(n, shard_count, index, lo, hi, catalog_sha) -> dict:
     }
 
 
-def _read_shard(path: str, header: dict, offsets: dict) -> dict:
+def _read_shard(path: str, header: dict, levels: dict) -> dict:
     """The tallies of a saved shard, checked against the expected ``header``
     and the stored checksum, then by :func:`_check_tallies` with the row
-    labels of ``offsets`` and a total of the shard's word count.
+    labels of ``levels`` and a total of the shard's word count.
 
     Raises FileNotFoundError when there is no file and ValueError, naming
     the reason, when the file cannot be used.
@@ -460,7 +440,7 @@ def _read_shard(path: str, header: dict, offsets: dict) -> dict:
     head = text[:text.rfind(_CHECKSUM_KEY) + len(_CHECKSUM_KEY)]
     if saved.get("checksum") != _sha256(head):
         raise ValueError("checksum mismatch")
-    _check_tallies(header["n"], offsets, header["hi"] - header["lo"],
+    _check_tallies(header["n"], levels, header["hi"] - header["lo"],
                    *tallies.values())
     return tallies
 
@@ -482,14 +462,14 @@ def _shard_task(args: tuple) -> dict:
 def _resume_shards(n, shard_count, bounds, checkpoint_dir, catalog_sha) -> dict:
     """Saved shards that pass every check, by index; each unusable file is
     logged once and left out, so that it is recomputed."""
-    offsets = _tier_offsets(n)
+    levels = builtin_catalog().levels(n)
     found = {}
     for i in range(shard_count):
         path = _checkpoint_path(checkpoint_dir, n, shard_count, i)
         header = _shard_header(n, shard_count, i, bounds[i], bounds[i + 1],
                                catalog_sha)
         try:
-            found[i] = _read_shard(path, header, offsets)
+            found[i] = _read_shard(path, header, levels)
         except FileNotFoundError:
             pass
         except ValueError as exc:
@@ -663,6 +643,6 @@ def class_counts_csv(census: Census) -> str:
 def row_counts_csv(census: Census) -> str:
     """CSV ``n,row_label,count`` rows, in catalog order."""
     lines = ["n,row_label,count"]
-    for label in _eligible_labels(census.n):
+    for label in builtin_catalog().levels(census.n):
         lines.append(f"{census.n},{label},{census.counts_by_row.get(label, 0)}")
     return "\n".join(lines) + "\n"

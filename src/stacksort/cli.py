@@ -109,8 +109,7 @@ def _cmd_census(args) -> int:
     for name, path, table in (("class_csv", args.class_csv, census_mod.class_counts_csv),
                               ("row_csv", args.row_csv, census_mod.row_counts_csv)):
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(table(c))
+            census_mod._write_atomic(path, table(c))
             print(f"{name}: {path}")
     return 0
 

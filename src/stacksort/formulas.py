@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .patterns import _valid_at
+from .patterns import builtin_catalog
 
 
 class InexactDivision(ArithmeticError):
@@ -254,9 +254,8 @@ def verify_census(census) -> VerifyReport:
         actual = _column_sums(census.descent_matrix, entry.classes)
         for d, (want, got) in enumerate(zip(expected, actual, strict=True)):
             add(f"{entry.name}-d{d}", want, got, entry.conjectural)
-    for label, fn in ROW_COUNTS.items():
-        if _valid_at(label, n):
-            add(f"row-{label}", fn(n), census.counts_by_row.get(label, 0))
+    for label in builtin_catalog().levels(n):
+        add(f"row-{label}", ROW_COUNTS[label](n), census.counts_by_row.get(label, 0))
     return VerifyReport(n, tuple(checks))
 
 

@@ -111,9 +111,12 @@ def tier(label: str) -> tuple:
     raise ValueError(f"label {label!r} has no recognized tier prefix ({prefixes})")
 
 
-def _valid_at(label: str, n: int) -> bool:
-    """True iff a row with this label certifies anything at length n."""
-    return n >= tier(label)[1]
+def none_ceiling(n: int) -> int:
+    """Largest complexity an unclassified word may have at length n: one
+    below the lowest level the tiers valid at n certify, or 0 when no tier
+    is valid."""
+    offsets = [offset for _, offset, floor in _TIERS if floor <= n]
+    return n - 1 - max(offsets) if offsets else 0
 
 
 def certified_class(label: str, n: int) -> int:
@@ -372,6 +375,17 @@ class Catalog:
                 return r
         raise KeyError(label)
 
+    def levels(self, n: int) -> dict:
+        """``{label: certified complexity}`` of the rows valid at length n,
+        in catalog order: the one place either fact is decided.
+
+        >>> builtin_catalog().levels(4)
+        {'L1': 3, 'L2-1': 2, 'L2-2': 2, 'L2-3': 2, 'L2-4': 2, 'L2-5': 2}
+        """
+        tiers = {r.label: tier(r.label) for r in self.rows}
+        return {label: n - offset for label, (offset, floor) in tiers.items()
+                if n >= floor}
+
     def compiled(self, n: int) -> "CompiledCatalog":
         """The catalog compiled for length n, built on first use and kept;
         its dispatch is generated on its first probe."""
@@ -392,21 +406,26 @@ class Catalog:
 
 
 def parse_catalog(text: str) -> Catalog:
-    """Parse catalog text: one row per line, '#' comments, blank lines ok;
-    a :class:`PatternSyntaxError` names the 1-based line and its column."""
+    """Parse catalog text: one row per line, '#' comments, blank lines ok.
+    A :class:`PatternSyntaxError` names the 1-based line and its column,
+    for bad syntax, a label with no tier prefix or a duplicate label."""
     rows = []
     seen = set()
     for number, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0]
         if not body.strip():
             continue
+        indent = len(body) - len(body.lstrip())
         try:
             row = parse_row(body)
             if row.label in seen:
                 raise PatternSyntaxError(f"duplicate row label {row.label!r}", body,
-                                         len(body) - len(body.lstrip()))
+                                         indent)
+            tier(row.label)
         except PatternSyntaxError as exc:
             raise PatternSyntaxError(exc.message, line, exc.pos, number) from None
+        except ValueError as exc:  # from tier: the label has no tier prefix
+            raise PatternSyntaxError(str(exc), line, indent, number) from None
         seen.add(row.label)
         rows.append(row)
     return Catalog(tuple(rows))
@@ -607,8 +626,9 @@ class CompiledCatalog:
 
     def __init__(self, catalog: Catalog, n: int):
         self.n = n
+        levels = catalog.levels(n)
         self.rows = [_compiled_row(row, n) for row in catalog.rows
-                     if _valid_at(row.label, n)]
+                     if row.label in levels]
         cells: dict = {}
         for cr in self.rows:
             for br in cr.branches:

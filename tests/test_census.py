@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +83,7 @@ def _reference_words(n, lo, hi):
     if hi <= lo:
         return
     cc = CompiledCatalog(builtin_catalog(), n)
-    ceiling = census_mod._none_ceiling(n)
+    ceiling = census_mod.none_ceiling(n)
     w = list(unrank(n, lo))
     for r in range(lo, hi):
         k, label = _passes_to_identity(w), cc.classify(w, _positions(w))
@@ -97,7 +98,7 @@ def _tallies(n, records):
     size = max(n, 1)
     cnt = [0] * size
     dm = [[0] * size for _ in range(size)]
-    rows = {label: 0 for label in census_mod._eligible_labels(n)}
+    rows = dict.fromkeys(builtin_catalog().levels(n), 0)
     for k, d, label in records:
         cnt[k] += 1
         dm[k][d] += 1
@@ -224,7 +225,7 @@ def test_walk_raises_on_the_reference_word(patch, monkeypatch):
         monkeypatch.setattr(patterns_mod, "_TIERS",
                             (("L1", 2, 2), ("L2", 2, 4), ("T", 3, 6)))
     elif patch == "ceiling":
-        monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: n - 5)
+        monkeypatch.setattr(census_mod, "none_ceiling", lambda n: n - 5)
     else:
         monkeypatch.setattr(patterns_mod, "_TIERS",
                             ((patch[:2], 2, 6), *patterns_mod._TIERS))
@@ -349,7 +350,7 @@ def test_resume_recomputes_unreadable_shard(tmp_path, census_cache):
         assert json.load(fh)["counts"] == [
             str(v) for v in census_mod._shard_kernel(6, 0, 180)["counts"]]
     # a file missing a key is recomputed too
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     del payload["descents"]
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -362,7 +363,7 @@ def test_swapped_classes_in_a_shard_fail_verification(tmp_path, census_cache):
     d = str(tmp_path / "ck")
     run_census(6, shard_count=4, checkpoint_dir=d)
     path = os.path.join(d, "shard-6-4-0000.json")
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     for key in ("counts", "descents"):
         payload[key][1], payload[key][2] = payload[key][2], payload[key][1]
     with open(path, "w") as fh:
@@ -595,7 +596,7 @@ def test_save_load_roundtrip(tmp_path, census_cache):
     save_report(c, path, verify=verify_census(c))
     loaded = load_census(path)
     assert loaded == c
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     assert payload["kind"] == "stacksort-census"
     assert payload["counts_by_complexity"][0] == "1"  # decimal strings
     assert all(chk["ok"] for chk in payload["verify"])
@@ -604,7 +605,7 @@ def test_save_load_roundtrip(tmp_path, census_cache):
 def test_load_rejects_tampered_counts(tmp_path, census_cache):
     path = str(tmp_path / "report.json")
     save_report(census_cache(5), path)
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     payload["counts_by_complexity"][2] = "50"
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -615,7 +616,7 @@ def test_load_rejects_tampered_counts(tmp_path, census_cache):
 def test_load_rejects_unknown_schema(tmp_path, census_cache):
     path = str(tmp_path / "report.json")
     save_report(census_cache(5), path)
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     payload["schema_version"] = 99
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -684,15 +685,9 @@ def test_wrong_tallies_with_a_matching_checksum_are_rejected(
                         if corrupt is _moved_descent_word else set())
 
 
-def test_none_ceiling_is_derived_from_the_tiers():
-    old = {n: n - 4 if n >= 6 else n - 3 if n >= 4 else n - 2 if n >= 2 else 0
-           for n in range(15)}
-    assert {n: census_mod._none_ceiling(n) for n in range(15)} == old
-
-
 def test_soundness_guard_trips(monkeypatch):
     # force the no-match ceiling below 0 so the very first word trips it
-    monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: -1)
+    monkeypatch.setattr(census_mod, "none_ceiling", lambda n: -1)
     with pytest.raises(CensusSoundnessError) as e:
         run_census(4)
     assert e.value.word == (1, 2, 3, 4)
@@ -727,7 +722,7 @@ def test_soundness_message_writes_the_word_as_the_cli_does():
 
 def test_soundness_error_carries_the_certified_level(monkeypatch):
     # an unclassified word is certified up to the none-ceiling ...
-    monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: -1)
+    monkeypatch.setattr(census_mod, "none_ceiling", lambda n: -1)
     with pytest.raises(CensusSoundnessError) as e:
         run_census(4)
     assert (e.value.label, e.value.certified) == (None, -1)

@@ -114,6 +114,21 @@ def test_census_with_outputs(tmp_path, capsys):
     assert rcsv.read_text().startswith("n,row_label,count")
 
 
+def test_failed_csv_export_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    # the table is built before the file is touched, so a failure leaves it
+    rows = tmp_path / "rows.csv"
+    rows.write_text("old content\n")
+
+    def fail(census):
+        raise OSError("no room for the table")
+
+    monkeypatch.setattr(census_mod, "row_counts_csv", fail)
+    code, _, err = run(capsys, "census", "--n", "4", "--row-csv", str(rows))
+    assert code == 2 and "no room for the table" in err
+    assert rows.read_text() == "old content\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
 def test_census_checkpoint_resume(tmp_path, capsys):
     d = tmp_path / "ck"
     code, out1, _ = run(capsys, "census", "--n", "4", "--shards", "4",
@@ -190,7 +205,7 @@ def test_interrupt_to_the_parent_alone_stops_the_pool(tmp_path):
 
 
 def test_soundness_failure_prints_a_reproduction(capsys, monkeypatch):
-    monkeypatch.setattr(census_mod, "_none_ceiling", lambda n: -1)
+    monkeypatch.setattr(census_mod, "none_ceiling", lambda n: -1)
     code, out, err = run(capsys, "census", "--n", "4")
     assert code == 1 and out == ""
     failure, repro = err.splitlines()

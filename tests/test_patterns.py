@@ -29,6 +29,7 @@ from stacksort.patterns import (
     format_row,
     format_tokens,
     matches,
+    none_ceiling,
     parse_catalog,
     parse_row,
     parse_tokens,
@@ -83,7 +84,7 @@ def test_parse_errors_carry_position():
     with pytest.raises(PatternSyntaxError):
         parse_row("X: * n 1 trailing?")
     with pytest.raises(PatternSyntaxError):
-        parse_catalog("A: * n 1\nA: * n 2")  # duplicate label
+        parse_catalog("T1: * n 1\nT1: * n 2")  # duplicate label
 
 
 def test_catalog_errors_name_line_and_column():
@@ -92,8 +93,8 @@ def test_catalog_errors_name_line_and_column():
     assert (e.value.line, e.value.pos) == (2, 13)
     assert str(e.value) == "unexpected character '@' (line 2, column 14)"
     with pytest.raises(PatternSyntaxError) as e:
-        parse_catalog("# rows\nA: * n 1\n\n  A: * n 2  # again")
-    assert str(e.value) == "duplicate row label 'A' (line 4, column 3)"
+        parse_catalog("# rows\nL2a: * n 1\n\n  L2a: * n 2  # again")
+    assert str(e.value) == "duplicate row label 'L2a' (line 4, column 3)"
     with pytest.raises(PatternSyntaxError) as e:
         parse_catalog("L1: * n 1\n  1x: * n 2")
     assert str(e.value) == "bad row label '1x' (line 2, column 3)"
@@ -103,6 +104,17 @@ def test_catalog_errors_name_line_and_column():
         parse_catalog("L1: * n 1\n" + old)
     assert (e.value.line, e.value.pos) == (2, old.index("A"))
     assert e.value.message == "unexpected character 'A'"
+
+
+def test_catalog_rejects_a_label_with_no_tier():
+    # such a row certifies nothing: the parse names it, not the first classify
+    with pytest.raises(PatternSyntaxError) as e:
+        parse_catalog("L1: * n 1\nX2: * n 2")
+    assert str(e.value) == ("label 'X2' has no recognized tier prefix (L1/L2/T) "
+                            "(line 2, column 1)")
+    with pytest.raises(PatternSyntaxError) as e:
+        parse_catalog("L1: * n 1\n\n   Q: * n 2 # untiered")
+    assert (e.value.line, e.value.pos) == (3, 3)
 
 
 def test_format_parse_roundtrip_builtin():
@@ -291,6 +303,21 @@ def test_tier_and_certified_class():
     assert certified_class("T5a", 9) == 6
     with pytest.raises(ValueError, match=r"tier prefix \(L1/L2/T\)"):
         tier("Q9")
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_levels_are_the_tiers_of_the_valid_rows(n):
+    catalog = builtin_catalog()
+    levels = catalog.levels(n)
+    assert list(levels.items()) == [(r.label, n - tier(r.label)[0])
+                                    for r in catalog.rows if tier(r.label)[1] <= n]
+    assert list(levels) == [cr.label for cr in CompiledCatalog(catalog, n).rows]
+
+
+def test_none_ceiling_is_derived_from_the_tiers():
+    old = {n: n - 4 if n >= 6 else n - 3 if n >= 4 else n - 2 if n >= 2 else 0
+           for n in range(15)}
+    assert {n: none_ceiling(n) for n in range(15)} == old
 
 
 def test_classify_first_match_examples():
