@@ -16,20 +16,25 @@ prefixes leave that first pass in the same state (the same output and
 stack) share all six S(w): the kernel computes their complexities once,
 in a memo that is local to one kernel call and cleared at a fixed size,
 and reads them back for every later prefix with that state.  On a miss it
-finishes the pass in each order and looks each S(w) up in a second dict
-keyed by S(w) itself, since different states can give the same S(w).
-Both keys are exact, so a hit gives what recomputing would, and every
-word is still classified, checked and tallied on its own in rank order:
-no tally can differ from a word-by-word walk.  Each word then costs one
-read of its leaf's memo entry and one call of the generated function of
-its dispatch cell.  Those functions are generated for all cells of a
-length at once, with one compile() call, and kept for every later shard.
-They and the prefix table behind the lookup are the per-length state a
-process builds once (:func:`_length_state`).  A run that starts a process
-pool builds that state in the calling process first, so workers forked
-from it inherit it, and every later census of that length in the same
-process starts warm.  Under the ``spawn`` or ``forkserver`` start methods
-workers inherit nothing and each builds the state on its first shard.
+builds the six S(w) from a table of the call keyed by the state's shape,
+the places of the three free letters among the letters still in play:
+the rest of the pass only compares those letters, so the shape fixes it
+up to their names, and the pass itself runs once per shape, at most
+C(n + 1, 4) times a call.  It then looks each S(w) up in a dict keyed
+by S(w) itself, since different states can give the same S(w).
+All three keys are exact, so a hit gives what recomputing would, and
+every word is still classified, checked and tallied on its own in rank
+order: no tally can differ from a word-by-word walk.  Each word then
+costs one read of its leaf's memo entry and one call of the generated
+function of its dispatch cell.  Those functions are generated for all
+cells of a length at once, with one compile() call, and kept for every
+later shard.  They and the prefix table behind the lookup are the
+per-length state a process builds once (:func:`_length_state`).  A run
+that starts a process pool builds that state in the calling process
+first, so workers forked from it inherit it, and every later census of
+that length in the same process starts warm.  Under the ``spawn`` or
+``forkserver`` start methods workers inherit nothing and each builds the
+state on its first shard.
 
 Every shard kernel doubles as a soundness check: for each word it compares
 the catalog classification against the independently computed complexity
@@ -72,6 +77,7 @@ KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
 MAX_N = 14
 # entries of one kernel call's leaf memo before it is cleared
 _MEMO_CAP = 1 << 18
+RANKS = bytes(range(256))  # the indices into a leaf's letters in play
 
 log = logging.getLogger(__name__)
 
@@ -243,6 +249,48 @@ def _length_state(n: int) -> tuple:
             _prefix_table(min(n - 1, TABLE_CAP)))
 
 
+def _continuations(stack: list, free: list, ls: list) -> tuple:
+    """What finishing the first pass from a leaf's state appends to its
+    output, in each order of the free letters ``free`` (lexicographic),
+    without n and as bytes of indices into ``ls``, the sorted letters of
+    ``stack[1:] + free``.  ``stack`` decreases upwards over a guard letter
+    above n; a phantom letter 0 in ``free`` is not pushed."""
+    tails = []
+    for t in permutations(free):
+        s, u = stack[:], []
+        for x in t:
+            if x:
+                while s[-1] < x:
+                    u.append(s.pop())
+                s.append(x)
+        u += s[:1:-1]  # s[1] is n, s[0] the guard
+        tails.append(bytes(map(ls.index, u)))
+    return tuple(tails)
+
+
+def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
+    """The six S(w) without n of a leaf at the first-pass state ``out``,
+    ``stack`` with free letters ``free``, in lexicographic order of the
+    free letters, each as bytes.
+
+    Finishing the pass only compares letters still in play, those of
+    ``ls = sorted(stack[1:] + free)``, and the stack decreases upwards, so
+    the state's shape ``(len(ls), *(ls.index(x) for x in free))`` fixes
+    each continuation as a sequence of indices into ``ls``.  ``shapes``
+    maps each shape seen to those sequences; only a shape not in it runs
+    :func:`_continuations`, once, on this state's letters.  Phantom
+    letters share a place, but below n = 3 a kernel call has one leaf, so
+    its shape is never read back."""
+    ls = sorted(stack[1:] + free)
+    shape = (len(ls), *map(ls.index, free))
+    tails = shapes.get(shape)
+    if tails is None:
+        tails = shapes[shape] = _continuations(stack, free, ls)
+    head = bytes(out)
+    letters = bytes.maketrans(RANKS[:len(ls)], bytes(ls))
+    return [head + t.translate(letters) for t in tails]
+
+
 def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     """Tally ranks [lo, hi) of S_n; raise on any classification/complexity clash.
 
@@ -265,19 +313,25 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     ``bytes(out + stack)``, where the guard letter n + 1 marks the
     boundary, to one plus the complexity of each S(w) without n, as a
     tuple stored once however many states share it.  Only on a miss does
-    the leaf finish the stack pass from the state in each order.  Another
-    state can give the same S(w) (S of the order a < b < c is the output
-    and then every other letter in increasing order), so each S(w) without
-    n is looked up, as bytes, in a second dict: the prefix table itself
-    when n - 1 <= TABLE_CAP, since it holds all of S_{n-1} and so is only
-    ever read, and otherwise a dict of this call filled through
-    ``_complexity``, which drops the settled maxima at the end of S(w)
-    and of each later pass until the table answers.  Each dict of this
-    call is cleared when it holds ``_MEMO_CAP`` entries, which bounds a
-    one-shard census of any length, and dies with the call, so every
-    census recomputes.  A key is the exact state or word, never a hash of
-    it, so a hit returns what a miss would compute and no tally can
-    change.
+    the leaf build its six S(w) without n, through :func:`_leaf_words`:
+    each is the output followed by letters in play, those of the stack
+    and the free ones, in an order fixed by the state's shape, so the
+    stack pass is finished from a state only for the first state of its
+    shape.  A shape is a number m <= n of letters in play and the places
+    of the three free letters among them, which increase, so a call sees
+    at most C(n + 1, 4) shapes (126 at n = 8) and the dict of shapes
+    needs no cap.  Another state can give the same S(w) (S of the order
+    a < b < c is the output and then every other letter in increasing
+    order), so each S(w) without n is looked up, as bytes, in a dict of
+    S(w): the prefix table itself when n - 1 <= TABLE_CAP, since it holds
+    all of S_{n-1} and so is only ever read, and otherwise a dict of this
+    call filled through ``_complexity``, which drops the settled maxima at
+    the end of S(w) and of each later pass until the table answers.  The
+    memo and the dict of S(w) are cleared when they hold ``_MEMO_CAP``
+    entries, which bounds a one-shard census of any length, and every dict
+    of this call dies with it, so every census recomputes.  A key is the
+    exact state, shape or word, never a hash of it, so a hit returns what
+    a miss would compute and no tally can change.
 
     Each word then costs one call of the generated function of its
     dispatch cell, the only call in the leaf's loop, and the tallies;
@@ -315,6 +369,7 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     out = []         # letters popped so far, in output order
     memo = {}    # bytes(out + stack) at a leaf -> 1 + complexity of each S(w)
     shared = {}  # the memo's values, each distinct tuple stored once
+    shapes = {}  # a leaf's shape -> its six continuations (_leaf_words)
 
     def walk(depth, prev, d, base):
         """Walk the block of ranks [base, base + (n - depth)!), whose words
@@ -330,20 +385,12 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
                     memo.clear()
                     shared.clear()
                 cs = []
-                for *t, _ in orders:  # finish the pass in each order
-                    s, u = stack[:], out[:]
-                    for x in t:
-                        if x:  # a phantom letter is not pushed
-                            while s[-1] < x:
-                                u.append(s.pop())
-                            s.append(x)
-                    u += s[:1:-1]  # S(w) without n: s[1] is n, s[0] the guard
-                    v = bytes(u)
+                for v in _leaf_words(shapes, stack, out, free):
                     k = known.get(v)
                     if k is None:
                         if len(known) >= _MEMO_CAP:
                             known.clear()
-                        k = known[v] = _complexity(u)
+                        k = known[v] = _complexity(list(v))
                     cs.append(k + 1)
                 cs = tuple(cs)
                 cs = memo[key] = shared.setdefault(cs, cs)

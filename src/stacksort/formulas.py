@@ -15,7 +15,9 @@ slice of the complexity classes 0..n-1, where index -k is class n-k:
   over the slice: ``eulerian``, ``slice(None)``, A(n, d); ``narayana``,
   ``slice(2)``, C(n, d) C(n, d+1) / n; ``jacquard-schaeffer``, ``slice(3)``,
   (n+d)! (2n-d-1)! / ((d+1)! (n-d)! (2d+1)! (2n-2d-1)!) (Bóna's conjecture,
-  proved by Jacquard and Schaeffer).
+  proved by Jacquard and Schaeffer); ``eulerian-n-1``, ``slice(-1, None)``,
+  A(n-2, d-1), the row t A_{n-2}(t) of class n-1, whose words are those
+  ending in n 1.
 
 ``exact-n-4`` and ``sortable-n-5`` are conjectural: they reproduce every
 census computed here but carry no proof; verification reports flag them.
@@ -129,6 +131,16 @@ class FormulaEntry:
         return self.formula.evaluate(n)
 
 
+def _eulerian(m: int, d: int) -> int:
+    """The Eulerian number A(m, d): the words of length m with d descents.
+    A(m, -1) is the empty sum, 0.
+
+    >>> [_eulerian(4, d) for d in range(-1, 4)]
+    [0, 1, 11, 11, 1]
+    """
+    return sum((-1) ** i * comb(m + 1, i) * (d + 1 - i) ** m for i in range(d + 1))
+
+
 REGISTRY: Dict[str, FormulaEntry] = {
     e.name: e
     for e in (
@@ -149,13 +161,14 @@ REGISTRY: Dict[str, FormulaEntry] = {
                      FactorialPoly(4, (-192, 158, -4, -18, 3), 3)),
         FormulaEntry("sortable-n-5", slice(-4), 8, True,
                      FactorialPoly(5, (34236, -38369, 11241, 506, -600, 60), 60)),
-        FormulaEntry("eulerian", slice(None), 1, False, ByDescents(lambda n, d: sum(
-            (-1) ** i * comb(n + 1, i) * (d + 1 - i) ** n for i in range(d + 1)))),
+        FormulaEntry("eulerian", slice(None), 1, False, ByDescents(_eulerian)),
         FormulaEntry("narayana", slice(2), 1, False, ByDescents(
             lambda n, d: _exact_div(comb(n, d) * comb(n, d + 1), n))),
         FormulaEntry("jacquard-schaeffer", slice(3), 1, False, ByDescents(
             lambda n, d: _exact_div(factorial(n + d) * factorial(2 * n - d - 1), prod(
                 map(factorial, (d + 1, n - d, 2 * d + 1, 2 * n - 2 * d - 1)))))),
+        FormulaEntry("eulerian-n-1", slice(-1, None), 2, False, ByDescents(
+            lambda n, d: _eulerian(n - 2, d - 1))),
     )
 }
 

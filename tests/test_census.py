@@ -3,7 +3,10 @@ import multiprocessing
 import os
 import pickle
 import random
-from math import factorial
+import subprocess
+import sys
+from itertools import permutations
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -157,17 +160,50 @@ def test_walk_matches_reference_on_seeded_ranges(n, count, width, monkeypatch):
 
 def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     # the 40,320 words of S_9 that start with 1 give 1,780 distinct S(w),
-    # as many as S_8 has sorted words: the dict of S(w) computes each once
-    calls = []
-    complexity = census_mod._complexity
+    # as many as S_8 has sorted words: the dict of S(w) computes each once.
+    # A leaf's shape is its number of letters in play, at most 9, and the
+    # places of its three free letters among them: C(10, 4) = 210 shapes
+    calls, shapes = [], []
+    complexity, continuations = census_mod._complexity, census_mod._continuations
     monkeypatch.setattr(census_mod, "_complexity",
                         lambda u: calls.append(1) or complexity(u))
+    monkeypatch.setattr(census_mod, "_continuations",
+                        lambda *state: shapes.append(1) or continuations(*state))
     first = census_mod._shard_kernel(9, 0, 40320)
-    once = len(calls)
+    once, built = len(calls), len(shapes)
     assert census_mod._shard_kernel(9, 0, 40320) == first
-    assert len(calls) == 2 * once  # nothing carried over from the first call
+    # nothing carried over from the first call
+    assert (len(calls), len(shapes)) == (2 * once, 2 * built)
     assert once <= 1780
+    assert 0 < built <= comb(10, 4)
     assert first == _reference_kernel(9, 0, 40320)
+
+
+def _leaf_states(n):
+    """(prefix, stack, out, free) of every leaf of S_n: each prefix of n - 3
+    letters after one stack pass, and the free letters led by phantom 0s
+    below n = 3, as the kernel holds them."""
+    for prefix in permutations(range(1, n + 1), max(n - 3, 0)):
+        stack, out = [n + 1], []
+        for x in prefix:
+            while stack[-1] < x:
+                out.append(stack.pop())
+            stack.append(x)
+        free = [0] * (3 - n) + sorted(set(range(1, n + 1)) - set(prefix))
+        yield list(prefix), stack, out, free
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_leaf_shapes_give_every_sorted_word(n):
+    # one table of shapes serves every leaf of S_n, built from the first
+    # state of each shape: what it gives for any other state of that shape
+    # is the pass run on that leaf's own words
+    shapes = {}
+    for prefix, stack, out, free in _leaf_states(n):
+        want = [bytes(words_mod._pass(prefix + [x for x in t if x], n + 1)[:-1])
+                for t in permutations(free)]
+        assert census_mod._leaf_words(shapes, stack, out, free) == want, prefix
+    assert len(shapes) <= max(comb(n + 1, 4), 1)
 
 
 def test_kernel_never_writes_the_prefix_table(monkeypatch):
@@ -428,6 +464,24 @@ def test_forked_workers_inherit_the_per_length_state(census_cache, monkeypatch):
     monkeypatch.setattr(words_mod, "_pass", here_only(words_mod._pass))
     _drop_length_state(monkeypatch, 7)
     assert run_census(7, shard_count=4, jobs=2).checksum == serial
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_started_fresh_give_the_pinned_checksum(method):
+    # the start method belongs to the whole process, so set it in a new one
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    src = os.path.dirname(os.path.dirname(census_mod.__file__))
+    code = ("import multiprocessing\n"
+            "from stacksort.census import run_census\n"
+            "if __name__ == '__main__':\n"
+            f"    multiprocessing.set_start_method({method!r})\n"
+            "    print(run_census(8, shard_count=4, jobs=2).checksum)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == PINNED_CHECKSUMS[8]
 
 
 def test_resume_of_a_finished_run_builds_no_state(tmp_path, census_cache,

@@ -288,7 +288,7 @@ def test_forged_descent_column_fails_verify(tmp_path, capsys, census_cache):
     assert code == 1
     for name in ("eulerian", "jacquard-schaeffer"):
         assert f"FAIL {name}-d{d}: " in out and f"FAIL {name}-d{d + 1}: " in out
-    assert out.splitlines()[-1] == "checked 54 values for n=6: 4 FAILED"
+    assert out.splitlines()[-1] == "checked 60 values for n=6: 4 FAILED"
 
 
 def test_cancelling_descent_forgery_fails_verify(tmp_path, capsys):
@@ -299,7 +299,18 @@ def test_cancelling_descent_forgery_fails_verify(tmp_path, capsys):
     assert code == 1
     fails = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
     assert fails == ["FAIL jacquard-schaeffer-d1", "FAIL jacquard-schaeffer-d2"]
-    assert out.splitlines()[-1] == "checked 54 values for n=6: 2 FAILED"
+    assert out.splitlines()[-1] == "checked 60 values for n=6: 2 FAILED"
+
+
+def test_class_n_minus_1_descent_forgery_fails_verify(tmp_path, capsys):
+    # a class-5 word moved from 1 to 2 descents and a class-4 word from 2 to
+    # 1: every column sum and every bottom-class form still holds, but the
+    # row of class n - 1 is no longer t A_{n-2}(t)
+    code, out, _ = _verify_forged_report(tmp_path, capsys, [(5, 1, 2), (4, 2, 1)])
+    assert code == 1
+    fails = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL eulerian-n-1-d1", "FAIL eulerian-n-1-d2"]
+    assert out.splitlines()[-1] == "checked 60 values for n=6: 2 FAILED"
 
 
 def _without_rows(payload):

@@ -103,7 +103,7 @@ def test_tier_sums_match_row_counts():
 def _named_classes(name, n):
     """The complexity classes of length n that an entry's name says it counts."""
     k = int(name.rpartition("-")[2]) if name[-1].isdigit() else None
-    if name.startswith("exact-n-"):
+    if name.startswith(("exact-n-", "eulerian-n-")):
         return range(n - k, n - k + 1)
     if name.startswith("sortable-n-"):
         return range(n - k + 1)
@@ -256,12 +256,16 @@ def test_verify_census_range_gating():
 
 def test_eulerian_numbers():
     # A(n, d) by the recurrence (d + 1) A(n-1, d) + (n - d) A(n-1, d-1)
-    rows = {1: (1,)}
-    for n in range(2, 13):
+    rows = {0: (1,)}
+    for n in range(1, 13):
         up = rows[n - 1] + (0,)
         rows[n] = tuple((d + 1) * up[d] + (n - d) * (up[d - 1] if d else 0)
                         for d in range(n))
-    for n, row in rows.items():
-        assert REGISTRY["eulerian"].evaluate(n) == row
-        assert sum(row) == factorial(n)
+    for n in range(1, 13):
+        assert REGISTRY["eulerian"].evaluate(n) == rows[n]
+        assert sum(rows[n]) == factorial(n)
+    # class n - 1 by descents: t A_{n-2}(t)
+    for n in range(2, 13):
+        assert REGISTRY["eulerian-n-1"].evaluate(n) == (0, *rows[n - 2], 0)[:n]
     assert not REGISTRY["eulerian"].conjectural
+    assert not REGISTRY["eulerian-n-1"].conjectural
