@@ -14,25 +14,42 @@ every word below them.  The walk stops three letters short of a word, at a
 leaf that serves the six orders of its last three letters.  Leaves whose
 prefixes leave that first pass in the same state (the same output and
 stack) share all six S(w): the kernel computes their complexities once,
-in a memo that is local to one kernel call and cleared at a fixed size,
-and reads them back for every later prefix with that state.  On a miss it
-builds the six S(w) from a table of the call keyed by the state's shape,
-the places of the three free letters among the letters still in play:
-the rest of the pass only compares those letters, so the shape fixes it
-up to their names, and the pass itself runs once per shape, at most
-C(n + 1, 4) times a call.  It then looks each S(w) up in a dict keyed
-by S(w) itself, since different states can give the same S(w).
-All three keys are exact, so a hit gives what recomputing would, and
-every word is still classified, checked and tallied on its own in rank
-order: no tally can differ from a word-by-word walk.  Each word then
-costs one read of its leaf's memo entry and one call of the generated
-function of its dispatch cell.  Those functions are generated for all
-cells of a length at once, with one compile() call, and kept for every
-later shard.  They and the prefix table behind the lookup are the
-per-length state a process builds once (:func:`_length_state`).  A run
-that starts a process pool builds that state in the calling process
-first, so workers forked from it inherit it, and every later census of
-that length in the same process starts warm.  Under the ``spawn`` or
+in a memo cleared at a fixed size, and reads them back for every later
+prefix with that state.  On a miss it builds the six S(w) from a table
+keyed by the state's shape, the places of the three free letters among
+the letters still in play: the rest of the pass only compares those
+letters, so the shape fixes it up to their names, and the pass itself
+runs once per shape, at most C(n + 1, 4) times per process and length.
+It then looks each S(w) up in a dict keyed by S(w) itself, since
+different states can give the same S(w).  All three keys are exact, so a
+hit gives what recomputing would, and every word is still classified,
+checked and tallied on its own in rank order: no tally can differ from a
+word-by-word walk.
+
+The memo and the dict of S(w) belong to one census run in one process
+(:func:`_run_dicts`): the first shard a process computes in a run makes
+them, and every later shard it computes in that run reads them, so a
+sharded census computes each state and each S(w) once per process, as a
+one-shard census does.  :func:`run_census` drops them at its start and
+on its way out, also when it raises, and pool workers are made per run
+and die with it, so no entry outlives the run that made it: each census
+recomputes everything it certifies, and the tens of MiB those dicts can
+reach at n >= 10 are not held after the run.  A direct kernel call
+starts with dicts of its own.  The table of shapes is different: it
+only renames letters, holds at most C(n + 1, 4) entries, and is kept for
+the life of the process, one table per length, since below n = 3
+phantom letters give a shape that n = 3 also has, with another
+continuation.
+
+Each word then costs one read of its leaf's memo entry and one call of
+the generated function of its dispatch cell.  Those functions are
+generated for all cells of a length at once, with one compile() call,
+and kept for every later shard.  They, the prefix table behind the
+lookup and the table of shapes are the per-length state a process keeps
+(:func:`_length_state`).  A run that starts a process pool builds the
+first two in the calling process first, so workers forked from it
+inherit them, with the shapes it has met, and every later census of that
+length in the same process starts warm.  Under the ``spawn`` or
 ``forkserver`` start methods workers inherit nothing and each builds the
 state on its first shard.
 
@@ -75,11 +92,18 @@ from .words import TABLE_CAP, _complexity, _prefix_table, format_word
 SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
 MAX_N = 14
-# entries of one kernel call's leaf memo before it is cleared
+# entries of the leaf memo, and from n = 9 on of the dict of S(w), that one
+# process holds in one census run (or one direct kernel call) before each
+# is cleared
 _MEMO_CAP = 1 << 18
 RANKS = bytes(range(256))  # the indices into a leaf's letters in play
 
 log = logging.getLogger(__name__)
+
+# (n, memo, shared, dict of S(w)) of the census run this process computes
+# shards of, or None: see _run_dicts
+_run: Optional[tuple] = None
+_SHAPES: Dict[int, dict] = {}  # length -> its table of shapes (_leaf_words)
 
 
 class CensusSoundnessError(AssertionError):
@@ -240,13 +264,28 @@ def _catalog_sha256() -> str:
 
 
 def _length_state(n: int) -> tuple:
-    """``(dispatch, table)`` for length n: the generated dispatch of the
-    built-in catalog compiled for n and the prefix table over
-    S_min(n-1, TABLE_CAP).  Both are built on the first call in a process
-    and kept for its life, so a call before a pool starts builds them
-    once for every worker forked from it."""
+    """``(dispatch, table, shapes)`` for length n: the generated dispatch of
+    the built-in catalog compiled for n, the prefix table over
+    S_min(n-1, TABLE_CAP) and the table of shapes of :func:`_leaf_words`.
+    The first two are built on the first call in a process and the third
+    fills as leaves miss; all are kept for its life, so a call before a
+    pool starts builds the first two once for every worker forked from
+    it."""
     return (builtin_catalog().compiled(n).dispatch,
-            _prefix_table(min(n - 1, TABLE_CAP)))
+            _prefix_table(min(n - 1, TABLE_CAP)),
+            _SHAPES.setdefault(n, {}))
+
+
+def _run_dicts(n: int) -> tuple:
+    """``(memo, shared, known)``, the kernel dicts of the census run of
+    length n whose shards this process computes, made by its first shard.
+    :func:`run_census` drops them at its start and end and its pool
+    workers die with it, so they serve every shard one process computes in
+    one run and no other."""
+    global _run
+    if _run is None or _run[0] != n:
+        _run = (n, {}, {}, {})
+    return _run[1:]
 
 
 def _continuations(stack: list, free: list, ls: list) -> tuple:
@@ -279,8 +318,10 @@ def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
     each continuation as a sequence of indices into ``ls``.  ``shapes``
     maps each shape seen to those sequences; only a shape not in it runs
     :func:`_continuations`, once, on this state's letters.  Phantom
-    letters share a place, but below n = 3 a kernel call has one leaf, so
-    its shape is never read back."""
+    letters share a place, so below n = 3 the one leaf's shape can be a
+    shape of n = 3 with another continuation, (3, 0, 1, 2) at n = 2, and
+    one table serves one length only (:func:`_length_state` keeps one per
+    length for the life of the process)."""
     ls = sorted(stack[1:] + free)
     shape = (len(ls), *map(ls.index, free))
     tails = shapes.get(shape)
@@ -291,7 +332,8 @@ def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
     return [head + t.translate(letters) for t in tails]
 
 
-def _shard_kernel(n: int, lo: int, hi: int) -> dict:
+def _shard_kernel(n: int, lo: int, hi: int,
+                  dicts: Optional[tuple] = None) -> dict:
     """Tally ranks [lo, hi) of S_n; raise on any classification/complexity clash.
 
     A depth-first walk of the prefix tree in lexicographic order.  A node
@@ -309,41 +351,44 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     The six S(w) of a leaf are fixed by its first-pass state, the output
     and the stack (the free letters are those in neither), so prefixes
     that reach the same state, such as 132 and 312, give the same six
-    words.  A memo local to this call maps the state, as
-    ``bytes(out + stack)``, where the guard letter n + 1 marks the
-    boundary, to one plus the complexity of each S(w) without n, as a
-    tuple stored once however many states share it.  Only on a miss does
-    the leaf build its six S(w) without n, through :func:`_leaf_words`:
-    each is the output followed by letters in play, those of the stack
-    and the free ones, in an order fixed by the state's shape, so the
-    stack pass is finished from a state only for the first state of its
-    shape.  A shape is a number m <= n of letters in play and the places
-    of the three free letters among them, which increase, so a call sees
-    at most C(n + 1, 4) shapes (126 at n = 8) and the dict of shapes
+    words.  A memo maps the state, as ``bytes(out + stack)``, where the
+    guard letter n + 1 marks the boundary, to one plus the complexity of
+    each S(w) without n, as a tuple stored once however many states share
+    it.  Only on a miss does the leaf build its six S(w) without n,
+    through :func:`_leaf_words`: each is the output followed by letters in
+    play, those of the stack and the free ones, in an order fixed by the
+    state's shape, so the stack pass is finished from a state only for the
+    first state of its shape.  A shape is a number m <= n of letters in play and the places
+    of the three free letters among them, which increase, so a length has
+    at most C(n + 1, 4) shapes (126 at n = 8) and its table of shapes
     needs no cap.  Another state can give the same S(w) (S of the order
     a < b < c is the output and then every other letter in increasing
     order), so each S(w) without n is looked up, as bytes, in a dict of
     S(w): the prefix table itself when n - 1 <= TABLE_CAP, since it holds
-    all of S_{n-1} and so is only ever read, and otherwise a dict of this
-    call filled through ``_complexity``, which drops the settled maxima at
-    the end of S(w) and of each later pass until the table answers.  The
-    memo and the dict of S(w) are cleared when they hold ``_MEMO_CAP``
-    entries, which bounds a one-shard census of any length, and every dict
-    of this call dies with it, so every census recomputes.  A key is the
-    exact state, shape or word, never a hash of it, so a hit returns what
-    a miss would compute and no tally can change.
+    all of S_{n-1} and so is only ever read, and otherwise a dict filled
+    through ``_complexity``, which drops the settled maxima at the end of
+    S(w) and of each later pass until the table answers.  The memo, its
+    ``shared`` values and the dict of S(w) are ``dicts``, those of the
+    census run (:func:`_run_dicts`, passed by :func:`_shard_task`), so
+    the shards one process computes in one run share them; a direct call
+    with none gets fresh ones that die with it.  The memo and the dict of
+    S(w) are cleared when they hold ``_MEMO_CAP`` entries, which bounds a
+    run of any length in each process.  A key is the exact state, shape
+    or word, never a hash of it, so a hit returns what a miss would
+    compute and no tally can change.
 
     Each word then costs one call of the generated function of its
     dispatch cell, the only call in the leaf's loop, and the tallies;
     complexity 0 is the word with no descent, and the counts are the row
-    sums of the descent matrix.  The dispatch and the table come from
-    :func:`_length_state`: the compiled catalog is the process's own
-    (``Catalog.compiled``), shared with ``classify``, so both are built
-    once per process and length.  A forked pool worker inherits them from
-    the calling process of :func:`run_census`; a worker started by
-    ``spawn`` or ``forkserver`` builds them on its first shard.  Words are
-    classified, checked and tallied one at a time in rank order, so the
-    first clash raised is the lowest-ranked one.
+    sums of the descent matrix.  The dispatch, the prefix table and the
+    table of shapes come from :func:`_length_state`: the compiled catalog
+    is the process's own (``Catalog.compiled``), shared with
+    ``classify``, so each is built once per process and length.  A forked
+    pool worker inherits them from the calling process of
+    :func:`run_census`; a worker started by ``spawn`` or ``forkserver``
+    builds them on its first shard.  Words are classified, checked and
+    tallied one at a time in rank order, so the first clash raised is the
+    lowest-ranked one.
     """
     tallies = _zero_tallies(n)
     if hi <= lo:
@@ -351,10 +396,13 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     cnt, rows, dm = tallies.values()
     certified = builtin_catalog().levels(n)
     ceiling = none_ceiling(n)
-    dispatch, table = _length_state(n)
-    # bytes(S(w) without n) -> its complexity: the prefix table itself when
-    # it holds all of S_{n-1}, so that it only ever hits, else this call's own
-    known = table if n - 1 <= TABLE_CAP else {}
+    dispatch, table, shapes = _length_state(n)
+    # bytes(out + stack) at a leaf -> 1 + complexity of each S(w); the
+    # memo's values, each distinct tuple stored once; and bytes(S(w) without
+    # n) -> its complexity: the run's (_run_dicts) or this call's own
+    memo, shared, known = dicts if dicts is not None else ({}, {}, {})
+    if n - 1 <= TABLE_CAP:
+        known = table  # it holds all of S_{n-1}, so it only ever hits
     fact = [factorial(m) for m in range(n + 1)]
     leaf = max(n - 3, 0)  # the depth of the leaves
     # where a leaf's three letters go: below n = 3 a phantom letter's spot,
@@ -367,9 +415,6 @@ def _shard_kernel(n: int, lo: int, hi: int) -> dict:
     free = [0] * (3 - n) + list(range(1, n + 1))  # letters not yet placed
     stack = [n + 1]  # decreasing upwards, over a guard letter
     out = []         # letters popped so far, in output order
-    memo = {}    # bytes(out + stack) at a leaf -> 1 + complexity of each S(w)
-    shared = {}  # the memo's values, each distinct tuple stored once
-    shapes = {}  # a leaf's shape -> its six continuations (_leaf_words)
 
     def walk(depth, prev, d, base):
         """Walk the block of ranks [base, base + (n - depth)!), whose words
@@ -493,10 +538,10 @@ def _read_shard(path: str, header: dict, levels: dict) -> dict:
 
 
 def _shard_task(args: tuple) -> dict:
-    """Compute one shard and, with a checkpoint directory, save it
-    (process-pool safe)."""
+    """Compute one shard with the run's kernel dicts and, with a checkpoint
+    directory, save it (process-pool safe)."""
     n, shard_count, index, lo, hi, checkpoint_dir, catalog_sha = args
-    result = _shard_kernel(n, lo, hi)
+    result = _shard_kernel(n, lo, hi, _run_dicts(n))
     if checkpoint_dir is not None:
         payload = _shard_header(n, shard_count, index, lo, hi, catalog_sha)
         payload.update(_tally_strings(_SHARD_KEYS, result["counts"],
@@ -564,6 +609,14 @@ def run_census(
     and a resume with no shard left builds none.  When the wait for that
     pool is cut short, by an interrupt or a failed shard, the pool is
     stopped at once: no queued shard is waited for.
+
+    The kernel's memo and dict of S(w) last one run in each process
+    (:func:`_run_dicts`): the shards this process or one pool worker
+    computes share them.  This call drops them before it computes any
+    shard, so that neither it nor a worker forked from it reads an entry
+    of an earlier run, and again on its way out, whether it returns,
+    raises or is interrupted, so that no entry outlives the run.  Pool
+    workers are made for this run alone and take theirs with them.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
@@ -589,16 +642,21 @@ def run_census(
         (n, shard_count, i, bounds[i], bounds[i + 1], checkpoint_dir, catalog_sha)
         for i in range(shard_count) if i not in results
     ]
-    if jobs == 1 or len(todo) <= 1:
-        computed = [_shard_task(t) for t in todo]
-    else:
-        _length_state(n)  # here, so that forked workers inherit it
-        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-            try:
-                computed = list(pool.map(_shard_task, todo))
-            except BaseException:
-                _stop_pool(pool)  # so that leaving the block waits on nothing
-                raise
+    global _run
+    _run = None  # no entry of an earlier run reaches this one or its workers
+    try:
+        if jobs == 1 or len(todo) <= 1:
+            computed = [_shard_task(t) for t in todo]
+        else:
+            _length_state(n)  # here, so that forked workers inherit it
+            with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
+                try:
+                    computed = list(pool.map(_shard_task, todo))
+                except BaseException:
+                    _stop_pool(pool)  # so that leaving the block waits on nothing
+                    raise
+    finally:
+        _run = None  # nor does an entry of this run outlive it
     results.update((t[2], res) for t, res in zip(todo, computed))
     merged = _zero_tallies(n)
     cnt, rows, dm = merged.values()

@@ -158,25 +158,93 @@ def test_walk_matches_reference_on_seeded_ranges(n, count, width, monkeypatch):
             assert census_mod._shard_kernel(n, lo, hi) == want, (n, lo, hi, cap)
 
 
+def _counting(monkeypatch, name):
+    """Patch census's ``name`` to record each call in the list returned."""
+    calls, f = [], getattr(census_mod, name)
+    monkeypatch.setattr(census_mod, name, lambda *a: calls.append(a) or f(*a))
+    return calls
+
+
 def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
-    # the 40,320 words of S_9 that start with 1 give 1,780 distinct S(w),
+    # a direct kernel call, outside a census run, starts with a memo and a
+    # dict of S(w) of its own, so a second call recomputes every complexity.
+    # The 40,320 words of S_9 that start with 1 give 1,780 distinct S(w),
     # as many as S_8 has sorted words: the dict of S(w) computes each once.
-    # A leaf's shape is its number of letters in play, at most 9, and the
-    # places of its three free letters among them: C(10, 4) = 210 shapes
-    calls, shapes = [], []
-    complexity, continuations = census_mod._complexity, census_mod._continuations
-    monkeypatch.setattr(census_mod, "_complexity",
-                        lambda u: calls.append(1) or complexity(u))
-    monkeypatch.setattr(census_mod, "_continuations",
-                        lambda *state: shapes.append(1) or continuations(*state))
+    # The table of shapes is the process's, for each length: a leaf's shape
+    # is its number of letters in play, at most 9, and the places of its
+    # three free letters among them, so the first call, on a table that no
+    # earlier test filled, builds at most C(10, 4) = 210, and the second none
+    monkeypatch.delitem(census_mod._SHAPES, 9, raising=False)
+    calls = _counting(monkeypatch, "_complexity")
+    shapes = _counting(monkeypatch, "_continuations")
     first = census_mod._shard_kernel(9, 0, 40320)
     once, built = len(calls), len(shapes)
     assert census_mod._shard_kernel(9, 0, 40320) == first
-    # nothing carried over from the first call
-    assert (len(calls), len(shapes)) == (2 * once, 2 * built)
+    assert (len(calls), len(shapes)) == (2 * once, built)
     assert once <= 1780
     assert 0 < built <= comb(10, 4)
     assert first == _reference_kernel(9, 0, 40320)
+
+
+# |S(S_9)|: the distinct S(w) of the words of length 9, each of which a run
+# of n = 9 computes the complexity of once in each process
+IMAGE_OF_S_9 = 11033
+
+
+def test_kernel_dicts_live_for_one_run_per_process(monkeypatch):
+    # with one job every shard of a run is computed in this process, which
+    # computes each S(w) once however the run is sharded; the next run,
+    # with the same or another shard count, recomputes them all, and so
+    # does a run after a shard task called outside any run
+    census_mod._shard_task((9, 8, 0, 0, factorial(9) // 8, None, None))
+    assert census_mod._run is not None
+    calls = _counting(monkeypatch, "_complexity")
+    for shards in (1, 8, 102, 1):
+        calls.clear()
+        assert run_census(9, shard_count=shards).checksum == PINNED_CHECKSUMS[9]
+        assert len(calls) == IMAGE_OF_S_9, shards
+        assert census_mod._run is None
+
+
+def test_a_failed_run_leaves_no_run_state(monkeypatch):
+    kernel, held = census_mod._shard_kernel, []
+
+    def failing_kernel(n, lo, hi, dicts=None):
+        held.append(census_mod._run)
+        if len(held) == 3:
+            raise KeyboardInterrupt
+        return kernel(n, lo, hi, dicts)
+
+    monkeypatch.setattr(census_mod, "_shard_kernel", failing_kernel)
+    with pytest.raises(KeyboardInterrupt):
+        run_census(9, shard_count=8)
+    # the three shards computed shared one holder, which the run dropped
+    assert held[0] is not None and all(h is held[0] for h in held)
+    assert census_mod._run is None
+    monkeypatch.undo()
+    calls = _counting(monkeypatch, "_complexity")
+    assert run_census(9, shard_count=8).checksum == PINNED_CHECKSUMS[9]
+    assert len(calls) == IMAGE_OF_S_9
+
+
+def test_tables_of_shapes_are_kept_per_length(monkeypatch):
+    # one process runs every length up and then down, so each table of
+    # shapes serves later runs of its length; below n = 3 a phantom letter
+    # gives a shape that n = 3 has with another continuation ((3, 0, 1, 2)
+    # at n = 2), so a table shared across lengths would change the counts
+    monkeypatch.setattr(census_mod, "_SHAPES", {})
+    shapes = _counting(monkeypatch, "_continuations")
+    for n in (*range(1, 9), *range(8, 0, -1)):
+        c = run_census(n, shard_count=3)
+        if n in KNOWN_COUNTS:
+            assert list(c.counts_by_complexity) == KNOWN_COUNTS[n], n
+        if n in PINNED_CHECKSUMS:
+            assert c.checksum == PINNED_CHECKSUMS[n], n
+    # the continuation, six orders of the pass a call, ran once for each
+    # shape of each length; stack[0] is the guard letter n + 1
+    built = [stack[0] - 1 for stack, _, _ in shapes]
+    for n in range(1, 9):
+        assert built.count(n) == len(census_mod._SHAPES[n]) <= max(comb(n + 1, 4), 1)
 
 
 def _leaf_states(n):
@@ -441,10 +509,12 @@ def test_resume_of_a_finished_run_starts_no_pool(tmp_path, census_cache, monkeyp
 
 
 def _drop_length_state(monkeypatch, n):
-    """Forget the prefix tables and the catalog compiled for length n that
-    this process holds, so that the next use builds them again."""
+    """Forget the prefix tables, and the catalog compiled and the table of
+    shapes for length n, that this process holds, so that the next use
+    builds them again."""
     words_mod._prefix_table.cache_clear()
     monkeypatch.delitem(builtin_catalog()._compiled, n, raising=False)
+    monkeypatch.delitem(census_mod._SHAPES, n, raising=False)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -494,6 +564,7 @@ def test_resume_of_a_finished_run_builds_no_state(tmp_path, census_cache,
     assert c.checksum == serial
     assert words_mod._prefix_table.cache_info().currsize == 0
     assert 7 not in builtin_catalog()._compiled
+    assert 7 not in census_mod._SHAPES
 
 
 def test_partial_resume_computes_only_missing_shards(tmp_path, census_cache,
@@ -504,9 +575,9 @@ def test_partial_resume_computes_only_missing_shards(tmp_path, census_cache,
         os.remove(os.path.join(d, f"shard-6-8-{index:04d}.json"))
     kernel, ranges = census_mod._shard_kernel, []
 
-    def recording_kernel(n, lo, hi):
+    def recording_kernel(n, lo, hi, dicts=None):
         ranges.append((lo, hi))
-        return kernel(n, lo, hi)
+        return kernel(n, lo, hi, dicts)
 
     monkeypatch.setattr(census_mod, "_shard_kernel", recording_kernel)
     c = run_census(6, shard_count=8, checkpoint_dir=d, resume=True)

@@ -178,11 +178,15 @@ def _running(pid):
 @pytest.mark.skipif(os.name != "posix", reason="signals a single POSIX process")
 def test_interrupt_to_the_parent_alone_stops_the_pool(tmp_path):
     src = os.path.dirname(os.path.dirname(census_mod.__file__))
+    # a run far longer than the wait below, and SIGINT at its default in the
+    # child, which a suite run as a background job would otherwise pass on
+    # as ignored, so that Python would install no KeyboardInterrupt handler
     for attempt in range(2):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "stacksort.cli", "census", "--n", "10",
+            [sys.executable, "-m", "stacksort.cli", "census", "--n", "11",
              "--shards", "64", "--jobs", "2", "--checkpoint", str(tmp_path / str(attempt))],
             env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         workers = []
         try:
