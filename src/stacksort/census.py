@@ -26,32 +26,29 @@ hit gives what recomputing would, and every word is still classified,
 checked and tallied on its own in rank order: no tally can differ from a
 word-by-word walk.
 
-The memo and the dict of S(w) belong to one census run in one process
-(:func:`_run_dicts`): the first shard a process computes in a run makes
-them, and every later shard it computes in that run reads them, so a
-sharded census computes each state and each S(w) once per process, as a
-one-shard census does.  :func:`run_census` drops them at its start and
-on its way out, also when it raises, and pool workers are made per run
-and die with it, so no entry outlives the run that made it: each census
-recomputes everything it certifies, and the tens of MiB those dicts can
-reach at n >= 10 are not held after the run.  A direct kernel call
-starts with dicts of its own.  The table of shapes is different: it
-only renames letters, holds at most C(n + 1, 4) entries, and is kept for
-the life of the process, one table per length, since below n = 3
+The kernel's state has two lifetimes.  The dispatch, the prefix table
+and the table of shapes belong to the process and the length
+(:func:`_length_state`).  The dispatch holds the generated function of
+each cell, all generated for a length with one compile() call; each word
+costs one read of its leaf's memo entry and one call of such a function.
+The table of shapes only renames letters and holds at most C(n + 1, 4)
+entries, but one length's table cannot serve another: below n = 3
 phantom letters give a shape that n = 3 also has, with another
-continuation.
-
-Each word then costs one read of its leaf's memo entry and one call of
-the generated function of its dispatch cell.  Those functions are
-generated for all cells of a length at once, with one compile() call,
-and kept for every later shard.  They, the prefix table behind the
-lookup and the table of shapes are the per-length state a process keeps
-(:func:`_length_state`).  A run that starts a process pool builds the
-first two in the calling process first, so workers forked from it
+continuation.  A run that starts a process pool builds the dispatch and
+the prefix table in the calling process first, so workers forked from it
 inherit them, with the shapes it has met, and every later census of that
 length in the same process starts warm.  Under the ``spawn`` or
 ``forkserver`` start methods workers inherit nothing and each builds the
 state on its first shard.
+
+The memo, its ``shared`` values and the dict of S(w) belong to the run:
+:func:`run_census` makes them as locals and passes them to every shard
+it computes, and each pool worker, made for one run and ending with it,
+gets its own from :func:`_start_worker`.  So a sharded census computes
+each state and each S(w) once per process, as a one-shard census does,
+and the tens of MiB those dicts can reach at n >= 10 go when the run
+ends; the calling process never holds a worker's dicts.  A direct kernel
+call starts with dicts of its own.
 
 Every shard kernel doubles as a soundness check: for each word it compares
 the catalog classification against the independently computed complexity
@@ -87,23 +84,23 @@ from typing import Dict, Optional, Tuple
 
 from .formulas import _column_sums
 from .patterns import builtin_catalog, format_row, none_ceiling
-from .words import TABLE_CAP, _complexity, _prefix_table, format_word
+from .words import TABLE_CAP, _complexity, _pass, _prefix_table, format_word
 
 SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
 MAX_N = 14
 # entries of the leaf memo, and from n = 9 on of the dict of S(w), that one
-# process holds in one census run (or one direct kernel call) before each
-# is cleared
+# census run holds in one process (or one direct kernel call holds) before
+# each is cleared
 _MEMO_CAP = 1 << 18
 RANKS = bytes(range(256))  # the indices into a leaf's letters in play
 
 log = logging.getLogger(__name__)
 
-# (n, memo, shared, dict of S(w)) of the census run this process computes
-# shards of, or None: see _run_dicts
-_run: Optional[tuple] = None
 _SHAPES: Dict[int, dict] = {}  # length -> its table of shapes (_leaf_words)
+# (memo, shared, dict of S(w)) of the run a pool worker serves, made by
+# _start_worker; None in every other process
+_worker_dicts: Optional[tuple] = None
 
 
 class CensusSoundnessError(AssertionError):
@@ -276,16 +273,11 @@ def _length_state(n: int) -> tuple:
             _SHAPES.setdefault(n, {}))
 
 
-def _run_dicts(n: int) -> tuple:
-    """``(memo, shared, known)``, the kernel dicts of the census run of
-    length n whose shards this process computes, made by its first shard.
-    :func:`run_census` drops them at its start and end and its pool
-    workers die with it, so they serve every shard one process computes in
-    one run and no other."""
-    global _run
-    if _run is None or _run[0] != n:
-        _run = (n, {}, {}, {})
-    return _run[1:]
+def _start_worker() -> None:
+    """Pool initializer: fresh kernel dicts for the one run this worker
+    serves, which :func:`_shard_task` reads for every shard it computes."""
+    global _worker_dicts
+    _worker_dicts = ({}, {}, {})
 
 
 def _continuations(stack: list, free: list, ls: list) -> tuple:
@@ -293,18 +285,12 @@ def _continuations(stack: list, free: list, ls: list) -> tuple:
     output, in each order of the free letters ``free`` (lexicographic),
     without n and as bytes of indices into ``ls``, the sorted letters of
     ``stack[1:] + free``.  ``stack`` decreases upwards over a guard letter
-    above n; a phantom letter 0 in ``free`` is not pushed."""
-    tails = []
-    for t in permutations(free):
-        s, u = stack[:], []
-        for x in t:
-            if x:
-                while s[-1] < x:
-                    u.append(s.pop())
-                s.append(x)
-        u += s[:1:-1]  # s[1] is n, s[0] the guard
-        tails.append(bytes(map(ls.index, u)))
-    return tuple(tails)
+    above n, so pushing ``stack[1:]`` again pops nothing; a phantom letter
+    0 in ``free`` is not pushed, and n, left at the bottom, comes out
+    last."""
+    return tuple(bytes(map(ls.index, _pass(stack[1:] + [x for x in t if x],
+                                           stack[0])[:-1]))
+                 for t in permutations(free))
 
 
 def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
@@ -369,9 +355,9 @@ def _shard_kernel(n: int, lo: int, hi: int,
     through ``_complexity``, which drops the settled maxima at the end of
     S(w) and of each later pass until the table answers.  The memo, its
     ``shared`` values and the dict of S(w) are ``dicts``, those of the
-    census run (:func:`_run_dicts`, passed by :func:`_shard_task`), so
-    the shards one process computes in one run share them; a direct call
-    with none gets fresh ones that die with it.  The memo and the dict of
+    census run in this process (passed by :func:`_shard_task`), so the
+    shards one process computes in one run share them; a direct call with
+    none gets fresh ones that die with it.  The memo and the dict of
     S(w) are cleared when they hold ``_MEMO_CAP`` entries, which bounds a
     run of any length in each process.  A key is the exact state, shape
     or word, never a hash of it, so a hit returns what a miss would
@@ -399,7 +385,7 @@ def _shard_kernel(n: int, lo: int, hi: int,
     dispatch, table, shapes = _length_state(n)
     # bytes(out + stack) at a leaf -> 1 + complexity of each S(w); the
     # memo's values, each distinct tuple stored once; and bytes(S(w) without
-    # n) -> its complexity: the run's (_run_dicts) or this call's own
+    # n) -> its complexity: the run's or this call's own
     memo, shared, known = dicts if dicts is not None else ({}, {}, {})
     if n - 1 <= TABLE_CAP:
         known = table  # it holds all of S_{n-1}, so it only ever hits
@@ -537,11 +523,13 @@ def _read_shard(path: str, header: dict, levels: dict) -> dict:
     return tallies
 
 
-def _shard_task(args: tuple) -> dict:
+def _shard_task(args: tuple, dicts: Optional[tuple] = None) -> dict:
     """Compute one shard with the run's kernel dicts and, with a checkpoint
-    directory, save it (process-pool safe)."""
+    directory, save it (process-pool safe).  The dicts are ``dicts`` when
+    :func:`run_census` computes the shard itself, and those of
+    :func:`_start_worker` in a pool worker, which passes none."""
     n, shard_count, index, lo, hi, checkpoint_dir, catalog_sha = args
-    result = _shard_kernel(n, lo, hi, _run_dicts(n))
+    result = _shard_kernel(n, lo, hi, dicts or _worker_dicts)
     if checkpoint_dir is not None:
         payload = _shard_header(n, shard_count, index, lo, hi, catalog_sha)
         payload.update(_tally_strings(_SHARD_KEYS, result["counts"],
@@ -610,13 +598,11 @@ def run_census(
     pool is cut short, by an interrupt or a failed shard, the pool is
     stopped at once: no queued shard is waited for.
 
-    The kernel's memo and dict of S(w) last one run in each process
-    (:func:`_run_dicts`): the shards this process or one pool worker
-    computes share them.  This call drops them before it computes any
-    shard, so that neither it nor a worker forked from it reads an entry
-    of an earlier run, and again on its way out, whether it returns,
-    raises or is interrupted, so that no entry outlives the run.  Pool
-    workers are made for this run alone and take theirs with them.
+    The kernel's memo, its ``shared`` values and dict of S(w) last one run
+    in each process: the shards this call computes share dicts it makes as
+    locals, and the shards one pool worker computes share the dicts
+    :func:`_start_worker` gives it.  Pool workers are made for this run
+    alone, so no entry outlives the run or reaches another.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
@@ -642,21 +628,18 @@ def run_census(
         (n, shard_count, i, bounds[i], bounds[i + 1], checkpoint_dir, catalog_sha)
         for i in range(shard_count) if i not in results
     ]
-    global _run
-    _run = None  # no entry of an earlier run reaches this one or its workers
-    try:
-        if jobs == 1 or len(todo) <= 1:
-            computed = [_shard_task(t) for t in todo]
-        else:
-            _length_state(n)  # here, so that forked workers inherit it
-            with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-                try:
-                    computed = list(pool.map(_shard_task, todo))
-                except BaseException:
-                    _stop_pool(pool)  # so that leaving the block waits on nothing
-                    raise
-    finally:
-        _run = None  # nor does an entry of this run outlive it
+    if jobs == 1 or len(todo) <= 1:
+        dicts = ({}, {}, {})  # the kernel dicts of this run in this process
+        computed = [_shard_task(t, dicts) for t in todo]
+    else:
+        _length_state(n)  # here, so that forked workers inherit it
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo)),
+                                 initializer=_start_worker) as pool:
+            try:
+                computed = list(pool.map(_shard_task, todo))
+            except BaseException:
+                _stop_pool(pool)  # so that leaving the block waits on nothing
+                raise
     results.update((t[2], res) for t, res in zip(todo, computed))
     merged = _zero_tallies(n)
     cnt, rows, dm = merged.values()

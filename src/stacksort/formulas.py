@@ -19,6 +19,13 @@ slice of the complexity classes 0..n-1, where index -k is class n-k:
   A(n-2, d-1), the row t A_{n-2}(t) of class n-1, whose words are those
   ending in n 1.
 
+``verify_census`` also checks Bóna's symmetry (proved in "Symmetry and
+unimodality in t-stack sortable permutations", JCTA 98, 2002): the words
+sortable in at most t passes with d descents number those with n-1-d.  It
+compares the census with itself, so it is a loop beside the registry, not
+an entry; it runs for t = 3..n-3, since the forms above fix the other
+sums.
+
 ``exact-n-4`` and ``sortable-n-5`` are conjectural: they reproduce every
 census computed here but carry no proof; verification reports flag them.
 
@@ -245,9 +252,13 @@ def verify_census(census) -> VerifyReport:
 
     An entry's int is compared with the count over its classes, and a tuple
     with the column sums of ``descent_matrix`` over them, one check
-    ``<name>-d<d>`` per d; the per-row first-match counts follow.  The census
-    only needs ``n``, ``counts_by_complexity``, ``counts_by_row`` and
-    ``descent_matrix`` attributes.
+    ``<name>-d<d>`` per d.  Bóna's symmetry follows, one check
+    ``symmetry-<t>-d<d>`` for each t = 3..n-3 and d < n-1-d: the column
+    sum over classes 0..t at d against the one at n-1-d.  It cannot see a
+    move within the middle column, nor two mirrored moves.  The per-row
+    first-match counts come last.  The census only needs ``n``,
+    ``counts_by_complexity``, ``counts_by_row`` and ``descent_matrix``
+    attributes.
     """
     n = census.n
     checks = []
@@ -267,6 +278,10 @@ def verify_census(census) -> VerifyReport:
         actual = _column_sums(census.descent_matrix, entry.classes)
         for d, (want, got) in enumerate(zip(expected, actual, strict=True)):
             add(f"{entry.name}-d{d}", want, got, entry.conjectural)
+    for t in range(3, n - 2):
+        sums = _column_sums(census.descent_matrix, slice(t + 1))
+        for d in range(n // 2):
+            add(f"symmetry-{t}-d{d}", sums[n - 1 - d], sums[d])
     for label in builtin_catalog().levels(n):
         add(f"row-{label}", ROW_COUNTS[label](n), census.counts_by_row.get(label, 0))
     return VerifyReport(n, tuple(checks))

@@ -32,6 +32,7 @@ from stacksort.words import (
     identity_word,
     next_permutation,
     rank,
+    stack_sort,
     stack_sort_pass,
     unrank,
 )
@@ -158,6 +159,10 @@ def test_walk_matches_reference_on_seeded_ranges(n, count, width, monkeypatch):
             assert census_mod._shard_kernel(n, lo, hi) == want, (n, lo, hi, cap)
 
 
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="only forked workers inherit the caller's state")
+
+
 def _counting(monkeypatch, name):
     """Patch census's ``name`` to record each call in the list returned."""
     calls, f = [], getattr(census_mod, name)
@@ -197,20 +202,18 @@ def test_kernel_dicts_live_for_one_run_per_process(monkeypatch):
     # with the same or another shard count, recomputes them all, and so
     # does a run after a shard task called outside any run
     census_mod._shard_task((9, 8, 0, 0, factorial(9) // 8, None, None))
-    assert census_mod._run is not None
     calls = _counting(monkeypatch, "_complexity")
     for shards in (1, 8, 102, 1):
         calls.clear()
         assert run_census(9, shard_count=shards).checksum == PINNED_CHECKSUMS[9]
         assert len(calls) == IMAGE_OF_S_9, shards
-        assert census_mod._run is None
 
 
 def test_a_failed_run_leaves_no_run_state(monkeypatch):
     kernel, held = census_mod._shard_kernel, []
 
     def failing_kernel(n, lo, hi, dicts=None):
-        held.append(census_mod._run)
+        held.append(dicts)
         if len(held) == 3:
             raise KeyboardInterrupt
         return kernel(n, lo, hi, dicts)
@@ -218,13 +221,47 @@ def test_a_failed_run_leaves_no_run_state(monkeypatch):
     monkeypatch.setattr(census_mod, "_shard_kernel", failing_kernel)
     with pytest.raises(KeyboardInterrupt):
         run_census(9, shard_count=8)
-    # the three shards computed shared one holder, which the run dropped
+    # the three shards computed shared the dicts of the run, which went
+    # with it: this process holds no worker's dicts
     assert held[0] is not None and all(h is held[0] for h in held)
-    assert census_mod._run is None
+    assert census_mod._worker_dicts is None
     monkeypatch.undo()
     calls = _counting(monkeypatch, "_complexity")
     assert run_census(9, shard_count=8).checksum == PINNED_CHECKSUMS[9]
     assert len(calls) == IMAGE_OF_S_9
+
+
+@fork_only
+def test_each_pool_worker_keeps_its_dicts_for_the_run(monkeypatch):
+    # each worker computes each S(w) at most once for all the shards it
+    # takes, so two workers together compute at most twice |S(S_9)|; fresh
+    # dicts for every shard would compute about 49,800
+    calls = multiprocessing.Value("i", 0)
+    complexity = census_mod._complexity
+
+    def counted(v):
+        with calls.get_lock():
+            calls.value += 1
+        return complexity(v)
+
+    monkeypatch.setattr(census_mod, "_complexity", counted)
+    c = run_census(9, shard_count=102, jobs=2)
+    assert c.checksum == PINNED_CHECKSUMS[9]
+    assert IMAGE_OF_S_9 <= calls.value <= 2 * IMAGE_OF_S_9
+
+
+class PoisonedMemo(dict):
+    def get(self, key, default=None):
+        raise AssertionError("a run read dicts it did not make")
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=fork_only)])
+def test_a_run_never_reads_dicts_held_by_the_calling_process(jobs, monkeypatch):
+    # a run computes its shards with its own dicts, and a forked worker
+    # replaces the dicts it inherits before its first shard
+    monkeypatch.setattr(census_mod, "_worker_dicts", (PoisonedMemo(), {}, {}))
+    c = run_census(8, shard_count=4, jobs=jobs)
+    assert c.checksum == PINNED_CHECKSUMS[8]
 
 
 def test_tables_of_shapes_are_kept_per_length(monkeypatch):
@@ -265,10 +302,10 @@ def _leaf_states(n):
 def test_leaf_shapes_give_every_sorted_word(n):
     # one table of shapes serves every leaf of S_n, built from the first
     # state of each shape: what it gives for any other state of that shape
-    # is the pass run on that leaf's own words
+    # is S of that leaf's own words, by the recursive definition
     shapes = {}
     for prefix, stack, out, free in _leaf_states(n):
-        want = [bytes(words_mod._pass(prefix + [x for x in t if x], n + 1)[:-1])
+        want = [bytes(stack_sort(prefix + [x for x in t if x]))[:-1]
                 for t in permutations(free)]
         assert census_mod._leaf_words(shapes, stack, out, free) == want, prefix
     assert len(shapes) <= max(comb(n + 1, 4), 1)
@@ -517,8 +554,7 @@ def _drop_length_state(monkeypatch, n):
     monkeypatch.delitem(census_mod._SHAPES, n, raising=False)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="only forked workers inherit the caller's state")
+@fork_only
 def test_forked_workers_inherit_the_per_length_state(census_cache, monkeypatch):
     serial = census_cache(7).checksum
     parent = os.getpid()
@@ -592,7 +628,7 @@ def test_partial_resume_sizes_the_pool_to_the_shards_left(tmp_path, census_cache
     pools = []
 
     class InlinePool:  # runs the tasks here, recording what it was given
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):  # not run here
             self.record = {"workers": max_workers, "shards": []}
             pools.append(self.record)
 
@@ -803,10 +839,12 @@ def test_wrong_tallies_with_a_matching_checksum_are_rejected(
     save_report(bad, path)
     with pytest.raises(ValueError, match=reason):
         load_census(path)
-    # of the formulas, only the forms by descents notice a moved descent
+    # of the checks, only the forms by descents and Bóna's symmetry (of the
+    # words of at most three passes) notice a moved descent
     failures = {chk.name for chk in verify_census(bad).failures}
     assert failures == ({f"{name}-d{d}" for name in
-                         ("eulerian", "narayana", "jacquard-schaeffer") for d in (0, 1)}
+                         ("eulerian", "narayana", "jacquard-schaeffer", "symmetry-3")
+                         for d in (0, 1)}
                         if corrupt is _moved_descent_word else set())
 
 

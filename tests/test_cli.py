@@ -264,20 +264,23 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert "FAIL exact-n-1: expected 6, got 7" in out
 
 
-def _verify_forged_report(tmp_path, capsys, moves):
-    """`verify --census` on a saved n = 6 report with one word moved between
-    descent columns for each (class, from, to) in ``moves`` and its checksum
-    stamped again: the report loads, as every sum still holds."""
+def _verify_forged_report(tmp_path, capsys, moves, n=6):
+    """`verify --census` on a saved report of length n with one word moved
+    from cell (class, descents) to cell (class, descents) of the descent
+    matrix for each pair in ``moves``, the class counts following, and its
+    checksum stamped again: the report loads, as every sum still holds."""
     path = tmp_path / "r.json"
-    run(capsys, "census", "--n", "6", "--out", str(path))
+    run(capsys, "census", "--n", str(n), "--out", str(path))
     payload = json.loads(path.read_text())
-    for c, src, dst in moves:
-        row = payload["descent_matrix"][c]
-        row[src], row[dst] = str(int(row[src]) - 1), str(int(row[dst]) + 1)
+    counts, matrix = payload["counts_by_complexity"], payload["descent_matrix"]
+    for src, dst in moves:
+        for (c, d), step in ((src, -1), (dst, 1)):
+            counts[c] = str(int(counts[c]) + step)
+            matrix[c][d] = str(int(matrix[c][d]) + step)
     payload["checksum"] = Census(
-        6, tuple(map(int, payload["counts_by_complexity"])),
+        n, tuple(map(int, counts)),
         {k: int(v) for k, v in payload["counts_by_row"].items()},
-        tuple(tuple(map(int, r)) for r in payload["descent_matrix"])).checksum
+        tuple(tuple(map(int, r)) for r in matrix)).checksum
     path.write_text(json.dumps(payload))
     census_mod.load_census(str(path))
     return run(capsys, "verify", "--census", str(path))
@@ -286,35 +289,63 @@ def _verify_forged_report(tmp_path, capsys, moves):
 def test_forged_descent_column_fails_verify(tmp_path, capsys, census_cache):
     # one class-2 word moved to the next descent column: two columns no
     # longer sum to their Eulerian numbers, nor the words of at most two
-    # passes to Jacquard and Schaeffer's
+    # passes to Jacquard and Schaeffer's, and the words of at most three
+    # passes are no longer symmetric at either column
     d = next(d for d, v in enumerate(census_cache(6).descent_matrix[2]) if v)
-    code, out, _ = _verify_forged_report(tmp_path, capsys, [(2, d, d + 1)])
+    code, out, _ = _verify_forged_report(tmp_path, capsys,
+                                         [((2, d), (2, d + 1))])
     assert code == 1
     for name in ("eulerian", "jacquard-schaeffer"):
         assert f"FAIL {name}-d{d}: " in out and f"FAIL {name}-d{d + 1}: " in out
-    assert out.splitlines()[-1] == "checked 60 values for n=6: 4 FAILED"
+    for col in (d, d + 1):
+        assert f"FAIL symmetry-3-d{min(col, 5 - col)}: " in out
+    assert out.splitlines()[-1] == "checked 63 values for n=6: 6 FAILED"
 
 
 def test_cancelling_descent_forgery_fails_verify(tmp_path, capsys):
     # a class-2 word moved from 1 to 2 descents and a class-3 word from 2
     # to 1: every column sum still holds, but the words of at most two
     # passes no longer fit Jacquard and Schaeffer's form
-    code, out, _ = _verify_forged_report(tmp_path, capsys, [(2, 1, 2), (3, 2, 1)])
+    code, out, _ = _verify_forged_report(
+        tmp_path, capsys, [((2, 1), (2, 2)), ((3, 2), (3, 1))])
     assert code == 1
     fails = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
     assert fails == ["FAIL jacquard-schaeffer-d1", "FAIL jacquard-schaeffer-d2"]
-    assert out.splitlines()[-1] == "checked 60 values for n=6: 2 FAILED"
+    assert out.splitlines()[-1] == "checked 63 values for n=6: 2 FAILED"
 
 
 def test_class_n_minus_1_descent_forgery_fails_verify(tmp_path, capsys):
     # a class-5 word moved from 1 to 2 descents and a class-4 word from 2 to
     # 1: every column sum and every bottom-class form still holds, but the
     # row of class n - 1 is no longer t A_{n-2}(t)
-    code, out, _ = _verify_forged_report(tmp_path, capsys, [(5, 1, 2), (4, 2, 1)])
+    code, out, _ = _verify_forged_report(
+        tmp_path, capsys, [((5, 1), (5, 2)), ((4, 2), (4, 1))])
     assert code == 1
     fails = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
     assert fails == ["FAIL eulerian-n-1-d1", "FAIL eulerian-n-1-d2"]
-    assert out.splitlines()[-1] == "checked 60 values for n=6: 2 FAILED"
+    assert out.splitlines()[-1] == "checked 63 values for n=6: 2 FAILED"
+
+
+def test_class_move_off_the_middle_column_fails_verify(tmp_path, capsys):
+    # one n = 9 word moved from class 3 to class 4 at 3 descents: no closed
+    # form reads either class alone, but the words of at most three passes
+    # are no longer symmetric under d <-> 8 - d (Bóna)
+    code, out, _ = _verify_forged_report(tmp_path, capsys,
+                                         [((3, 3), (4, 3))], n=9)
+    assert code == 1
+    fails = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL symmetry-3-d3"]
+    assert out.splitlines()[-1] == "checked 90 values for n=9: 1 FAILED"
+
+
+def test_class_move_in_the_middle_column_escapes_verify(tmp_path, capsys):
+    # a known escape: the same move at 4 descents, the middle column, which
+    # is its own mirror, still passes; only an independent count of the
+    # classes can catch it
+    code, out, _ = _verify_forged_report(tmp_path, capsys,
+                                         [((3, 4), (4, 4))], n=9)
+    assert code == 0
+    assert out.splitlines()[-1] == "checked 90 values for n=9: all pass"
 
 
 def _without_rows(payload):
