@@ -10,16 +10,16 @@ resumed.
 The shard kernel walks the prefix tree of its rank range depth first, so
 words that share a prefix share its work: the letters of a prefix go
 through the stack pass, the position table and the descent count once for
-every word below them.  The walk stops three letters short of a word, at a
-leaf that serves the six orders of its last three letters.  Leaves whose
+every word below them.  The walk stops four letters short of a word, at a
+leaf that serves the 24 orders of its last four letters.  Leaves whose
 prefixes leave that first pass in the same state (the same output and
-stack) share all six S(w): the kernel computes their complexities once,
+stack) share all 24 S(w): the kernel computes their complexities once,
 in a memo cleared at a fixed size, and reads them back for every later
-prefix with that state.  On a miss it builds the six S(w) from a table
-keyed by the state's shape, the places of the three free letters among
+prefix with that state.  On a miss it builds the 24 S(w) from a table
+keyed by the state's shape, the places of the four free letters among
 the letters still in play: the rest of the pass only compares those
-letters, so the shape fixes it up to their names, and the pass itself
-runs once per shape, at most C(n + 1, 4) times per process and length.
+letters, so the shape fixes it up to their names.  A length has C(n + 1, 5)
+shapes, and the pass runs once for each, when the table is built.
 It then looks each S(w) up in a dict keyed by S(w) itself, since
 different states can give the same S(w).  All three keys are exact, so a
 hit gives what recomputing would, and every word is still classified,
@@ -28,16 +28,16 @@ word-by-word walk.
 
 The kernel's state has two lifetimes.  The dispatch, the prefix table
 and the table of shapes belong to the process and the length
-(:func:`_length_state`).  The dispatch holds the generated function of
-each cell, all generated for a length with one compile() call; each word
-costs one read of its leaf's memo entry and one call of such a function.
-The table of shapes only renames letters and holds at most C(n + 1, 4)
-entries, but one length's table cannot serve another: below n = 3
-phantom letters give a shape that n = 3 also has, with another
-continuation.  A run that starts a process pool builds the dispatch and
-the prefix table in the calling process first, so workers forked from it
-inherit them, with the shapes it has met, and every later census of that
-length in the same process starts warm.  Under the ``spawn`` or
+(:func:`_length_state`, which builds each whole on its first call).  The
+dispatch holds the generated function of each cell, all generated for a
+length with one compile() call; each word costs one read of its leaf's
+memo entry and one call of such a function.  The table of shapes only
+renames letters and holds C(n + 1, 5) entries, but one length's table
+cannot serve another: below n = 4 phantom letters give a shape that a
+longer length also has, with another continuation.  A run that starts a
+process pool builds all three in the calling process first, so workers
+forked from it inherit them and build none, and every later census of
+that length in the same process starts warm.  Under the ``spawn`` or
 ``forkserver`` start methods workers inherit nothing and each builds the
 state on its first shard.
 
@@ -78,7 +78,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, Optional, Tuple
 
@@ -97,7 +97,7 @@ RANKS = bytes(range(256))  # the indices into a leaf's letters in play
 
 log = logging.getLogger(__name__)
 
-_SHAPES: Dict[int, dict] = {}  # length -> its table of shapes (_leaf_words)
+_SHAPES: Dict[int, dict] = {}  # length -> its table of shapes (_table_of_shapes)
 # (memo, shared, dict of S(w)) of the run a pool worker serves, made by
 # _start_worker; None in every other process
 _worker_dicts: Optional[tuple] = None
@@ -263,14 +263,15 @@ def _catalog_sha256() -> str:
 def _length_state(n: int) -> tuple:
     """``(dispatch, table, shapes)`` for length n: the generated dispatch of
     the built-in catalog compiled for n, the prefix table over
-    S_min(n-1, TABLE_CAP) and the table of shapes of :func:`_leaf_words`.
-    The first two are built on the first call in a process and the third
-    fills as leaves miss; all are kept for its life, so a call before a
-    pool starts builds the first two once for every worker forked from
-    it."""
+    S_min(n-1, TABLE_CAP) and the complete table of shapes of
+    :func:`_table_of_shapes`.  All three are built on the first call in a
+    process and kept for its life, so a call before a pool starts builds
+    them once for every worker forked from it."""
+    shapes = _SHAPES.get(n)
+    if shapes is None:
+        shapes = _SHAPES[n] = _table_of_shapes(n)
     return (builtin_catalog().compiled(n).dispatch,
-            _prefix_table(min(n - 1, TABLE_CAP)),
-            _SHAPES.setdefault(n, {}))
+            _prefix_table(min(n - 1, TABLE_CAP)), shapes)
 
 
 def _start_worker() -> None:
@@ -280,43 +281,68 @@ def _start_worker() -> None:
     _worker_dicts = ({}, {}, {})
 
 
-def _continuations(stack: list, free: list, ls: list) -> tuple:
+def _in_play(stack: list, free: list) -> tuple:
+    """``(ls, shape)`` of a leaf's state: ``ls``, the sorted letters still in
+    play, those of ``stack[1:] + free``, and the shape, their number and the
+    places of the free letters among them."""
+    ls = sorted(stack[1:] + free)
+    return ls, (len(ls), *map(ls.index, free))
+
+
+def _continuations(stack: list, free: list, ls: list) -> bytes:
     """What finishing the first pass from a leaf's state appends to its
-    output, in each order of the free letters ``free`` (lexicographic),
-    without n and as bytes of indices into ``ls``, the sorted letters of
-    ``stack[1:] + free``.  ``stack`` decreases upwards over a guard letter
-    above n, so pushing ``stack[1:]`` again pops nothing; a phantom letter
-    0 in ``free`` is not pushed, and n, left at the bottom, comes out
-    last."""
-    return tuple(bytes(map(ls.index, _pass(stack[1:] + [x for x in t if x],
-                                           stack[0])[:-1]))
-                 for t in permutations(free))
+    output, in each of the 24 orders of the four free letters ``free``
+    (lexicographic), without n and as bytes of indices into ``ls``, the
+    sorted letters of ``stack[1:] + free``, all 24 concatenated.  ``stack``
+    decreases upwards over a guard letter above n, so pushing ``stack[1:]``
+    again pops nothing; a phantom letter 0 in ``free`` is not pushed, and
+    n, the largest letter in play, comes out last."""
+    return b"".join(bytes(map(ls.index, _pass(stack[1:] + [x for x in t if x],
+                                              stack[0])[:-1]))
+                    for t in permutations(free))
+
+
+def _table_of_shapes(n: int) -> dict:
+    """Every shape of a leaf of S_n mapped to its :func:`_continuations`.
+
+    From n = 4 on a leaf has four free letters and m = 4..n letters in play,
+    n the largest of them, and its shape is m and the four places of the
+    free letters among them, any four of the m: C(n + 1, 5) shapes in all
+    (126 at n = 8, 2,002 at n = 13).  Each is built from one state of that
+    shape, with the letters 1..m and the others on the stack in decreasing
+    order.  Below n = 4 the root is the only leaf, with phantom letters 0
+    leading ``free``, and its one shape can be a shape of a longer length
+    with another continuation, (4, 0, 0, 2, 3) at n = 2, so one table
+    serves one length only."""
+    if n < 4:
+        states = [([n + 1], [0] * (4 - n) + list(range(1, n + 1)))]
+    else:
+        states = [([n + 1, *(x for x in range(m, 0, -1) if x not in free)], free)
+                  for m in range(4, n + 1)
+                  for free in map(list, combinations(range(1, m + 1), 4))]
+    shapes = {}
+    for stack, free in states:
+        ls, shape = _in_play(stack, free)
+        shapes[shape] = _continuations(stack, free, ls)
+    return shapes
 
 
 def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
-    """The six S(w) without n of a leaf at the first-pass state ``out``,
+    """The 24 S(w) without n of a leaf at the first-pass state ``out``,
     ``stack`` with free letters ``free``, in lexicographic order of the
     free letters, each as bytes.
 
     Finishing the pass only compares letters still in play, those of
-    ``ls = sorted(stack[1:] + free)``, and the stack decreases upwards, so
-    the state's shape ``(len(ls), *(ls.index(x) for x in free))`` fixes
-    each continuation as a sequence of indices into ``ls``.  ``shapes``
-    maps each shape seen to those sequences; only a shape not in it runs
-    :func:`_continuations`, once, on this state's letters.  Phantom
-    letters share a place, so below n = 3 the one leaf's shape can be a
-    shape of n = 3 with another continuation, (3, 0, 1, 2) at n = 2, and
-    one table serves one length only (:func:`_length_state` keeps one per
-    length for the life of the process)."""
-    ls = sorted(stack[1:] + free)
-    shape = (len(ls), *map(ls.index, free))
-    tails = shapes.get(shape)
-    if tails is None:
-        tails = shapes[shape] = _continuations(stack, free, ls)
+    ``ls``, and the stack decreases upwards, so the state's shape (see
+    :func:`_in_play`) fixes each continuation as a sequence of indices into
+    ``ls``.  ``shapes``, the complete table of shapes of the length
+    (:func:`_table_of_shapes`), holds the 24 sequences of each shape as one
+    bytes; one ``translate`` renames them to this state's letters."""
+    ls, shape = _in_play(stack, free)
+    tails = shapes[shape].translate(bytes.maketrans(RANKS[:len(ls)], bytes(ls)))
     head = bytes(out)
-    letters = bytes.maketrans(RANKS[:len(ls)], bytes(ls))
-    return [head + t.translate(letters) for t in tails]
-
+    size = len(tails) // 24
+    return [head + tails[i * size:(i + 1) * size] for i in range(24)]
 
 def _shard_kernel(n: int, lo: int, hi: int,
                   dicts: Optional[tuple] = None) -> dict:
@@ -329,39 +355,42 @@ def _shard_kernel(n: int, lo: int, hi: int,
     shared stack pass (the smaller letters it pops go to one shared output
     list), sets ``w`` and ``pos`` and adds its descent, once for every
     word below it, and undoes all of it on return.  The walk stops at
-    depth n - 3: a leaf unrolls the six orders of its three free letters
-    in lexicographic order, each word of the six a rank of its block.
-    Below n = 3 the root is the leaf, and phantom letters 0 lead ``free``
-    so that the first n! of the six orders are the words of S_n.
+    depth n - 4: a leaf serves the 24 orders of its four free letters in
+    lexicographic order, each word a rank of its block.  Its outer loop
+    takes each free letter in turn for index n - 4, setting ``w``, ``pos``
+    and the descent before it once for six words, and its inner loop
+    unrolls the six orders of the other three.  Below n = 4 the root is
+    the leaf, and phantom letters 0 lead ``free`` so that the first n! of
+    the 24 orders are the words of S_n.
 
-    The six S(w) of a leaf are fixed by its first-pass state, the output
+    The 24 S(w) of a leaf are fixed by its first-pass state, the output
     and the stack (the free letters are those in neither), so prefixes
-    that reach the same state, such as 132 and 312, give the same six
+    that reach the same state, such as 132 and 312, give the same 24
     words.  A memo maps the state, as ``bytes(out + stack)``, where the
     guard letter n + 1 marks the boundary, to one plus the complexity of
-    each S(w) without n, as a tuple stored once however many states share
-    it.  Only on a miss does the leaf build its six S(w) without n,
+    each S(w) without n, as 24 bytes stored once however many states
+    share them.  Only on a miss does the leaf build its 24 S(w) without n,
     through :func:`_leaf_words`: each is the output followed by letters in
     play, those of the stack and the free ones, in an order fixed by the
-    state's shape, so the stack pass is finished from a state only for the
-    first state of its shape.  A shape is a number m <= n of letters in play and the places
-    of the three free letters among them, which increase, so a length has
-    at most C(n + 1, 4) shapes (126 at n = 8) and its table of shapes
-    needs no cap.  Another state can give the same S(w) (S of the order
-    a < b < c is the output and then every other letter in increasing
-    order), so each S(w) without n is looked up, as bytes, in a dict of
-    S(w): the prefix table itself when n - 1 <= TABLE_CAP, since it holds
-    all of S_{n-1} and so is only ever read, and otherwise a dict filled
-    through ``_complexity``, which drops the settled maxima at the end of
-    S(w) and of each later pass until the table answers.  The memo, its
-    ``shared`` values and the dict of S(w) are ``dicts``, those of the
-    census run in this process (passed by :func:`_shard_task`), so the
-    shards one process computes in one run share them; a direct call with
-    none gets fresh ones that die with it.  The memo and the dict of
-    S(w) are cleared when they hold ``_MEMO_CAP`` entries, which bounds a
-    run of any length in each process.  A key is the exact state, shape
-    or word, never a hash of it, so a hit returns what a miss would
-    compute and no tally can change.
+    state's shape.  A shape is a number m <= n of letters in play and the
+    places of the four free letters among them, which increase, so a
+    length has C(n + 1, 5) shapes (126 at n = 8), each in the table built
+    whole by :func:`_length_state`, and no miss finishes the stack pass.
+    Another state can give the same S(w) (S of the order a < b < c < d is
+    the output and then every other letter in increasing order), so each
+    S(w) without n is looked up, as bytes, in a dict of S(w): the prefix
+    table itself when n - 1 <= TABLE_CAP, since it holds all of S_{n-1}
+    and so is only ever read, and otherwise a dict filled through
+    ``_complexity``, which drops the settled maxima at the end of S(w) and
+    of each later pass until the table answers.  The memo, its ``shared``
+    values and the dict of S(w) are ``dicts``, those of the census run in
+    this process (passed by :func:`_shard_task`), so the shards one
+    process computes in one run share them; a direct call with none gets
+    fresh ones that die with it.  The memo and the dict of S(w) are
+    cleared when they hold ``_MEMO_CAP`` entries, which bounds a run of
+    any length in each process.  A key is the exact state, shape or word,
+    never a hash of it, so a hit returns what a miss would compute and no
+    tally can change.
 
     Each word then costs one call of the generated function of its
     dispatch cell, the only call in the leaf's loop, and the tallies;
@@ -383,22 +412,24 @@ def _shard_kernel(n: int, lo: int, hi: int,
     certified = builtin_catalog().levels(n)
     ceiling = none_ceiling(n)
     dispatch, table, shapes = _length_state(n)
-    # bytes(out + stack) at a leaf -> 1 + complexity of each S(w); the
-    # memo's values, each distinct tuple stored once; and bytes(S(w) without
-    # n) -> its complexity: the run's or this call's own
+    # bytes(out + stack) at a leaf -> 1 + complexity of each of its 24 S(w),
+    # as bytes; the memo's values, each distinct one stored once; and
+    # bytes(S(w) without n) -> its complexity: the run's or this call's own
     memo, shared, known = dicts if dicts is not None else ({}, {}, {})
     if n - 1 <= TABLE_CAP:
         known = table  # it holds all of S_{n-1}, so it only ever hits
     fact = [factorial(m) for m in range(n + 1)]
-    leaf = max(n - 3, 0)  # the depth of the leaves
-    # where a leaf's three letters go: below n = 3 a phantom letter's spot,
+    leaf = max(n - 4, 0)  # the depth of the leaves
+    # where a leaf's four letters go: below n = 4 a phantom letter's spot,
     # clamped to 0, is written first and then overwritten
-    l0, l1, l2 = (max(i, 0) for i in range(n - 3, n))
-    steps = [sum(a > b for a, b in zip(t, t[1:]))  # descents within each order
-             for t in permutations(range(3))]
+    l0, l1, l2, l3 = (max(i, 0) for i in range(n - 4, n))
+    # the descents within each order of four letters, by its first letter's
+    # place among them, in lexicographic order of the other three
+    steps = [[sum(a > b for a, b in zip(t, t[1:])) for t in permutations(range(4))
+              if t[0] == i] for i in range(4)]
     w = [0] * n
     pos = [0] * (n + 1)
-    free = [0] * (3 - n) + list(range(1, n + 1))  # letters not yet placed
+    free = [0] * (4 - n) + list(range(1, n + 1))  # letters not yet placed
     stack = [n + 1]  # decreasing upwards, over a guard letter
     out = []         # letters popped so far, in output order
 
@@ -406,16 +437,13 @@ def _shard_kernel(n: int, lo: int, hi: int,
         """Walk the block of ranks [base, base + (n - depth)!), whose words
         share the prefix w[:depth] ending in ``prev`` with d descents."""
         if depth == leaf:
-            a, b, c = free
-            orders = ((a, b, c, 0), (a, c, b, 1), (b, a, c, 2),  # lexicographic
-                      (b, c, a, 3), (c, a, b, 4), (c, b, a, 5))
             key = bytes(out + stack)
             cs = memo.get(key)
             if cs is None:
                 if len(memo) >= _MEMO_CAP:
                     memo.clear()
                     shared.clear()
-                cs = []
+                cs = bytearray()
                 for v in _leaf_words(shapes, stack, out, free):
                     k = known.get(v)
                     if k is None:
@@ -423,27 +451,40 @@ def _shard_kernel(n: int, lo: int, hi: int,
                             known.clear()
                         k = known[v] = _complexity(list(v))
                     cs.append(k + 1)
-                cs = tuple(cs)
+                cs = bytes(cs)
                 cs = memo[key] = shared.setdefault(cs, cs)
-            for x, y, z, j in orders[lo - base if lo > base else 0:hi - base]:
+            a, b, c, f = free  # in increasing order
+            # each letter for index n - 4, then the other three in increasing order
+            firsts = ((a, b, c, f), (b, a, c, f), (c, a, b, f), (f, a, b, c))
+            for i in range(max(0, (lo - base) // 6), min(4, -((base - hi) // 6))):
+                x, p, q, r = firsts[i]
                 w[l0] = x
-                w[l1] = y
-                w[l2] = z
                 pos[x] = l0
-                pos[y] = l1
-                pos[z] = l2
-                e = d + (prev > x) + steps[j]
-                k = cs[j] if e else 0  # the word with no descent is sorted
-                label = dispatch[pos[n]][z](w, pos)
-                if label is None:
-                    if k > ceiling:
-                        raise CensusSoundnessError(w, base + j, None, k, ceiling)
-                elif k != certified[label]:
-                    raise CensusSoundnessError(w, base + j, label, k,
-                                               certified[label])
-                else:
-                    rows[label] += 1
-                dm[k][e] += 1
+                dx = d + (prev > x)
+                st = steps[i]
+                ci = cs[6 * i:6 * i + 6]
+                at = base + 6 * i
+                for y, z, u, j in ((p, q, r, 0), (p, r, q, 1), (q, p, r, 2),  # lexicographic
+                                   (q, r, p, 3), (r, p, q, 4), (r, q, p, 5)
+                                   )[lo - at if lo > at else 0:hi - at]:
+                    w[l1] = y
+                    w[l2] = z
+                    w[l3] = u
+                    pos[y] = l1
+                    pos[z] = l2
+                    pos[u] = l3
+                    e = dx + st[j]
+                    k = ci[j] if e else 0  # the word with no descent is sorted
+                    label = dispatch[pos[n]][u](w, pos)
+                    if label is None:
+                        if k > ceiling:
+                            raise CensusSoundnessError(w, at + j, None, k, ceiling)
+                    elif k != certified[label]:
+                        raise CensusSoundnessError(w, at + j, label, k,
+                                                   certified[label])
+                    else:
+                        rows[label] += 1
+                    dm[k][e] += 1
             return
         m = n - depth
         s = fact[m - 1]
@@ -590,13 +631,13 @@ def run_census(
     Only the shards left to compute go to the kernel, in a pool of
     ``min(jobs, shards left)`` workers when more than one is left.  Just
     before that pool starts, this process builds the kernel's per-length
-    state (the dispatch and prefix table of :func:`_length_state`), so
-    forked workers inherit it instead of each building its own; under
-    ``spawn`` or ``forkserver`` each worker builds it on its first shard.
-    Without a pool, the state is built by the first shard computed here,
-    and a resume with no shard left builds none.  When the wait for that
-    pool is cut short, by an interrupt or a failed shard, the pool is
-    stopped at once: no queued shard is waited for.
+    state (the dispatch, prefix table and table of shapes of
+    :func:`_length_state`), so forked workers inherit it instead of each
+    building its own; under ``spawn`` or ``forkserver`` each worker builds
+    it on its first shard.  Without a pool, the state is built by the first
+    shard computed here, and a resume with no shard left builds none.  When
+    the wait for that pool is cut short, by an interrupt or a failed shard,
+    the pool is stopped at once: no queued shard is waited for.
 
     The kernel's memo, its ``shared`` values and dict of S(w) last one run
     in each process: the shards this call computes share dicts it makes as

@@ -175,10 +175,11 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     # dict of S(w) of its own, so a second call recomputes every complexity.
     # The 40,320 words of S_9 that start with 1 give 1,780 distinct S(w),
     # as many as S_8 has sorted words: the dict of S(w) computes each once.
-    # The table of shapes is the process's, for each length: a leaf's shape
-    # is its number of letters in play, at most 9, and the places of its
-    # three free letters among them, so the first call, on a table that no
-    # earlier test filled, builds at most C(10, 4) = 210, and the second none
+    # The table of shapes is the process's, for each length, and complete
+    # when built: a leaf's shape is its number m = 4..9 of letters in play
+    # and the places of its four free letters among them, so the first call,
+    # on a table that no earlier test built, builds all C(10, 5) = 252 and
+    # the second none
     monkeypatch.delitem(census_mod._SHAPES, 9, raising=False)
     calls = _counting(monkeypatch, "_complexity")
     shapes = _counting(monkeypatch, "_continuations")
@@ -187,7 +188,7 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     assert census_mod._shard_kernel(9, 0, 40320) == first
     assert (len(calls), len(shapes)) == (2 * once, built)
     assert once <= 1780
-    assert 0 < built <= comb(10, 4)
+    assert built == len(census_mod._SHAPES[9]) == comb(10, 5)
     assert first == _reference_kernel(9, 0, 40320)
 
 
@@ -264,11 +265,18 @@ def test_a_run_never_reads_dicts_held_by_the_calling_process(jobs, monkeypatch):
     assert c.checksum == PINNED_CHECKSUMS[8]
 
 
+def _shape_count(n):
+    """Shapes of a leaf of S_n: C(n + 1, 5) from n = 4 on, the root's one
+    below it."""
+    return comb(n + 1, 5) if n >= 4 else 1
+
+
 def test_tables_of_shapes_are_kept_per_length(monkeypatch):
     # one process runs every length up and then down, so each table of
-    # shapes serves later runs of its length; below n = 3 a phantom letter
-    # gives a shape that n = 3 has with another continuation ((3, 0, 1, 2)
-    # at n = 2), so a table shared across lengths would change the counts
+    # shapes, built whole on the first run of its length, serves later runs
+    # of its length; below n = 4 phantom letters give a shape that a longer
+    # length has with another continuation ((4, 0, 1, 2, 3) at n = 3 and 4),
+    # so a table shared across lengths would change the counts
     monkeypatch.setattr(census_mod, "_SHAPES", {})
     shapes = _counting(monkeypatch, "_continuations")
     for n in (*range(1, 9), *range(8, 0, -1)):
@@ -277,38 +285,38 @@ def test_tables_of_shapes_are_kept_per_length(monkeypatch):
             assert list(c.counts_by_complexity) == KNOWN_COUNTS[n], n
         if n in PINNED_CHECKSUMS:
             assert c.checksum == PINNED_CHECKSUMS[n], n
-    # the continuation, six orders of the pass a call, ran once for each
+    # the continuation, 24 orders of the pass a call, ran once for each
     # shape of each length; stack[0] is the guard letter n + 1
     built = [stack[0] - 1 for stack, _, _ in shapes]
     for n in range(1, 9):
-        assert built.count(n) == len(census_mod._SHAPES[n]) <= max(comb(n + 1, 4), 1)
+        assert built.count(n) == len(census_mod._SHAPES[n]) == _shape_count(n), n
 
 
 def _leaf_states(n):
-    """(prefix, stack, out, free) of every leaf of S_n: each prefix of n - 3
-    letters after one stack pass, and the free letters led by phantom 0s
-    below n = 3, as the kernel holds them."""
-    for prefix in permutations(range(1, n + 1), max(n - 3, 0)):
+    """(prefix, stack, out, free) of every leaf of S_n: each prefix of n - 4
+    letters after one stack pass, and the four free letters, led by
+    phantom 0s below n = 4, as the kernel holds them."""
+    for prefix in permutations(range(1, n + 1), max(n - 4, 0)):
         stack, out = [n + 1], []
         for x in prefix:
             while stack[-1] < x:
                 out.append(stack.pop())
             stack.append(x)
-        free = [0] * (3 - n) + sorted(set(range(1, n + 1)) - set(prefix))
+        free = [0] * (4 - n) + sorted(set(range(1, n + 1)) - set(prefix))
         yield list(prefix), stack, out, free
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_leaf_shapes_give_every_sorted_word(n):
-    # one table of shapes serves every leaf of S_n, built from the first
-    # state of each shape: what it gives for any other state of that shape
-    # is S of that leaf's own words, by the recursive definition
-    shapes = {}
+    # the complete table of shapes, each built from one canonical state,
+    # serves every leaf of S_n: what it gives for a leaf is S of each of the
+    # leaf's 24 words, by the recursive definition
+    shapes = census_mod._table_of_shapes(n)
+    assert len(shapes) == _shape_count(n)
     for prefix, stack, out, free in _leaf_states(n):
         want = [bytes(stack_sort(prefix + [x for x in t if x]))[:-1]
                 for t in permutations(free)]
         assert census_mod._leaf_words(shapes, stack, out, free) == want, prefix
-    assert len(shapes) <= max(comb(n + 1, 4), 1)
 
 
 def test_kernel_never_writes_the_prefix_table(monkeypatch):
@@ -388,6 +396,62 @@ def test_walk_raises_on_the_reference_word(patch, monkeypatch):
             got = (exc.word, exc.rank, exc.label, exc.complexity, exc.certified)
         assert got == want, (n, lo, hi)
     assert 0 < raised < len(ranges)
+
+
+def _reference_outcomes(n, lo, hi):
+    """Each word of ranks [lo, hi) of S_n through the reference: its
+    (complexity, descents, label), or the CensusSoundnessError the
+    reference raises on it."""
+    got = []
+    while lo + len(got) < hi:
+        try:
+            got.extend(_reference_words(n, lo + len(got), hi))
+        except CensusSoundnessError as exc:
+            got.append(exc)
+    return got
+
+
+@pytest.mark.parametrize("patched", [False, True])
+@pytest.mark.parametrize("n", range(5, 9))
+def test_leaf_edges_match_the_reference(n, patched, monkeypatch):
+    # from n = 4 on a leaf of the walk is a block of 24 ranks; every range
+    # that starts and ends inside one, at each offset 0..24, gives the
+    # reference's tallies, or, with L1 certified one level too low (the
+    # "tiers" patch of test_walk_raises_on_the_reference_word), the
+    # reference's first failing word.  The leaves are the first, the last,
+    # and the one holding the first word from a seeded rank on that the
+    # patched catalog fails (at offsets 9 and 15 of its leaf for each n)
+    total = factorial(n)
+    r = random.Random(n).randrange(total)
+    monkeypatch.setattr(patterns_mod, "_TIERS",
+                        (("L1", 2, 2), ("L2", 2, 4), ("T", 3, 6)))
+    for lo, hi in ((r, total), (0, r)):
+        try:
+            for _ in _reference_words(n, lo, hi):
+                pass
+        except CensusSoundnessError as exc:
+            r = exc.rank
+            break
+    if not patched:
+        monkeypatch.undo()
+    raised = 0
+    for base in (0, r // 24 * 24, total - 24):
+        outcomes = _reference_outcomes(n, base, base + 24)
+        for lo in range(base, base + 25):
+            for hi in range(lo, base + 25):
+                want = outcomes[lo - base:hi - base]
+                failed = [e for e in want if isinstance(e, Exception)]
+                try:
+                    got = census_mod._shard_kernel(n, lo, hi)
+                except CensusSoundnessError as exc:
+                    got = (exc.rank, exc.word, exc.label)
+                if failed:
+                    raised += 1
+                    want = (failed[0].rank, failed[0].word, failed[0].label)
+                else:
+                    want = _tallies(n, want)
+                assert got == want, (n, lo, hi)
+    assert bool(raised) == patched
 
 
 def test_known_distributions(census_cache):
@@ -570,6 +634,30 @@ def test_forked_workers_inherit_the_per_length_state(census_cache, monkeypatch):
     monkeypatch.setattr(words_mod, "_pass", here_only(words_mod._pass))
     _drop_length_state(monkeypatch, 7)
     assert run_census(7, shard_count=4, jobs=2).checksum == serial
+
+
+@fork_only
+def test_forked_workers_build_no_shape(monkeypatch):
+    # the calling process builds the whole table of shapes before the pool
+    # starts, so the forked workers find every shape they meet in it; a
+    # table filled as leaves miss would leave them up to 126 shapes to build
+    # at n = 8, in every pooled run, since a worker's table dies with it
+    parent, calls = os.getpid(), multiprocessing.Value("i", 0)
+    continuations = census_mod._continuations
+
+    def counted(*args):
+        if os.getpid() != parent:
+            with calls.get_lock():
+                calls.value += 1
+        return continuations(*args)
+
+    monkeypatch.setattr(census_mod, "_continuations", counted)
+    monkeypatch.delitem(census_mod._SHAPES, 8, raising=False)
+    for _ in range(2):
+        c = run_census(8, shard_count=11, jobs=2)
+        assert c.checksum == PINNED_CHECKSUMS[8]
+    assert calls.value == 0
+    assert len(census_mod._SHAPES[8]) == comb(9, 5)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
