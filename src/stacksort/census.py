@@ -28,10 +28,11 @@ word-by-word walk.
 
 The kernel's state has two lifetimes.  The dispatch, the prefix table
 and the table of shapes belong to the process and the length
-(:func:`_length_state`, which builds each whole on its first call).  The
-dispatch holds the generated function of each cell, all generated for a
-length with one compile() call; each word costs one read of its leaf's
-memo entry and one call of such a function.  The table of shapes only
+(:func:`_length_state`): each is built whole on its first call and kept,
+by ``Catalog.compiled`` and two ``lru_cache``d builders.  The dispatch
+holds the generated function of each cell, all generated for a length
+with one compile() call; each word costs one read of its leaf's memo
+entry and one call of such a function.  The table of shapes only
 renames letters and holds C(n + 1, 5) entries, but one length's table
 cannot serve another: below n = 4 phantom letters give a shape that a
 longer length also has, with another continuation.  A run that starts a
@@ -62,11 +63,17 @@ no row matches.
 Counters are exact integers end to end; the JSON report stores them as
 decimal strings so they survive parsers that would round large values.
 
-A resume reads the saved shards in the calling process and trusts a shard
-file only when its identity (length, shard, rank range, kernel version and
-catalog hash), its checksum, its shape and its row labels all match and
-its counts, descent rows and tier rows add up; any other file is logged on
-the ``stacksort.census`` logger and recomputed.
+A run describes each shard by one record, ``(header, path)``: the header
+is the dict of :func:`_shard_header`, the shard's identity (length, shard
+count, index, rank range, kernel version and catalog hash), and the path
+its file's, or None without a checkpoint directory.  The record is the
+task :func:`_shard_task` computes, saving ``{**header, **tallies}`` at the
+path; the identity a resume checks; and, by ``header["index"]``, the merge
+key.  The merge sums the rows and the descent matrices and derives the
+counts by complexity once, as the merged matrix's row sums.  A resume
+reads the saved shards in the calling process and trusts a file only when
+it passes every check of :func:`_read_shard` against its record's header;
+any other file is logged on the ``stacksort.census`` logger and recomputed.
 Reports are read back through the same tally reader and checks, with a
 total of n!.
 """
@@ -77,7 +84,9 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, Optional, Tuple
@@ -97,7 +106,6 @@ RANKS = bytes(range(256))  # the indices into a leaf's letters in play
 
 log = logging.getLogger(__name__)
 
-_SHAPES: Dict[int, dict] = {}  # length -> its table of shapes (_table_of_shapes)
 # (memo, shared, dict of S(w)) of the run a pool worker serves, made by
 # _start_worker; None in every other process
 _worker_dicts: Optional[tuple] = None
@@ -263,15 +271,13 @@ def _catalog_sha256() -> str:
 def _length_state(n: int) -> tuple:
     """``(dispatch, table, shapes)`` for length n: the generated dispatch of
     the built-in catalog compiled for n, the prefix table over
-    S_min(n-1, TABLE_CAP) and the complete table of shapes of
-    :func:`_table_of_shapes`.  All three are built on the first call in a
+    S_min(n-1, TABLE_CAP) and the complete table of shapes, from
+    ``Catalog.compiled`` and the ``lru_cache``d builders ``_prefix_table``
+    and :func:`_table_of_shapes`.  Each is built on the first call in a
     process and kept for its life, so a call before a pool starts builds
     them once for every worker forked from it."""
-    shapes = _SHAPES.get(n)
-    if shapes is None:
-        shapes = _SHAPES[n] = _table_of_shapes(n)
     return (builtin_catalog().compiled(n).dispatch,
-            _prefix_table(min(n - 1, TABLE_CAP)), shapes)
+            _prefix_table(min(n - 1, TABLE_CAP)), _table_of_shapes(n))
 
 
 def _start_worker() -> None:
@@ -302,8 +308,10 @@ def _continuations(stack: list, free: list, ls: list) -> bytes:
                     for t in permutations(free))
 
 
+@lru_cache(maxsize=None)
 def _table_of_shapes(n: int) -> dict:
-    """Every shape of a leaf of S_n mapped to its :func:`_continuations`.
+    """Every shape of a leaf of S_n mapped to its :func:`_continuations`,
+    built whole on the first call for n and kept, like ``_prefix_table``.
 
     From n = 4 on a leaf has four free letters and m = 4..n letters in play,
     n the largest of them, and its shape is m and the four places of the
@@ -383,10 +391,9 @@ def _shard_kernel(n: int, lo: int, hi: int,
     and so is only ever read, and otherwise a dict filled through
     ``_complexity``, which drops the settled maxima at the end of S(w) and
     of each later pass until the table answers.  The memo, its ``shared``
-    values and the dict of S(w) are ``dicts``, those of the census run in
-    this process (passed by :func:`_shard_task`), so the shards one
-    process computes in one run share them; a direct call with none gets
-    fresh ones that die with it.  The memo and the dict of S(w) are
+    values and the dict of S(w) are ``dicts``, the run's in this process
+    (see the module docstring); a direct call with none gets fresh ones
+    that die with it.  The memo and the dict of S(w) are
     cleared when they hold ``_MEMO_CAP`` entries, which bounds a run of
     any length in each process.  A key is the exact state, shape or word,
     never a hash of it, so a hit returns what a miss would compute and no
@@ -396,14 +403,10 @@ def _shard_kernel(n: int, lo: int, hi: int,
     dispatch cell, the only call in the leaf's loop, and the tallies;
     complexity 0 is the word with no descent, and the counts are the row
     sums of the descent matrix.  The dispatch, the prefix table and the
-    table of shapes come from :func:`_length_state`: the compiled catalog
-    is the process's own (``Catalog.compiled``), shared with
-    ``classify``, so each is built once per process and length.  A forked
-    pool worker inherits them from the calling process of
-    :func:`run_census`; a worker started by ``spawn`` or ``forkserver``
-    builds them on its first shard.  Words are classified, checked and
-    tallied one at a time in rank order, so the first clash raised is the
-    lowest-ranked one.
+    table of shapes come from :func:`_length_state`, the process's for
+    the length; the compiled catalog is shared with ``classify``.  Words
+    are classified, checked and tallied one at a time in rank order, so
+    the first clash raised is the lowest-ranked one.
     """
     tallies = _zero_tallies(n)
     if hi <= lo:
@@ -508,15 +511,22 @@ def _shard_kernel(n: int, lo: int, hi: int,
     return tallies
 
 
-def _checkpoint_path(directory: str, n: int, shard_count: int, index: int) -> str:
-    return os.path.join(directory, f"shard-{n}-{shard_count}-{index:04d}.json")
+def _checkpoint_path(directory: str, header: dict) -> str:
+    return os.path.join(directory, "shard-{n}-{shard_count}-{index:04d}.json"
+                        .format(**header))
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` by a rename; a failure leaves no temp file."""
     tmp = path + f".{os.getpid()}.tmp"  # workers never share a temp file
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 _CHECKSUM_KEY = b'"checksum": '
@@ -564,37 +574,34 @@ def _read_shard(path: str, header: dict, levels: dict) -> dict:
     return tallies
 
 
-def _shard_task(args: tuple, dicts: Optional[tuple] = None) -> dict:
-    """Compute one shard with the run's kernel dicts and, with a checkpoint
-    directory, save it (process-pool safe).  The dicts are ``dicts`` when
+def _shard_task(record: tuple, dicts: Optional[tuple] = None) -> dict:
+    """Compute the shard of a record ``(header, path)`` with the run's
+    kernel dicts and, when ``path`` is not None, save the header and the
+    tallies there (process-pool safe).  The dicts are ``dicts`` when
     :func:`run_census` computes the shard itself, and those of
     :func:`_start_worker` in a pool worker, which passes none."""
-    n, shard_count, index, lo, hi, checkpoint_dir, catalog_sha = args
-    result = _shard_kernel(n, lo, hi, dicts or _worker_dicts)
-    if checkpoint_dir is not None:
-        payload = _shard_header(n, shard_count, index, lo, hi, catalog_sha)
-        payload.update(_tally_strings(_SHARD_KEYS, result["counts"],
-                                      result["rows"], result["descents"]))
-        _write_atomic(_checkpoint_path(checkpoint_dir, n, shard_count, index),
-                      _shard_text(payload))
+    header, path = record
+    result = _shard_kernel(header["n"], header["lo"], header["hi"],
+                           dicts or _worker_dicts)
+    if path is not None:
+        _write_atomic(path, _shard_text(
+            {**header, **_tally_strings(_SHARD_KEYS, *result.values())}))
     return result
 
 
-def _resume_shards(n, shard_count, bounds, checkpoint_dir, catalog_sha) -> dict:
-    """Saved shards that pass every check, by index; each unusable file is
-    logged once and left out, so that it is recomputed."""
+def _resume_shards(n: int, records: list) -> dict:
+    """Saved shards that pass every check against their records' headers,
+    by index; each unusable file is logged once and left out, so that it is
+    recomputed."""
     levels = builtin_catalog().levels(n)
     found = {}
-    for i in range(shard_count):
-        path = _checkpoint_path(checkpoint_dir, n, shard_count, i)
-        header = _shard_header(n, shard_count, i, bounds[i], bounds[i + 1],
-                               catalog_sha)
+    for header, path in records:
         try:
-            found[i] = _read_shard(path, header, levels)
+            found[header["index"]] = _read_shard(path, header, levels)
         except FileNotFoundError:
             pass
         except ValueError as exc:
-            log.warning("shard %d (%s): %s; recomputing", i, path, exc)
+            log.warning("shard %d (%s): %s; recomputing", header["index"], path, exc)
     return found
 
 
@@ -620,30 +627,25 @@ def run_census(
     """Enumerate all n! words and return their exact census.
 
     ``shard_count`` splits the rank range [0, n!) at i*n!//shard_count; the
-    merged tallies are identical for every shard count.  With ``jobs > 1``
-    shards run in separate processes.  With ``checkpoint_dir`` each finished
-    shard is saved, and ``resume=True``, which needs ``checkpoint_dir``,
-    first reads the shard files already there in this process, so an
-    interrupted run continues where it stopped.
-    A file is reused only when it matches this run (n, shard count, index,
-    rank range, kernel version and catalog hash) and its checksum, shape,
-    row labels and sums check out; any other file is logged and recomputed.
+    merged tallies are identical for every shard count.  Each shard is one
+    record ``(header, path)``, built here once (see the module docstring).
+    With ``jobs > 1`` shards run in separate processes.  With
+    ``checkpoint_dir`` each finished shard is saved at its path, and
+    ``resume=True``, which needs ``checkpoint_dir``, first reads here each
+    saved file that carries its record's header and passes every check
+    (:func:`_resume_shards`), so an interrupted run continues where it
+    stopped; any other file is logged and recomputed.
     Only the shards left to compute go to the kernel, in a pool of
     ``min(jobs, shards left)`` workers when more than one is left.  Just
-    before that pool starts, this process builds the kernel's per-length
-    state (the dispatch, prefix table and table of shapes of
-    :func:`_length_state`), so forked workers inherit it instead of each
-    building its own; under ``spawn`` or ``forkserver`` each worker builds
-    it on its first shard.  Without a pool, the state is built by the first
-    shard computed here, and a resume with no shard left builds none.  When
-    the wait for that pool is cut short, by an interrupt or a failed shard,
-    the pool is stopped at once: no queued shard is waited for.
-
-    The kernel's memo, its ``shared`` values and dict of S(w) last one run
-    in each process: the shards this call computes share dicts it makes as
-    locals, and the shards one pool worker computes share the dicts
-    :func:`_start_worker` gives it.  Pool workers are made for this run
-    alone, so no entry outlives the run or reaches another.
+    before that pool starts, this process builds the per-length state of
+    :func:`_length_state`, so forked workers inherit it; without a pool the
+    first shard computed here builds it, and a resume with no shard left
+    builds none.  When the wait for that pool is cut short, by an interrupt
+    or a failed shard, the pool is stopped at once: no queued shard is
+    waited for.  The shards computed here share kernel dicts this call
+    makes as locals; each pool worker, made for this run alone, has its own.
+    The merge sums the rows and the descent matrices and derives the counts
+    once, as the merged matrix's row sums; :meth:`Census.validate` checks it.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
@@ -656,19 +658,18 @@ def run_census(
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
     total = factorial(n)
-    bounds = [i * total // shard_count for i in range(shard_count + 1)]
     catalog_sha = None
-    results = {}
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         catalog_sha = _catalog_sha256()
-        if resume:
-            results = _resume_shards(n, shard_count, bounds, checkpoint_dir,
-                                     catalog_sha)
-    todo = [
-        (n, shard_count, i, bounds[i], bounds[i + 1], checkpoint_dir, catalog_sha)
-        for i in range(shard_count) if i not in results
-    ]
+    records = []  # one (header, path) per shard
+    for i in range(shard_count):
+        header = _shard_header(n, shard_count, i, i * total // shard_count,
+                               (i + 1) * total // shard_count, catalog_sha)
+        records.append((header, None if checkpoint_dir is None
+                        else _checkpoint_path(checkpoint_dir, header)))
+    results = _resume_shards(n, records) if resume else {}
+    todo = [r for r in records if r[0]["index"] not in results]
     if jobs == 1 or len(todo) <= 1:
         dicts = ({}, {}, {})  # the kernel dicts of this run in this process
         computed = [_shard_task(t, dicts) for t in todo]
@@ -681,18 +682,15 @@ def run_census(
             except BaseException:
                 _stop_pool(pool)  # so that leaving the block waits on nothing
                 raise
-    results.update((t[2], res) for t, res in zip(todo, computed))
-    merged = _zero_tallies(n)
-    cnt, rows, dm = merged.values()
+    results.update((header["index"], res) for (header, _), res in zip(todo, computed))
+    _, rows, dm = _zero_tallies(n).values()
     for res in results.values():
-        for c, v in enumerate(res["counts"]):
-            cnt[c] += v
         for label, v in res["rows"].items():
             rows[label] += v
         for c, row in enumerate(res["descents"]):
             for d, v in enumerate(row):
                 dm[c][d] += v
-    census = Census(n, tuple(cnt), rows, tuple(map(tuple, dm)), shard_count)
+    census = Census(n, tuple(map(sum, dm)), rows, tuple(map(tuple, dm)), shard_count)
     census.validate()
     return census
 

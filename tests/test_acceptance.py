@@ -267,7 +267,9 @@ def test_criterion_10_infrastructure(census_cache, tmp_path):
     bounds = [i * total // 16 for i in range(17)]
     catalog_sha = census_mod._catalog_sha256()
     for i in (0, 3, 7, 11):
-        census_mod._shard_task((9, 16, i, bounds[i], bounds[i + 1], d, catalog_sha))
+        header = census_mod._shard_header(9, 16, i, bounds[i], bounds[i + 1],
+                                          catalog_sha)
+        census_mod._shard_task((header, census_mod._checkpoint_path(d, header)))
     resumed = run_census(9, shard_count=16, checkpoint_dir=d, resume=True)
     ok = ok and resumed.checksum == census_cache(9).checksum
     check(10, ok, "operator/rank round-trips n<=8; shard counts {1,4,16} "

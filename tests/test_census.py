@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
@@ -79,6 +80,15 @@ def _passes_to_identity(w):
     return k
 
 
+@lru_cache(maxsize=None)
+def _reference_catalog(n, tiers):
+    """The built-in catalog compiled for length n under the tier table
+    ``tiers``, built once per pair and apart from ``Catalog.compiled``: the
+    key is the table itself, so a test that patches ``patterns._TIERS``
+    never reuses a catalog compiled under other floors."""
+    return CompiledCatalog(builtin_catalog(), n)
+
+
 def _reference_words(n, lo, hi):
     """(complexity, descents, label) of ranks [lo, hi), one word at a time
     through unrank, next_permutation, whole stack passes, descents and the
@@ -86,7 +96,7 @@ def _reference_words(n, lo, hi):
     as its oracle.  Raises CensusSoundnessError like the kernel."""
     if hi <= lo:
         return
-    cc = CompiledCatalog(builtin_catalog(), n)
+    cc = _reference_catalog(n, patterns_mod._TIERS)
     ceiling = census_mod.none_ceiling(n)
     w = list(unrank(n, lo))
     for r in range(lo, hi):
@@ -180,7 +190,7 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     # and the places of its four free letters among them, so the first call,
     # on a table that no earlier test built, builds all C(10, 5) = 252 and
     # the second none
-    monkeypatch.delitem(census_mod._SHAPES, 9, raising=False)
+    census_mod._table_of_shapes.cache_clear()
     calls = _counting(monkeypatch, "_complexity")
     shapes = _counting(monkeypatch, "_continuations")
     first = census_mod._shard_kernel(9, 0, 40320)
@@ -188,7 +198,7 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     assert census_mod._shard_kernel(9, 0, 40320) == first
     assert (len(calls), len(shapes)) == (2 * once, built)
     assert once <= 1780
-    assert built == len(census_mod._SHAPES[9]) == comb(10, 5)
+    assert built == len(census_mod._table_of_shapes(9)) == comb(10, 5)
     assert first == _reference_kernel(9, 0, 40320)
 
 
@@ -202,7 +212,8 @@ def test_kernel_dicts_live_for_one_run_per_process(monkeypatch):
     # computes each S(w) once however the run is sharded; the next run,
     # with the same or another shard count, recomputes them all, and so
     # does a run after a shard task called outside any run
-    census_mod._shard_task((9, 8, 0, 0, factorial(9) // 8, None, None))
+    header = census_mod._shard_header(9, 8, 0, 0, factorial(9) // 8, None)
+    census_mod._shard_task((header, None))
     calls = _counting(monkeypatch, "_complexity")
     for shards in (1, 8, 102, 1):
         calls.clear()
@@ -277,7 +288,7 @@ def test_tables_of_shapes_are_kept_per_length(monkeypatch):
     # of its length; below n = 4 phantom letters give a shape that a longer
     # length has with another continuation ((4, 0, 1, 2, 3) at n = 3 and 4),
     # so a table shared across lengths would change the counts
-    monkeypatch.setattr(census_mod, "_SHAPES", {})
+    census_mod._table_of_shapes.cache_clear()
     shapes = _counting(monkeypatch, "_continuations")
     for n in (*range(1, 9), *range(8, 0, -1)):
         c = run_census(n, shard_count=3)
@@ -288,8 +299,9 @@ def test_tables_of_shapes_are_kept_per_length(monkeypatch):
     # the continuation, 24 orders of the pass a call, ran once for each
     # shape of each length; stack[0] is the guard letter n + 1
     built = [stack[0] - 1 for stack, _, _ in shapes]
+    assert census_mod._table_of_shapes.cache_info().misses == 8
     for n in range(1, 9):
-        assert built.count(n) == len(census_mod._SHAPES[n]) == _shape_count(n), n
+        assert built.count(n) == len(census_mod._table_of_shapes(n)) == _shape_count(n), n
 
 
 def _leaf_states(n):
@@ -610,12 +622,12 @@ def test_resume_of_a_finished_run_starts_no_pool(tmp_path, census_cache, monkeyp
 
 
 def _drop_length_state(monkeypatch, n):
-    """Forget the prefix tables, and the catalog compiled and the table of
-    shapes for length n, that this process holds, so that the next use
+    """Forget the prefix tables and the tables of shapes, and the catalog
+    compiled for length n, that this process holds, so that the next use
     builds them again."""
     words_mod._prefix_table.cache_clear()
     monkeypatch.delitem(builtin_catalog()._compiled, n, raising=False)
-    monkeypatch.delitem(census_mod._SHAPES, n, raising=False)
+    census_mod._table_of_shapes.cache_clear()
 
 
 @fork_only
@@ -652,12 +664,13 @@ def test_forked_workers_build_no_shape(monkeypatch):
         return continuations(*args)
 
     monkeypatch.setattr(census_mod, "_continuations", counted)
-    monkeypatch.delitem(census_mod._SHAPES, 8, raising=False)
+    census_mod._table_of_shapes.cache_clear()
     for _ in range(2):
         c = run_census(8, shard_count=11, jobs=2)
         assert c.checksum == PINNED_CHECKSUMS[8]
     assert calls.value == 0
-    assert len(census_mod._SHAPES[8]) == comb(9, 5)
+    assert census_mod._table_of_shapes.cache_info().misses == 1
+    assert len(census_mod._table_of_shapes(8)) == comb(9, 5)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -688,7 +701,7 @@ def test_resume_of_a_finished_run_builds_no_state(tmp_path, census_cache,
     assert c.checksum == serial
     assert words_mod._prefix_table.cache_info().currsize == 0
     assert 7 not in builtin_catalog()._compiled
-    assert 7 not in census_mod._SHAPES
+    assert census_mod._table_of_shapes.cache_info().currsize == 0
 
 
 def test_partial_resume_computes_only_missing_shards(tmp_path, census_cache,
@@ -728,7 +741,7 @@ def test_partial_resume_sizes_the_pool_to_the_shards_left(tmp_path, census_cache
 
         def map(self, fn, tasks):
             tasks = list(tasks)
-            self.record["shards"] += [t[2] for t in tasks]
+            self.record["shards"] += [t[0]["index"] for t in tasks]
             return map(fn, tasks)
 
     monkeypatch.setattr(census_mod, "ProcessPoolExecutor", InlinePool)
@@ -837,6 +850,28 @@ def test_resume_recomputes_a_bad_shard(case, tmp_path, census_cache, caplog):
     assert record.levelname == "WARNING"
     assert record.getMessage().startswith(f"shard 1 ({path}): ")
     assert reason in record.getMessage()
+
+
+# sha256 of the text of shard 1 of run_census(6, shard_count=4) with
+# checkpoints, schema 1 and kernel 1: files written before a change to the
+# run layer must still resume, so the text a run writes stays fixed.  The
+# text holds the catalog's sha256, so an edit of the catalog changes it too
+PINNED_SHARD_TEXT = (
+    "sha256:94b2e5e95058d8c010819a4ff341a2ed51154957d38097e6672f435463badd49")
+
+
+def test_shard_file_text_is_pinned(tmp_path):
+    run_census(6, shard_count=4, checkpoint_dir=str(tmp_path))
+    text = (tmp_path / "shard-6-4-0001.json").read_bytes()
+    assert census_mod._sha256(text) == PINNED_SHARD_TEXT
+
+
+def test_a_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    # the write fails once the temp file exists (text that is no str); a
+    # failed rename is tests/test_cli.py's report onto a directory
+    with pytest.raises(TypeError):
+        census_mod._write_atomic(str(tmp_path / "shard.json"), None)
+    assert os.listdir(tmp_path) == []
 
 
 def test_save_load_roundtrip(tmp_path, census_cache):

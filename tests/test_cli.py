@@ -129,6 +129,17 @@ def test_failed_csv_export_keeps_the_old_file(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["rows.csv"]
 
 
+def test_report_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    # the report's temp file is written next to --out, and the rename onto
+    # a directory fails: the error is one line, and the temp file goes
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _, err = run(capsys, "census", "--n", "4", "--out", str(out))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("stacksort: ")
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(out) == []
+
+
 def test_census_checkpoint_resume(tmp_path, capsys):
     d = tmp_path / "ck"
     code, out1, _ = run(capsys, "census", "--n", "4", "--shards", "4",
