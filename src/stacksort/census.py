@@ -15,13 +15,16 @@ leaf that serves the 24 orders of its last four letters.  Leaves whose
 prefixes leave that first pass in the same state (the same output and
 stack) share all 24 S(w): the kernel computes their complexities once,
 in a memo cleared at a fixed size, and reads them back for every later
-prefix with that state.  On a miss it builds the 24 S(w) from a table
-keyed by the state's shape, the places of the four free letters among
-the letters still in play: the rest of the pass only compares those
-letters, so the shape fixes it up to their names.  A length has C(n + 1, 5)
-shapes, and the pass runs once for each, when the table is built.
-It then looks each S(w) up in a dict keyed by S(w) itself, since
-different states can give the same S(w).  All three keys are exact, so a
+prefix with that state.  A miss is three C-level calls over the whole
+leaf.  The state's shape, the places of the four free letters among the
+letters still in play, keys a template of its 24 S(w) written as places:
+the rest of the pass only compares those letters, so the shape fixes it
+up to their names.  One ``translate`` renames the places to the state's
+letters, one ``split`` cuts the 24 S(w) apart, and one ``map`` reads each
+from a dict keyed by S(w) itself, since different states can give the
+same S(w); from n = 9 on that dict computes a complexity on its first
+read.  A length has C(n + 1, 5) shapes, and the pass runs once for each,
+when the table of templates is built.  All three keys are exact, so a
 hit gives what recomputing would, and every word is still classified,
 checked and tallied on its own in rank order: no tally can differ from a
 word-by-word walk.
@@ -32,8 +35,8 @@ and the table of shapes belong to the process and the length
 by ``Catalog.compiled`` and two ``lru_cache``d builders.  The dispatch
 holds the generated function of each cell, all generated for a length
 with one compile() call; each word costs one read of its leaf's memo
-entry and one call of such a function.  The table of shapes only
-renames letters and holds C(n + 1, 5) entries, but one length's table
+entry and one call of such a function.  The table of shapes holds places,
+not letters, and C(n + 1, 5) templates, but one length's table
 cannot serve another: below n = 4 phantom letters give a shape that a
 longer length also has, with another continuation.  A run that starts a
 process pool builds all three in the calling process first, so workers
@@ -99,10 +102,13 @@ SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
 MAX_N = 14
 # entries of the leaf memo, and from n = 9 on of the dict of S(w), that one
-# census run holds in one process (or one direct kernel call holds) before
-# each is cleared
+# census run holds in one process (or one direct kernel call holds): the
+# kernel clears the memo on a miss that finds it full, and the dict of S(w)
+# clears itself when a complexity it has not seen would overfill it
 _MEMO_CAP = 1 << 18
-RANKS = bytes(range(256))  # the indices into a leaf's letters in play
+RANKS = bytes(range(256))  # the places in a template of a leaf's letters
+SEP = b"\xff"  # between a template's 24 words: above every letter and place
+PLUS_ONE = RANKS[1:] + RANKS[:1]  # translates each complexity c to c + 1
 
 log = logging.getLogger(__name__)
 
@@ -280,11 +286,26 @@ def _length_state(n: int) -> tuple:
             _prefix_table(min(n - 1, TABLE_CAP)), _table_of_shapes(n))
 
 
+class _Complexities(dict):
+    """A run's dict of S(w) from n = 9 on: ``bytes(S(w) without n)`` to its
+    complexity.  Reading a word it does not hold computes the complexity
+    with ``_complexity`` and stores it, after clearing the dict if it holds
+    ``_MEMO_CAP`` entries, so the kernel only ever reads it."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: bytes) -> int:
+        if len(self) >= _MEMO_CAP:
+            self.clear()
+        k = self[v] = _complexity(list(v))
+        return k
+
+
 def _start_worker() -> None:
     """Pool initializer: fresh kernel dicts for the one run this worker
     serves, which :func:`_shard_task` reads for every shard it computes."""
     global _worker_dicts
-    _worker_dicts = ({}, {}, {})
+    _worker_dicts = ({}, {}, _Complexities())
 
 
 def _in_play(stack: list, free: list) -> tuple:
@@ -296,22 +317,26 @@ def _in_play(stack: list, free: list) -> tuple:
 
 
 def _continuations(stack: list, free: list, ls: list) -> bytes:
-    """What finishing the first pass from a leaf's state appends to its
-    output, in each of the 24 orders of the four free letters ``free``
-    (lexicographic), without n and as bytes of indices into ``ls``, the
-    sorted letters of ``stack[1:] + free``, all 24 concatenated.  ``stack``
-    decreases upwards over a guard letter above n, so pushing ``stack[1:]``
+    """The template of a leaf's state: its 24 S(w) without n, one for each
+    order of the four free letters ``free`` (lexicographic), as bytes of
+    places joined by ``SEP``.  Places 0..m - 1 stand for ``ls``, the m
+    sorted letters of ``stack[1:] + free``, and places m..n - 1 for the
+    n - m letters of the output in order; each S(w) is those n - m places,
+    then what finishing the first pass appends to the output.  ``stack``
+    decreases upwards over the guard letter n + 1, so pushing ``stack[1:]``
     again pops nothing; a phantom letter 0 in ``free`` is not pushed, and
     n, the largest letter in play, comes out last."""
-    return b"".join(bytes(map(ls.index, _pass(stack[1:] + [x for x in t if x],
-                                              stack[0])[:-1]))
+    head = RANKS[len(ls):stack[0] - 1]  # empty below n = 4, where m = 4 > n
+    return SEP.join(head + bytes(map(ls.index, _pass(stack[1:] + [x for x in t if x],
+                                                     stack[0])[:-1]))
                     for t in permutations(free))
 
 
 @lru_cache(maxsize=None)
 def _table_of_shapes(n: int) -> dict:
-    """Every shape of a leaf of S_n mapped to its :func:`_continuations`,
-    built whole on the first call for n and kept, like ``_prefix_table``.
+    """Every shape of a leaf of S_n mapped to its template, from
+    :func:`_continuations`, built whole on the first call for n and kept,
+    like ``_prefix_table``.
 
     From n = 4 on a leaf has four free letters and m = 4..n letters in play,
     n the largest of them, and its shape is m and the four places of the
@@ -321,7 +346,8 @@ def _table_of_shapes(n: int) -> dict:
     order.  Below n = 4 the root is the only leaf, with phantom letters 0
     leading ``free``, and its one shape can be a shape of a longer length
     with another continuation, (4, 0, 0, 2, 3) at n = 2, so one table
-    serves one length only."""
+    serves one length only.  A template is 24 words of n - 1 places
+    joined by ``SEP``, 24 * n - 1 bytes: 24,066 bytes in all at n = 8."""
     if n < 4:
         states = [([n + 1], [0] * (4 - n) + list(range(1, n + 1)))]
     else:
@@ -342,15 +368,17 @@ def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
 
     Finishing the pass only compares letters still in play, those of
     ``ls``, and the stack decreases upwards, so the state's shape (see
-    :func:`_in_play`) fixes each continuation as a sequence of indices into
-    ``ls``.  ``shapes``, the complete table of shapes of the length
-    (:func:`_table_of_shapes`), holds the 24 sequences of each shape as one
-    bytes; one ``translate`` renames them to this state's letters."""
+    :func:`_in_play`) fixes each S(w) as a sequence of places: those of
+    the output's letters, then places in ``ls``.  ``shapes``, the complete
+    table of shapes of the length (:func:`_table_of_shapes`), holds the 24
+    sequences of each shape as one template; one ``translate`` renames
+    the places to this state's letters, ``ls`` then ``out``, and one
+    ``split`` cuts the 24 words apart."""
     ls, shape = _in_play(stack, free)
-    tails = shapes[shape].translate(bytes.maketrans(RANKS[:len(ls)], bytes(ls)))
-    head = bytes(out)
-    size = len(tails) // 24
-    return [head + tails[i * size:(i + 1) * size] for i in range(24)]
+    letters = bytes(ls + out)
+    return shapes[shape].translate(
+        bytes.maketrans(RANKS[:len(letters)], letters)).split(SEP)
+
 
 def _shard_kernel(n: int, lo: int, hi: int,
                   dicts: Optional[tuple] = None) -> dict:
@@ -383,21 +411,23 @@ def _shard_kernel(n: int, lo: int, hi: int,
     state's shape.  A shape is a number m <= n of letters in play and the
     places of the four free letters among them, which increase, so a
     length has C(n + 1, 5) shapes (126 at n = 8), each in the table built
-    whole by :func:`_length_state`, and no miss finishes the stack pass.
-    Another state can give the same S(w) (S of the order a < b < c < d is
-    the output and then every other letter in increasing order), so each
-    S(w) without n is looked up, as bytes, in a dict of S(w): the prefix
-    table itself when n - 1 <= TABLE_CAP, since it holds all of S_{n-1}
-    and so is only ever read, and otherwise a dict filled through
-    ``_complexity``, which drops the settled maxima at the end of S(w) and
-    of each later pass until the table answers.  The memo, its ``shared``
-    values and the dict of S(w) are ``dicts``, the run's in this process
-    (see the module docstring); a direct call with none gets fresh ones
-    that die with it.  The memo and the dict of S(w) are
-    cleared when they hold ``_MEMO_CAP`` entries, which bounds a run of
-    any length in each process.  A key is the exact state, shape or word,
-    never a hash of it, so a hit returns what a miss would compute and no
-    tally can change.
+    whole by :func:`_length_state`, and no miss finishes the stack pass:
+    one ``translate`` of the shape's template and one ``split`` give the
+    24 words.  Another state can give the same S(w) (S of the order
+    a < b < c < d is the output and then every other letter in increasing
+    order), so one ``map`` reads each S(w) without n, as bytes, from a
+    dict of S(w): the prefix table itself when n - 1 <= TABLE_CAP, since
+    it holds all of S_{n-1} and so is only ever read, and otherwise a
+    :class:`_Complexities` that fills itself through ``_complexity``,
+    which drops the settled maxima at the end of S(w) and of each later
+    pass until the table answers.  A last ``translate`` adds one to each
+    of the 24 complexities for the memo.  The memo, its ``shared`` values
+    and the dict of S(w) are ``dicts``, the run's in this process (see the
+    module docstring); a direct call with none gets fresh ones that die
+    with it.  The memo and the dict of S(w) are cleared when they hold
+    ``_MEMO_CAP`` entries, which bounds a run of any length in each
+    process.  A key is the exact state, shape or word, never a hash of it,
+    so a hit returns what a miss would compute and no tally can change.
 
     Each word then costs one call of the generated function of its
     dispatch cell, the only call in the leaf's loop, and the tallies;
@@ -418,7 +448,7 @@ def _shard_kernel(n: int, lo: int, hi: int,
     # bytes(out + stack) at a leaf -> 1 + complexity of each of its 24 S(w),
     # as bytes; the memo's values, each distinct one stored once; and
     # bytes(S(w) without n) -> its complexity: the run's or this call's own
-    memo, shared, known = dicts if dicts is not None else ({}, {}, {})
+    memo, shared, known = dicts if dicts is not None else ({}, {}, _Complexities())
     if n - 1 <= TABLE_CAP:
         known = table  # it holds all of S_{n-1}, so it only ever hits
     fact = [factorial(m) for m in range(n + 1)]
@@ -446,15 +476,8 @@ def _shard_kernel(n: int, lo: int, hi: int,
                 if len(memo) >= _MEMO_CAP:
                     memo.clear()
                     shared.clear()
-                cs = bytearray()
-                for v in _leaf_words(shapes, stack, out, free):
-                    k = known.get(v)
-                    if k is None:
-                        if len(known) >= _MEMO_CAP:
-                            known.clear()
-                        k = known[v] = _complexity(list(v))
-                    cs.append(k + 1)
-                cs = bytes(cs)
+                cs = bytes(map(known.__getitem__, _leaf_words(shapes, stack, out, free))
+                           ).translate(PLUS_ONE)
                 cs = memo[key] = shared.setdefault(cs, cs)
             a, b, c, f = free  # in increasing order
             # each letter for index n - 4, then the other three in increasing order
@@ -671,7 +694,7 @@ def run_census(
     results = _resume_shards(n, records) if resume else {}
     todo = [r for r in records if r[0]["index"] not in results]
     if jobs == 1 or len(todo) <= 1:
-        dicts = ({}, {}, {})  # the kernel dicts of this run in this process
+        dicts = ({}, {}, _Complexities())  # the kernel dicts of this run in this process
         computed = [_shard_task(t, dicts) for t in todo]
     else:
         _length_state(n)  # here, so that forked workers inherit it

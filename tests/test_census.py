@@ -304,11 +304,14 @@ def test_tables_of_shapes_are_kept_per_length(monkeypatch):
         assert built.count(n) == len(census_mod._table_of_shapes(n)) == _shape_count(n), n
 
 
-def _leaf_states(n):
-    """(prefix, stack, out, free) of every leaf of S_n: each prefix of n - 4
-    letters after one stack pass, and the four free letters, led by
-    phantom 0s below n = 4, as the kernel holds them."""
-    for prefix in permutations(range(1, n + 1), max(n - 4, 0)):
+def _leaf_states(n, prefixes=None):
+    """(prefix, stack, out, free) of each leaf of S_n whose prefix of n - 4
+    letters is in ``prefixes``, by default every leaf: the prefix after one
+    stack pass, and the four free letters, led by phantom 0s below n = 4,
+    as the kernel holds them."""
+    if prefixes is None:
+        prefixes = permutations(range(1, n + 1), max(n - 4, 0))
+    for prefix in prefixes:
         stack, out = [n + 1], []
         for x in prefix:
             while stack[-1] < x:
@@ -318,14 +321,22 @@ def _leaf_states(n):
         yield list(prefix), stack, out, free
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_leaf_shapes_give_every_sorted_word(n):
     # the complete table of shapes, each built from one canonical state,
     # serves every leaf of S_n: what it gives for a leaf is S of each of the
-    # leaf's 24 words, by the recursive definition
+    # leaf's 24 words, by the recursive definition, the output's letters
+    # included.  Every leaf up to n = 8; from n = 9 on, seeded leaves
     shapes = census_mod._table_of_shapes(n)
     assert len(shapes) == _shape_count(n)
-    for prefix, stack, out, free in _leaf_states(n):
+    # each template holds 24 words of n - 1 places (empty at n = 1)
+    for template in shapes.values():
+        assert [len(v) for v in template.split(census_mod.SEP)] == [n - 1] * 24
+    prefixes = None
+    if n >= 9:
+        rng = random.Random(n)
+        prefixes = [rng.sample(range(1, n + 1), n - 4) for _ in range(300)]
+    for prefix, stack, out, free in _leaf_states(n, prefixes):
         want = [bytes(stack_sort(prefix + [x for x in t if x]))[:-1]
                 for t in permutations(free)]
         assert census_mod._leaf_words(shapes, stack, out, free) == want, prefix
