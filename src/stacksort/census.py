@@ -25,9 +25,11 @@ from a dict keyed by S(w) itself, since different states can give the
 same S(w); from n = 9 on that dict computes a complexity on its first
 read.  A length has C(n + 1, 5) shapes, and the pass runs once for each,
 when the table of templates is built.  All three keys are exact, so a
-hit gives what recomputing would, and every word is still classified,
-checked and tallied on its own in rank order: no tally can differ from a
-word-by-word walk.
+hit gives what recomputing would.  Every word is classified and checked
+on its own in rank order, its letters from one ``permutations`` iterator
+over the leaf, and the descent matrix is summed over exact ``(cs, es)``
+keys, a leaf's 24 complexities and 24 descent counts, once for each
+distinct key: no tally can differ from a word-by-word walk.
 
 The kernel's state has two lifetimes.  The dispatch, the prefix table
 and the table of shapes belong to the process and the length
@@ -90,13 +92,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import factorial
 from typing import Dict, Optional, Tuple
 
 from .formulas import _column_sums
 from .patterns import builtin_catalog, format_row, none_ceiling
-from .words import TABLE_CAP, _complexity, _pass, _prefix_table, format_word
+from .words import TABLE_CAP, _complexity, _pass, _prefix_table, format_word, rank
 
 SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
@@ -316,16 +318,17 @@ def _in_play(stack: list, free: list) -> tuple:
     return ls, (len(ls), *map(ls.index, free))
 
 
-def _continuations(stack: list, free: list, ls: list) -> bytes:
-    """The template of a leaf's state: its 24 S(w) without n, one for each
-    order of the four free letters ``free`` (lexicographic), as bytes of
-    places joined by ``SEP``.  Places 0..m - 1 stand for ``ls``, the m
+def _template(stack: list, free: list, ls: list) -> bytes:
+    """The template of a leaf's state: its 24 whole S(w) without n, one for
+    each order of the four free letters ``free`` (lexicographic), as bytes
+    of places joined by ``SEP``.  Places 0..m - 1 stand for ``ls``, the m
     sorted letters of ``stack[1:] + free``, and places m..n - 1 for the
     n - m letters of the output in order; each S(w) is those n - m places,
-    then what finishing the first pass appends to the output.  ``stack``
-    decreases upwards over the guard letter n + 1, so pushing ``stack[1:]``
-    again pops nothing; a phantom letter 0 in ``free`` is not pushed, and
-    n, the largest letter in play, comes out last."""
+    then the continuation, what finishing the first pass appends to the
+    output.  ``stack`` decreases upwards over the guard letter n + 1, so
+    pushing ``stack[1:]`` again pops nothing; a phantom letter 0 in
+    ``free`` is not pushed, and n, the largest letter in play, comes out
+    last."""
     head = RANKS[len(ls):stack[0] - 1]  # empty below n = 4, where m = 4 > n
     return SEP.join(head + bytes(map(ls.index, _pass(stack[1:] + [x for x in t if x],
                                                      stack[0])[:-1]))
@@ -335,7 +338,7 @@ def _continuations(stack: list, free: list, ls: list) -> bytes:
 @lru_cache(maxsize=None)
 def _table_of_shapes(n: int) -> dict:
     """Every shape of a leaf of S_n mapped to its template, from
-    :func:`_continuations`, built whole on the first call for n and kept,
+    :func:`_template`, built whole on the first call for n and kept,
     like ``_prefix_table``.
 
     From n = 4 on a leaf has four free letters and m = 4..n letters in play,
@@ -357,7 +360,7 @@ def _table_of_shapes(n: int) -> dict:
     shapes = {}
     for stack, free in states:
         ls, shape = _in_play(stack, free)
-        shapes[shape] = _continuations(stack, free, ls)
+        shapes[shape] = _template(stack, free, ls)
     return shapes
 
 
@@ -392,12 +395,12 @@ def _shard_kernel(n: int, lo: int, hi: int,
     list), sets ``w`` and ``pos`` and adds its descent, once for every
     word below it, and undoes all of it on return.  The walk stops at
     depth n - 4: a leaf serves the 24 orders of its four free letters in
-    lexicographic order, each word a rank of its block.  Its outer loop
-    takes each free letter in turn for index n - 4, setting ``w``, ``pos``
-    and the descent before it once for six words, and its inner loop
-    unrolls the six orders of the other three.  Below n = 4 the root is
-    the leaf, and phantom letters 0 lead ``free`` so that the first n! of
-    the 24 orders are the words of S_n.
+    lexicographic order, each word a rank of its block.  One loop takes
+    them from ``itertools.permutations(free)``, lexicographic since
+    ``free`` increases, through ``islice`` at a shard edge, and sets the
+    four letters of ``w`` and their ``pos``.  Below n = 4 the root is the
+    leaf, and phantom letters 0 lead ``free`` so that the first n! of the
+    24 orders are the words of S_n.
 
     The 24 S(w) of a leaf are fixed by its first-pass state, the output
     and the stack (the free letters are those in neither), so prefixes
@@ -430,13 +433,21 @@ def _shard_kernel(n: int, lo: int, hi: int,
     so a hit returns what a miss would compute and no tally can change.
 
     Each word then costs one call of the generated function of its
-    dispatch cell, the only call in the leaf's loop, and the tallies;
-    complexity 0 is the word with no descent, and the counts are the row
-    sums of the descent matrix.  The dispatch, the prefix table and the
-    table of shapes come from :func:`_length_state`, the process's for
-    the length; the compiled catalog is shared with ``classify``.  Words
-    are classified, checked and tallied one at a time in rank order, so
-    the first clash raised is the lowest-ranked one.
+    dispatch cell, the only call in the leaf's loop, its check and its
+    row tally.  A leaf's 24 descent counts depend only on the prefix's
+    descents d and on r, the number of free letters below its last
+    letter, so they are ``desc[d][r]``, bytes from a table built once per
+    call.  Complexity 0 is the sorted word, the one with no descent, which
+    can only be a leaf's first: when that word has none, a 0 replaces its
+    entry of ``cs``.  A leaf counts one for its key ``(cs, es)``, its
+    complexities and descents as exact bytes, and after the walk each
+    distinct key adds its count to ``descents[k][e]`` for each of its
+    words; the counts are the row sums of the descent matrix.  The
+    dispatch, the prefix table and the table of shapes come from
+    :func:`_length_state`, the process's for the length; the compiled
+    catalog is shared with ``classify``.  Words are classified and checked
+    one at a time in rank order, so the first clash raised is the
+    lowest-ranked one; only then is its rank computed, by ``words.rank``.
     """
     tallies = _zero_tallies(n)
     if hi <= lo:
@@ -456,10 +467,14 @@ def _shard_kernel(n: int, lo: int, hi: int,
     # where a leaf's four letters go: below n = 4 a phantom letter's spot,
     # clamped to 0, is written first and then overwritten
     l0, l1, l2, l3 = (max(i, 0) for i in range(n - 4, n))
-    # the descents within each order of four letters, by its first letter's
-    # place among them, in lexicographic order of the other three
-    steps = [[sum(a > b for a, b in zip(t, t[1:])) for t in permutations(range(4))
-              if t[0] == i] for i in range(4)]
+    # the descents of a leaf's 24 words, as bytes, when its prefix has d
+    # descents and ends above r of the four free letters: the first letter
+    # of order t is the (t // 6)-th smallest, and steps[t] the descents
+    # within the order
+    steps = [sum(a > b for a, b in zip(t, t[1:])) for t in permutations(range(4))]
+    desc = [[bytes(d + (t // 6 < r) + s for t, s in enumerate(steps)) for r in range(5)]
+            for d in range(max(n - 4, 1))]
+    leaves: dict = {}  # (complexities, descents) of a leaf's words -> its leaves
     w = [0] * n
     pos = [0] * (n + 1)
     free = [0] * (4 - n) + list(range(1, n + 1))  # letters not yet placed
@@ -480,37 +495,32 @@ def _shard_kernel(n: int, lo: int, hi: int,
                            ).translate(PLUS_ONE)
                 cs = memo[key] = shared.setdefault(cs, cs)
             a, b, c, f = free  # in increasing order
-            # each letter for index n - 4, then the other three in increasing order
-            firsts = ((a, b, c, f), (b, a, c, f), (c, a, b, f), (f, a, b, c))
-            for i in range(max(0, (lo - base) // 6), min(4, -((base - hi) // 6))):
-                x, p, q, r = firsts[i]
+            es = desc[d][(prev > a) + (prev > b) + (prev > c) + (prev > f)]
+            words = permutations(free)  # lexicographic, as free increases
+            if lo > base or hi < base + 24:
+                t0, t1 = max(lo - base, 0), min(hi - base, 24)
+                words = islice(words, t0, t1)
+                cs, es = cs[t0:t1], es[t0:t1]
+            if not es[0]:  # the sorted word, the one with no descent
+                cs = b"\0" + cs[1:]
+            leaves[cs, es] = leaves.get((cs, es), 0) + 1
+            for (x, y, z, u), k in zip(words, cs):
                 w[l0] = x
+                w[l1] = y
+                w[l2] = z
+                w[l3] = u
                 pos[x] = l0
-                dx = d + (prev > x)
-                st = steps[i]
-                ci = cs[6 * i:6 * i + 6]
-                at = base + 6 * i
-                for y, z, u, j in ((p, q, r, 0), (p, r, q, 1), (q, p, r, 2),  # lexicographic
-                                   (q, r, p, 3), (r, p, q, 4), (r, q, p, 5)
-                                   )[lo - at if lo > at else 0:hi - at]:
-                    w[l1] = y
-                    w[l2] = z
-                    w[l3] = u
-                    pos[y] = l1
-                    pos[z] = l2
-                    pos[u] = l3
-                    e = dx + st[j]
-                    k = ci[j] if e else 0  # the word with no descent is sorted
-                    label = dispatch[pos[n]][u](w, pos)
-                    if label is None:
-                        if k > ceiling:
-                            raise CensusSoundnessError(w, at + j, None, k, ceiling)
-                    elif k != certified[label]:
-                        raise CensusSoundnessError(w, at + j, label, k,
-                                                   certified[label])
-                    else:
-                        rows[label] += 1
-                    dm[k][e] += 1
+                pos[y] = l1
+                pos[z] = l2
+                pos[u] = l3
+                label = dispatch[pos[n]][u](w, pos)
+                if label is None:
+                    if k > ceiling:
+                        raise CensusSoundnessError(w, rank(w), None, k, ceiling)
+                elif k != certified[label]:
+                    raise CensusSoundnessError(w, rank(w), label, k, certified[label])
+                else:
+                    rows[label] += 1
             return
         m = n - depth
         s = fact[m - 1]
@@ -530,6 +540,9 @@ def _shard_kernel(n: int, lo: int, hi: int,
 
     walk(0, 0, 0, 0)
     del walk  # it refers to itself through its closure
+    for (cs, es), c in leaves.items():
+        for k, e in zip(cs, es):
+            dm[k][e] += c
     cnt[:] = map(sum, dm)
     return tallies
 

@@ -192,7 +192,7 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     # the second none
     census_mod._table_of_shapes.cache_clear()
     calls = _counting(monkeypatch, "_complexity")
-    shapes = _counting(monkeypatch, "_continuations")
+    shapes = _counting(monkeypatch, "_template")
     first = census_mod._shard_kernel(9, 0, 40320)
     once, built = len(calls), len(shapes)
     assert census_mod._shard_kernel(9, 0, 40320) == first
@@ -289,14 +289,14 @@ def test_tables_of_shapes_are_kept_per_length(monkeypatch):
     # length has with another continuation ((4, 0, 1, 2, 3) at n = 3 and 4),
     # so a table shared across lengths would change the counts
     census_mod._table_of_shapes.cache_clear()
-    shapes = _counting(monkeypatch, "_continuations")
+    shapes = _counting(monkeypatch, "_template")
     for n in (*range(1, 9), *range(8, 0, -1)):
         c = run_census(n, shard_count=3)
         if n in KNOWN_COUNTS:
             assert list(c.counts_by_complexity) == KNOWN_COUNTS[n], n
         if n in PINNED_CHECKSUMS:
             assert c.checksum == PINNED_CHECKSUMS[n], n
-    # the continuation, 24 orders of the pass a call, ran once for each
+    # the template, 24 orders of the pass a call, was built once for each
     # shape of each length; stack[0] is the guard letter n + 1
     built = [stack[0] - 1 for stack, _, _ in shapes]
     assert census_mod._table_of_shapes.cache_info().misses == 8
@@ -666,15 +666,15 @@ def test_forked_workers_build_no_shape(monkeypatch):
     # table filled as leaves miss would leave them up to 126 shapes to build
     # at n = 8, in every pooled run, since a worker's table dies with it
     parent, calls = os.getpid(), multiprocessing.Value("i", 0)
-    continuations = census_mod._continuations
+    template = census_mod._template
 
     def counted(*args):
         if os.getpid() != parent:
             with calls.get_lock():
                 calls.value += 1
-        return continuations(*args)
+        return template(*args)
 
-    monkeypatch.setattr(census_mod, "_continuations", counted)
+    monkeypatch.setattr(census_mod, "_template", counted)
     census_mod._table_of_shapes.cache_clear()
     for _ in range(2):
         c = run_census(8, shard_count=11, jobs=2)
@@ -994,6 +994,27 @@ def test_soundness_guard_trips(monkeypatch):
     back = pickle.loads(pickle.dumps(e.value))
     assert (back.word, back.rank, back.label, back.complexity, str(back)) == (
         e.value.word, 0, None, 0, str(e.value))
+
+
+def test_sorted_word_clash_at_every_leaf_depth(monkeypatch):
+    # the sorted word is the one with no descent, so it alone has
+    # complexity 0, whether its leaf is the root with phantom letters
+    # (n < 4) or lies deeper; with no row allowed to leave a word
+    # unclassified, it trips first
+    monkeypatch.setattr(census_mod, "none_ceiling", lambda n: -1)
+    for n in range(1, 10):
+        with pytest.raises(CensusSoundnessError) as e:
+            census_mod._shard_kernel(n, 0, 1)
+        got = (e.value.word, e.value.rank, e.value.complexity, e.value.label)
+        assert got == (tuple(range(1, n + 1)), 0, 0, None), n
+    # past the sorted word, the first to trip is rank 1, whose rank the
+    # kernel recovers from the word itself
+    for n in range(4, 10):
+        with pytest.raises(CensusSoundnessError) as e:
+            census_mod._shard_kernel(n, 1, factorial(n))
+        w = unrank(n, 1)
+        assert (e.value.word, e.value.rank) == (tuple(w), 1), n
+        assert e.value.complexity == words_mod.complexity(w), n
 
 
 def test_soundness_guard_trips_on_wrong_offset(monkeypatch):
