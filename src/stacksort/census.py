@@ -9,43 +9,48 @@ resumed.
 
 The shard kernel walks the prefix tree of its rank range depth first, so
 words that share a prefix share its work: the letters of a prefix go
-through the stack pass, the position table and the descent count once for
-every word below them.  The walk stops four letters short of a word, at a
-leaf that serves the 24 orders of its last four letters.  Leaves whose
-prefixes leave that first pass in the same state (the same output and
-stack) share all 24 S(w): the kernel computes their complexities once,
-in a memo cleared at a fixed size, and reads them back for every later
-prefix with that state.  A miss is three C-level calls over the whole
-leaf.  The state's shape, the places of the four free letters among the
-letters still in play, keys a template of its 24 S(w) written as places:
-the rest of the pass only compares those letters, so the shape fixes it
-up to their names.  One ``translate`` renames the places to the state's
-letters, one ``split`` cuts the 24 S(w) apart, and one ``map`` reads each
-from a dict keyed by S(w) itself, since different states can give the
-same S(w); from n = 9 on that dict computes a complexity on its first
-read.  A length has C(n + 1, 5) shapes, and the pass runs once for each,
-when the table of templates is built.  All three keys are exact, so a
-hit gives what recomputing would.  Every word is classified and checked
-on its own in rank order, its letters from one ``permutations`` iterator
-over the leaf, and the descent matrix is summed over exact ``(cs, es)``
-keys, a leaf's 24 complexities and 24 descent counts, once for each
-distinct key: no tally can differ from a word-by-word walk.
+through the stack pass, the descent count and the catalog's automaton
+(:mod:`stacksort.automaton`) once for every word below them.  The walk
+stops four letters short of a word, at a leaf that serves the 24 orders
+of its last four letters.  Leaves whose prefixes leave that first pass in
+the same state (the same output and stack) share all 24 S(w): the kernel
+computes their complexities once, in a memo cleared at a fixed size, and
+reads them back for every later prefix with that state.  A miss is three
+C-level calls over the whole leaf.  The state's shape, the places of the
+four free letters among the letters still in play, keys a template of its
+24 S(w) written as places: the rest of the pass only compares those
+letters, so the shape fixes it up to their names.  One ``translate``
+renames the places to the state's letters, one ``split`` cuts the 24 S(w)
+apart, and one ``map`` reads each from a dict keyed by S(w) itself, since
+different states can give the same S(w); from n = 9 on that dict computes
+a complexity on its first read.  A length has C(n + 1, 5) shapes, and the
+pass runs once for each, when the table of templates is built.  Leaves
+whose prefixes leave the automaton in the same state, with the same
+symbols left for their free letters, share all 24 labels, which a table
+kept per process and length holds as bytes.  No word of a leaf is built:
+a leaf counts one for its exact key, its 24 complexities, descent counts
+and labels, each distinct pair of complexities and labels is checked once
+in rank order, and after the walk the keys add to the descent matrix and
+to the rows.  Every key is exact, so a hit gives what recomputing would
+and no tally can differ from a word-by-word walk.
 
-The kernel's state has two lifetimes.  The dispatch, the prefix table
-and the table of shapes belong to the process and the length
-(:func:`_length_state`): each is built whole on its first call and kept,
-by ``Catalog.compiled`` and two ``lru_cache``d builders.  The dispatch
-holds the generated function of each cell, all generated for a length
-with one compile() call; each word costs one read of its leaf's memo
-entry and one call of such a function.  The table of shapes holds places,
-not letters, and C(n + 1, 5) templates, but one length's table
-cannot serve another: below n = 4 phantom letters give a shape that a
-longer length also has, with another continuation.  A run that starts a
-process pool builds all three in the calling process first, so workers
-forked from it inherit them and build none, and every later census of
-that length in the same process starts warm.  Under the ``spawn`` or
-``forkserver`` start methods workers inherit nothing and each builds the
-state on its first shard.
+The kernel's state has two lifetimes.  The automaton, the prefix table,
+the table of shapes and the table of leaf labels belong to the process
+and the length (:func:`_length_state`), each kept by an ``lru_cache``d
+builder.  The first three are built whole on their first call.  The
+automaton holds the transitions of every state a word can reach, 536 and
+a sink from n = 9 on, so a node of the walk is one table lookup.  The
+table of shapes holds places, not letters, and C(n + 1, 5) templates, but
+one length's table cannot serve another: below n = 4 phantom letters give
+a shape that a longer length also has, with another continuation.  The
+table of leaf labels starts empty and fills as leaves miss, and is never
+cleared: it holds at most one entry per state and choice of free
+symbols, at most 163 choices from n = 9 on.  A run that starts a process
+pool builds the state in the calling process first, so workers forked
+from it inherit it, build no automaton and no shape and fill only their
+tables of leaf labels, and every later census of that length in the same
+process starts warm.  Under the ``spawn`` or ``forkserver`` start methods
+workers inherit nothing and each builds the state on its first shard.
 
 The memo, its ``shared`` values and the dict of S(w) belong to the run:
 :func:`run_census` makes them as locals and passes them to every shard
@@ -57,13 +62,14 @@ ends; the calling process never holds a worker's dicts.  A direct kernel
 call starts with dicts of its own.
 
 Every shard kernel doubles as a soundness check: for each word it compares
-the catalog classification against the independently computed complexity
-and raises :class:`CensusSoundnessError` on any disagreement, naming the
-word, its rank and the level the catalog certified for it.  A completed
-census is therefore an exhaustive proof, for that n, that the catalog
-certifies exactly what :mod:`stacksort.patterns` states: the level of each
-row valid at n in ``Catalog.levels(n)``, and ``none_ceiling(n)`` for words
-no row matches.
+the catalog classification, read from the automaton, against the
+independently computed complexity, once for each distinct pair of a
+leaf's complexities and labels, and raises :class:`CensusSoundnessError`
+on any disagreement, naming the word, its rank and the level the catalog
+certified for it.  A completed census is therefore an exhaustive proof,
+for that n, that the catalog certifies exactly what
+:mod:`stacksort.patterns` states: the level of each row valid at n in
+``Catalog.levels(n)``, and ``none_ceiling(n)`` for words no row matches.
 
 Counters are exact integers end to end; the JSON report stores them as
 decimal strings so they survive parsers that would round large values.
@@ -92,13 +98,14 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, Optional, Tuple
 
+from .automaton import catalog_automaton
 from .formulas import _column_sums
 from .patterns import builtin_catalog, format_row, none_ceiling
-from .words import TABLE_CAP, _complexity, _pass, _prefix_table, format_word, rank
+from .words import TABLE_CAP, _complexity, _pass, _prefix_table, format_word, unrank
 
 SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
@@ -277,15 +284,47 @@ def _catalog_sha256() -> str:
 
 
 def _length_state(n: int) -> tuple:
-    """``(dispatch, table, shapes)`` for length n: the generated dispatch of
-    the built-in catalog compiled for n, the prefix table over
-    S_min(n-1, TABLE_CAP) and the complete table of shapes, from
-    ``Catalog.compiled`` and the ``lru_cache``d builders ``_prefix_table``
-    and :func:`_table_of_shapes`.  Each is built on the first call in a
-    process and kept for its life, so a call before a pool starts builds
-    them once for every worker forked from it."""
-    return (builtin_catalog().compiled(n).dispatch,
-            _prefix_table(min(n - 1, TABLE_CAP)), _table_of_shapes(n))
+    """``(automaton, table, shapes, labels)`` for length n: the automaton of
+    the built-in catalog at n, the prefix table over S_min(n-1, TABLE_CAP),
+    the complete table of shapes and the table of leaf labels, from the
+    ``lru_cache``d builders ``catalog_automaton``, ``_prefix_table``,
+    :func:`_table_of_shapes` and :func:`_leaf_label_table`.  Each is built
+    on the first call in a process and kept for its life, so a call before
+    a pool starts builds them once for every worker forked from it."""
+    return (catalog_automaton(builtin_catalog(), n), _prefix_table(min(n - 1, TABLE_CAP)),
+            _table_of_shapes(n), _leaf_label_table(n))
+
+
+@lru_cache(maxsize=None)
+def _leaf_label_table(n: int) -> dict:
+    """The process's table of leaf labels for length n: ``(state, symbols)``
+    to the label codes of a leaf's 24 words, as bytes, where ``state`` is
+    the automaton's after the leaf's prefix and ``symbols`` those of its
+    four free letters, in increasing order, as bytes.  The kernel fills it
+    on each miss through :func:`_orders` and never clears it: the letters
+    of a word are distinct, so a leaf's free symbols are its pinned letters
+    not yet read and x for the rest, and a length has at most 536 states
+    and, from n = 9 on, 163 choices of them."""
+    return {}
+
+
+def _orders(go: list, codes: bytes, state: int, free: list) -> bytes:
+    """The label codes of the 24 orders of the letters ``free`` read from
+    the automaton's ``state``, in lexicographic order of their places in
+    ``free``: 40 steps down a tree of four levels.  ``go[x]`` is the column
+    of the transition table for the symbol of letter x; a phantom letter 0
+    steps nowhere."""
+    got = []
+    for i, a in enumerate(free):
+        s = go[a][state]
+        b, c, d = (go[x] for x in free[:i] + free[i + 1:])  # in increasing order
+        t = b[s]
+        got += (codes[d[c[t]]], codes[c[d[t]]])
+        t = c[s]
+        got += (codes[d[b[t]]], codes[b[d[t]]])
+        t = d[s]
+        got += (codes[c[b[t]]], codes[b[c[t]]])
+    return bytes(got)
 
 
 class _Complexities(dict):
@@ -392,15 +431,14 @@ def _shard_kernel(n: int, lo: int, hi: int,
     children that meet it, so the range splits into O(n^2) complete prefix
     blocks, each walked in full.  A node pushes its letter through one
     shared stack pass (the smaller letters it pops go to one shared output
-    list), sets ``w`` and ``pos`` and adds its descent, once for every
-    word below it, and undoes all of it on return.  The walk stops at
-    depth n - 4: a leaf serves the 24 orders of its four free letters in
-    lexicographic order, each word a rank of its block.  One loop takes
-    them from ``itertools.permutations(free)``, lexicographic since
-    ``free`` increases, through ``islice`` at a shard edge, and sets the
-    four letters of ``w`` and their ``pos``.  Below n = 4 the root is the
-    leaf, and phantom letters 0 lead ``free`` so that the first n! of the
-    24 orders are the words of S_n.
+    list), adds its descent and steps the catalog's automaton by its
+    letter's symbol, one table lookup, once for every word below it, and
+    undoes the pass on return.  The walk stops at depth n - 4: a leaf
+    serves the 24 orders of its four free letters in lexicographic order,
+    each word a rank of its block, and a shard edge inside a leaf slices
+    its 24 entries.  Below n = 4 the root is the leaf, and phantom letters
+    0 lead ``free`` so that the first n! of the 24 orders are the words of
+    S_n.
 
     The 24 S(w) of a leaf are fixed by its first-pass state, the output
     and the stack (the free letters are those in neither), so prefixes
@@ -432,30 +470,43 @@ def _shard_kernel(n: int, lo: int, hi: int,
     process.  A key is the exact state, shape or word, never a hash of it,
     so a hit returns what a miss would compute and no tally can change.
 
-    Each word then costs one call of the generated function of its
-    dispatch cell, the only call in the leaf's loop, its check and its
-    row tally.  A leaf's 24 descent counts depend only on the prefix's
-    descents d and on r, the number of free letters below its last
-    letter, so they are ``desc[d][r]``, bytes from a table built once per
-    call.  Complexity 0 is the sorted word, the one with no descent, which
-    can only be a leaf's first: when that word has none, a 0 replaces its
-    entry of ``cs``.  A leaf counts one for its key ``(cs, es)``, its
-    complexities and descents as exact bytes, and after the walk each
-    distinct key adds its count to ``descents[k][e]`` for each of its
-    words; the counts are the row sums of the descent matrix.  The
-    dispatch, the prefix table and the table of shapes come from
-    :func:`_length_state`, the process's for the length; the compiled
-    catalog is shared with ``classify``.  Words are classified and checked
-    one at a time in rank order, so the first clash raised is the
-    lowest-ranked one; only then is its rank computed, by ``words.rank``.
+    The 24 labels of a leaf are fixed by the automaton's state after its
+    prefix and by the symbols of its four free letters, which follow from
+    the pinned letters the prefix has used.  They come, as label codes in
+    24 bytes, from the process's table for the length
+    (:func:`_leaf_label_table`), keyed by that state and those symbols;
+    a miss fills the entry through :func:`_orders`, which steps the
+    automaton through the 24 orders as a tree of four levels.  A leaf's
+    24 descent counts depend only on the prefix's descents d and on r, the
+    number of free letters below its last letter, so they are
+    ``desc[d][r]``, bytes from a table built once per call.  Complexity 0
+    is the sorted word, the one with no descent, which can only be a
+    leaf's first: when that word has none, a 0 replaces its entry of
+    ``cs``.  No word of a leaf is built: a leaf counts one for its key
+    ``(cs, es, ls)``, its complexities, descents and labels as exact
+    bytes.  Each distinct ``(cs, ls)`` pair is checked once, the first
+    time the walk meets it, so the walk meets every pair in rank order and
+    the first clash raised is the lowest-ranked one: the first failing
+    word of the first failing leaf, rebuilt from its rank by
+    ``words.unrank``.  After the walk each distinct key adds its count to
+    ``descents[k][e]`` and to its row for each of its words; the counts
+    are the row sums of the descent matrix.  The automaton, the prefix
+    table, the table of shapes and the table of leaf labels come from
+    :func:`_length_state`, the process's for the length.
     """
     tallies = _zero_tallies(n)
     if hi <= lo:
         return tallies
     cnt, rows, dm = tallies.values()
-    certified = builtin_catalog().levels(n)
-    ceiling = none_ceiling(n)
-    dispatch, table, shapes = _length_state(n)
+    automaton, table, shapes, labelled = _length_state(n)
+    levels = builtin_catalog().levels(n)
+    names = (*automaton.labels, None)  # by label code
+    none = len(automaton.labels)       # the code of no row
+    # the level each code certifies: a row's, or at most the ceiling for none
+    level = [*(levels[label] for label in automaton.labels), none_ceiling(n)]
+    codes, symbol = automaton.codes, automaton.symbol
+    # each letter's column of the transition table; phantom letter 0 stays put
+    go = [range(len(codes)), *(automaton.delta[c] for c in symbol[1:n + 1])]
     # bytes(out + stack) at a leaf -> 1 + complexity of each of its 24 S(w),
     # as bytes; the memo's values, each distinct one stored once; and
     # bytes(S(w) without n) -> its complexity: the run's or this call's own
@@ -464,9 +515,6 @@ def _shard_kernel(n: int, lo: int, hi: int,
         known = table  # it holds all of S_{n-1}, so it only ever hits
     fact = [factorial(m) for m in range(n + 1)]
     leaf = max(n - 4, 0)  # the depth of the leaves
-    # where a leaf's four letters go: below n = 4 a phantom letter's spot,
-    # clamped to 0, is written first and then overwritten
-    l0, l1, l2, l3 = (max(i, 0) for i in range(n - 4, n))
     # the descents of a leaf's 24 words, as bytes, when its prefix has d
     # descents and ends above r of the four free letters: the first letter
     # of order t is the (t // 6)-th smallest, and steps[t] the descents
@@ -474,16 +522,25 @@ def _shard_kernel(n: int, lo: int, hi: int,
     steps = [sum(a > b for a, b in zip(t, t[1:])) for t in permutations(range(4))]
     desc = [[bytes(d + (t // 6 < r) + s for t, s in enumerate(steps)) for r in range(5)]
             for d in range(max(n - 4, 1))]
-    leaves: dict = {}  # (complexities, descents) of a leaf's words -> its leaves
-    w = [0] * n
-    pos = [0] * (n + 1)
+    leaves: dict = {}  # (complexities, descents, labels) of a leaf's words -> its leaves
+    checked = set()    # the (complexities, labels) pairs of the leaves met so far
     free = [0] * (4 - n) + list(range(1, n + 1))  # letters not yet placed
     stack = [n + 1]  # decreasing upwards, over a guard letter
     out = []         # letters popped so far, in output order
 
-    def walk(depth, prev, d, base):
+    def check(cs, ls, first):
+        """Raise on the first of a leaf's words, from rank ``first`` on,
+        whose complexity in ``cs`` its label code in ``ls`` does not
+        certify."""
+        for t, (k, j) in enumerate(zip(cs, ls)):
+            if k > level[j] if j == none else k != level[j]:
+                r = first + t
+                raise CensusSoundnessError(unrank(n, r), r, names[j], k, level[j])
+
+    def walk(depth, prev, d, base, state):
         """Walk the block of ranks [base, base + (n - depth)!), whose words
-        share the prefix w[:depth] ending in ``prev`` with d descents."""
+        share a prefix of ``depth`` letters ending in ``prev``, with d
+        descents, that leaves the automaton in ``state``."""
         if depth == leaf:
             key = bytes(out + stack)
             cs = memo.get(key)
@@ -494,55 +551,50 @@ def _shard_kernel(n: int, lo: int, hi: int,
                 cs = bytes(map(known.__getitem__, _leaf_words(shapes, stack, out, free))
                            ).translate(PLUS_ONE)
                 cs = memo[key] = shared.setdefault(cs, cs)
+            key = state, bytes(free).translate(symbol)
+            ls = labelled.get(key)
+            if ls is None:
+                ls = labelled[key] = _orders(go, codes, state, free)
             a, b, c, f = free  # in increasing order
             es = desc[d][(prev > a) + (prev > b) + (prev > c) + (prev > f)]
-            words = permutations(free)  # lexicographic, as free increases
             if lo > base or hi < base + 24:
                 t0, t1 = max(lo - base, 0), min(hi - base, 24)
-                words = islice(words, t0, t1)
-                cs, es = cs[t0:t1], es[t0:t1]
+                cs, es, ls = cs[t0:t1], es[t0:t1], ls[t0:t1]
             if not es[0]:  # the sorted word, the one with no descent
                 cs = b"\0" + cs[1:]
-            leaves[cs, es] = leaves.get((cs, es), 0) + 1
-            for (x, y, z, u), k in zip(words, cs):
-                w[l0] = x
-                w[l1] = y
-                w[l2] = z
-                w[l3] = u
-                pos[x] = l0
-                pos[y] = l1
-                pos[z] = l2
-                pos[u] = l3
-                label = dispatch[pos[n]][u](w, pos)
-                if label is None:
-                    if k > ceiling:
-                        raise CensusSoundnessError(w, rank(w), None, k, ceiling)
-                elif k != certified[label]:
-                    raise CensusSoundnessError(w, rank(w), label, k, certified[label])
-                else:
-                    rows[label] += 1
+            key = cs, es, ls
+            seen = leaves.get(key)
+            if seen is None:
+                if (cs, ls) not in checked:
+                    check(cs, ls, max(lo, base))
+                    checked.add((cs, ls))
+                leaves[key] = 1
+            else:
+                leaves[key] = seen + 1
             return
         m = n - depth
         s = fact[m - 1]
         for i in range(max(0, (lo - base) // s), min(m, -((base - hi) // s))):
             x = free.pop(i)
-            w[depth] = x
-            pos[x] = depth
             mark = len(out)
             while stack[-1] < x:
                 out.append(stack.pop())
             stack.append(x)
-            walk(depth + 1, x, d + (prev > x), base + i * s)
+            walk(depth + 1, x, d + (prev > x), base + i * s, go[x][state])
             stack.pop()
             while len(out) > mark:
                 stack.append(out.pop())
             free.insert(i, x)
 
-    walk(0, 0, 0, 0)
+    walk(0, 0, 0, 0, 0)
     del walk  # it refers to itself through its closure
-    for (cs, es), c in leaves.items():
-        for k, e in zip(cs, es):
+    hits = [0] * len(names)  # words by label code
+    for (cs, es, ls), c in leaves.items():
+        for k, e, j in zip(cs, es, ls):
             dm[k][e] += c
+            hits[j] += c
+    for label, h in zip(automaton.labels, hits):
+        rows[label] += h
     cnt[:] = map(sum, dm)
     return tallies
 

@@ -27,16 +27,19 @@ an ``L2`` row exactly n-2 (n >= 4), and a ``T`` row exactly n-3 (n >= 6).
 rows shadow later ones; the built-in catalog is ordered so that the per-row
 counts follow closed formulas (see :mod:`stacksort.formulas`).
 
-All matching, the census kernel's included, runs through one positional
-matcher: in a word with distinct letters every pinned letter has one
-position, so a pattern compiles, once per word length, into position
-comparisons with no backtracking.  The matcher answers only whether a word
-matches; it reports no witness of where the stars fall.  Those comparisons
-are written out as Python source with every position and letter an int
-literal, and compiled into functions on the first probe: one per row, or,
-in :class:`CompiledCatalog`, one per cell of a dispatch on the number of
-letters after n and on the last letter.  The independent oracle the test
-suite checks the matcher against, a blunt enumerator of star extents, is
+:func:`classify`, :func:`matches` and :func:`row_matches` run through one
+positional matcher: in a word with distinct letters every pinned letter
+has one position, so a pattern compiles, once per word length, into
+position comparisons with no backtracking.  The matcher answers only
+whether a word matches; it reports no witness of where the stars fall.
+Those comparisons are written out as Python source with every position
+and letter an int literal, and compiled into functions on the first
+probe: one per row, or, in :class:`CompiledCatalog`, one per cell of a
+dispatch on the number of letters after n and on the last letter.  The
+census kernel does not use it: it classifies with the catalog's
+automaton over its letters (:mod:`stacksort.automaton`), stepped once
+per letter of its walk.  The independent oracle the test suite checks
+both against, a blunt enumerator of star extents, is
 test code (``tests/_matching_oracle.py``).
 """
 from __future__ import annotations
@@ -467,7 +470,7 @@ class _CompiledBranch:
     one before it ends or later, and the last ends at ``tail`` or earlier.
     The shape is settled here, and :meth:`source` writes the checks as one
     boolean expression with every position and letter an int literal; the
-    functions generated from it are the only matcher.
+    functions generated from it are the positional matcher.
     """
 
     def __init__(self, ts: tuple, n: int):

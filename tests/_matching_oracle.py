@@ -4,7 +4,17 @@ It enumerates every extent of every star, so it shares nothing with the
 compiled probes of ``stacksort.patterns`` but the parsed tokens and the
 expansion of alternations.  Exponential on purpose.
 """
-from stacksort.patterns import AnyOne, RelValue, Star, expand_alternations, tier
+from functools import lru_cache
+from itertools import permutations
+
+from stacksort.patterns import (
+    AnyOne,
+    RelValue,
+    Star,
+    builtin_catalog,
+    expand_alternations,
+    tier,
+)
 
 
 def _distinct(w) -> tuple:
@@ -51,3 +61,12 @@ def classify(catalog, w):
         if len(w) >= tier(row.label)[1] and row_matches(row, w):
             return row.label
     return None
+
+
+@lru_cache(maxsize=None)
+def builtin_labels(n: int) -> tuple:
+    """The label of every word of S_n under the built-in catalog, in
+    lexicographic order: enumerated once per test session, for each
+    classifier checked against it."""
+    catalog = builtin_catalog()
+    return tuple(classify(catalog, p) for p in permutations(range(1, n + 1)))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import stacksort.automaton as automaton_mod
 import stacksort.census as census_mod
 import stacksort.patterns as patterns_mod
 import stacksort.words as words_mod
@@ -153,7 +154,8 @@ def _seeded_ranges(n, rng, count, width):
 
 @pytest.mark.parametrize("n, count, width", [(6, 40, 720), (7, 30, 3000),
                                              (8, 12, 6000), (9, 2, 4000),
-                                             (10, 2, 3000), (12, 2, 3000)])
+                                             (10, 2, 3000), (12, 2, 3000),
+                                             (13, 2, 2000), (14, 2, 2000)])
 def test_walk_matches_reference_on_seeded_ranges(n, count, width, monkeypatch):
     rng = random.Random(n)
     ranges = _seeded_ranges(n, rng, count, width)
@@ -178,6 +180,22 @@ def _counting(monkeypatch, name):
     calls, f = [], getattr(census_mod, name)
     monkeypatch.setattr(census_mod, name, lambda *a: calls.append(a) or f(*a))
     return calls
+
+
+def _counted_automata(monkeypatch):
+    """Forget every automaton and table of leaf labels this process holds,
+    and record from now on the length of each automaton built, in the list
+    returned."""
+    built, init = [], automaton_mod.CatalogAutomaton.__init__
+
+    def counted(self, catalog, n):
+        built.append(n)
+        init(self, catalog, n)
+
+    monkeypatch.setattr(automaton_mod.CatalogAutomaton, "__init__", counted)
+    automaton_mod.catalog_automaton.cache_clear()
+    census_mod._leaf_label_table.cache_clear()
+    return built
 
 
 def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
@@ -367,21 +385,42 @@ def test_leaf_memo_cap_leaves_an_n12_shard_unchanged(extended, monkeypatch):
     assert census_mod._shard_kernel(12, lo, hi) == want
 
 
-def test_kernel_generates_the_cells_once_per_process(monkeypatch):
-    calls = []
-    generate = patterns_mod._generate
+def test_kernel_builds_the_automaton_once_per_process(monkeypatch):
+    # the kernel classifies with the automaton of the built-in catalog at
+    # its length, built whole on the first call in a process and kept, and
+    # generates no positional matcher; the table of leaf labels, the
+    # process's too, fills on the first call and serves the second whole
+    built, generated, generate = _counted_automata(monkeypatch), [], patterns_mod._generate
     monkeypatch.setattr(patterns_mod, "_generate",
-                        lambda bodies, results=(): calls.append(len(bodies))
-                        or generate(bodies, results))
-    catalog = builtin_catalog()
-    monkeypatch.delitem(catalog._compiled, 9, raising=False)
+                        lambda *a: generated.append(a) or generate(*a))
+    monkeypatch.delitem(builtin_catalog()._compiled, 9, raising=False)
     first = census_mod._shard_kernel(9, 0, 5000)
-    assert len(calls) == 1  # every cell of n = 9 in one generation
+    entries = dict(census_mod._leaf_label_table(9))
+    assert built == [9] and entries
     assert census_mod._shard_kernel(9, 0, 5000) == first
-    assert len(calls) == 1
-    w = (3, 4, 5, 6, 7, 8, 2, 9, 1)
-    assert catalog.compiled(9).classify(w, _positions(w)) == "L1"
-    assert len(calls) == 1  # classify shares the kernel's compiled catalog
+    assert census_mod._leaf_label_table(9) == entries
+    census_mod._shard_kernel(10, 0, 5000)
+    assert built == [9, 10]
+    assert generated == [] and 9 not in builtin_catalog()._compiled
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_leaf_labels_are_kept_per_state_and_free_symbols(n, monkeypatch):
+    # a leaf's free letters are distinct, so their symbols, in increasing
+    # order, are the pinned letters its prefix has not used and x for the
+    # rest: a whole census meets every choice of at most four of the eight
+    # pinned letters that leaves x enough letters, n - 8 from n = 9 on
+    # (70 at n = 8, 126 at n = 9, 163 from n = 12 on), and the table of
+    # leaf labels, never cleared, holds at most one entry per state and
+    # choice
+    _counted_automata(monkeypatch)
+    assert run_census(n).checksum == PINNED_CHECKSUMS[n]
+    table = census_mod._leaf_label_table(n)
+    states = len(automaton_mod.catalog_automaton(builtin_catalog(), n).codes)
+    choices = {symbols for _, symbols in table}
+    assert len(choices) == sum(comb(8, k) for k in range(max(12 - n, 0), 5))
+    assert len(table) <= states * len(choices)
+    assert all(len(labels) == 24 for labels in table.values())
 
 
 @pytest.mark.parametrize("patch", ["tiers", "ceiling", "T5 tier", "T4 tier"])
@@ -633,12 +672,14 @@ def test_resume_of_a_finished_run_starts_no_pool(tmp_path, census_cache, monkeyp
 
 
 def _drop_length_state(monkeypatch, n):
-    """Forget the prefix tables and the tables of shapes, and the catalog
-    compiled for length n, that this process holds, so that the next use
-    builds them again."""
+    """Forget the prefix tables, the tables of shapes, the automata and the
+    tables of leaf labels, and the catalog compiled for length n, that this
+    process holds, so that the next use builds them again."""
     words_mod._prefix_table.cache_clear()
     monkeypatch.delitem(builtin_catalog()._compiled, n, raising=False)
     census_mod._table_of_shapes.cache_clear()
+    automaton_mod.catalog_automaton.cache_clear()
+    census_mod._leaf_label_table.cache_clear()
 
 
 @fork_only
@@ -655,33 +696,48 @@ def test_forked_workers_inherit_the_per_length_state(census_cache, monkeypatch):
 
     monkeypatch.setattr(patterns_mod, "_generate", here_only(patterns_mod._generate))
     monkeypatch.setattr(words_mod, "_pass", here_only(words_mod._pass))
+    monkeypatch.setattr(automaton_mod, "CatalogAutomaton",
+                        here_only(automaton_mod.CatalogAutomaton))
     _drop_length_state(monkeypatch, 7)
     assert run_census(7, shard_count=4, jobs=2).checksum == serial
 
 
 @fork_only
 def test_forked_workers_build_no_shape(monkeypatch):
-    # the calling process builds the whole table of shapes before the pool
-    # starts, so the forked workers find every shape they meet in it; a
-    # table filled as leaves miss would leave them up to 126 shapes to build
-    # at n = 8, in every pooled run, since a worker's table dies with it
-    parent, calls = os.getpid(), multiprocessing.Value("i", 0)
-    template = census_mod._template
+    # the calling process builds the whole table of shapes and the automaton
+    # before the pool starts, so the forked workers find every shape they
+    # meet, and every transition, in them; a table filled as leaves miss
+    # would leave them up to 126 shapes to build at n = 8, in every pooled
+    # run, since a worker's table dies with it.  The workers fill their own
+    # tables of leaf labels: the caller's stays empty
+    parent = os.getpid()
+    calls = {name: multiprocessing.Value("i", 0)
+             for name in ("template", "automaton", "orders")}
 
-    def counted(*args):
-        if os.getpid() != parent:
-            with calls.get_lock():
-                calls.value += 1
-        return template(*args)
+    def counted(name, f):
+        def g(*args):
+            if os.getpid() != parent:
+                with calls[name].get_lock():
+                    calls[name].value += 1
+            return f(*args)
+        return g
 
-    monkeypatch.setattr(census_mod, "_template", counted)
+    monkeypatch.setattr(census_mod, "_template", counted("template", census_mod._template))
+    monkeypatch.setattr(automaton_mod, "CatalogAutomaton",
+                        counted("automaton", automaton_mod.CatalogAutomaton))
+    monkeypatch.setattr(census_mod, "_orders", counted("orders", census_mod._orders))
     census_mod._table_of_shapes.cache_clear()
+    automaton_mod.catalog_automaton.cache_clear()
+    census_mod._leaf_label_table.cache_clear()
     for _ in range(2):
         c = run_census(8, shard_count=11, jobs=2)
         assert c.checksum == PINNED_CHECKSUMS[8]
-    assert calls.value == 0
+    assert calls["template"].value == calls["automaton"].value == 0
+    assert calls["orders"].value > 0
     assert census_mod._table_of_shapes.cache_info().misses == 1
+    assert automaton_mod.catalog_automaton.cache_info().misses == 1
     assert len(census_mod._table_of_shapes(8)) == comb(9, 5)
+    assert census_mod._leaf_label_table(8) == {}
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -713,6 +769,8 @@ def test_resume_of_a_finished_run_builds_no_state(tmp_path, census_cache,
     assert words_mod._prefix_table.cache_info().currsize == 0
     assert 7 not in builtin_catalog()._compiled
     assert census_mod._table_of_shapes.cache_info().currsize == 0
+    assert automaton_mod.catalog_automaton.cache_info().currsize == 0
+    assert census_mod._leaf_label_table.cache_info().currsize == 0
 
 
 def test_partial_resume_computes_only_missing_shards(tmp_path, census_cache,

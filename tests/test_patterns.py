@@ -343,9 +343,9 @@ def test_compiled_catalog_matches_production():
     cat = builtin_catalog()
     for n in range(1, 9):
         cc = CompiledCatalog(cat, n)
-        for p in permutations(range(1, n + 1)):
+        for p, want in zip(permutations(range(1, n + 1)), oracle.builtin_labels(n)):
             label = cc.classify(p, _positions(p))
-            assert label == oracle.classify(cat, p), p
+            assert label == want, p
             # the derived bucket view holds every row the classifier returns
             bucket = cc.buckets[min(n - 1 - p.index(n), 4)]
             assert label is None or label in [cr.label for cr in bucket]
