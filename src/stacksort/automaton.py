@@ -16,9 +16,10 @@ a breadth-first search meets it.  Its label is the first row, in catalog
 order, with an accepting branch and no accepting exclusion.  The states
 are those a word reaches: the letters of a word are distinct, so it reads
 each pinned letter at most once.  The whole table of transitions, of every
-such state by every symbol, is built in one go by :func:`catalog_automaton`
-on its first call for a catalog and a length, never at import; a
-transition no word takes leads to a sink that matches no row.
+such state by every symbol, is built in one go when the automaton is
+made; a transition no word takes leads to a sink that matches no row.
+How long an automaton lives is its maker's choice: the census keeps one
+per process and length, with the rest of its per-length state.
 
 The census kernel classifies with it, one state per prefix of its walk.
 It shares nothing with the positional matcher of :mod:`stacksort.patterns`
@@ -27,7 +28,6 @@ checks it against the brute-force oracle.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .patterns import AnyOne, Catalog, RelValue, Star, expand_alternations
@@ -93,12 +93,15 @@ class CatalogAutomaton:
     state's label code is its row's index there, or ``len(labels)`` when no
     row matches.  ``symbol`` is a 256-byte table, for ``bytes.translate``,
     of each letter's symbol: one per pinned letter, 0 up in increasing
-    order, then x, and ``NO_LETTER`` for 0 and letters above n.
-    ``delta[c][s]`` is the state after state s reads symbol c, ``codes[s]``
-    the label code of state s, and the start is state 0.
+    order, then x, and ``NO_LETTER`` for 0 and letters above n, so an n
+    outside 0..255 raises ValueError.  ``delta[c][s]`` is the state after
+    state s reads symbol c, ``codes[s]`` the label code of state s, and
+    the start is state 0.
     """
 
     def __init__(self, catalog: Catalog, n: int):
+        if not 0 <= n <= 255:
+            raise ValueError(f"an automaton's letters are bytes: n must be in 0..255, got {n}")
         self.n = n
         levels = catalog.levels(n)
         rows = [row for row in catalog.rows if row.label in levels]
@@ -176,10 +179,3 @@ class CatalogAutomaton:
             state = self.delta[self.symbol[v]][state]
         code = self.codes[state]
         return self.labels[code] if code < len(self.labels) else None
-
-
-@lru_cache(maxsize=None)
-def catalog_automaton(catalog: Catalog, n: int) -> CatalogAutomaton:
-    """The automaton of ``catalog`` at length n, built whole on the first
-    call for the pair and kept for the life of the process."""
-    return CatalogAutomaton(catalog, n)

@@ -36,21 +36,22 @@ and no tally can differ from a word-by-word walk.
 
 The kernel's state has two lifetimes.  The automaton, the prefix table,
 the table of shapes and the table of leaf labels belong to the process
-and the length (:func:`_length_state`), each kept by an ``lru_cache``d
-builder.  The first three are built whole on their first call.  The
+and the length: one ``lru_cache``d call, :func:`_length_state`, makes
+them on the first use of the length in a process, never at import, and
+keeps them.  The prefix table comes from ``words._prefix_table``, whose
+cache ``complexity`` shares.  The first three are built whole.  The
 automaton holds the transitions of every state a word can reach, 536 and
 a sink from n = 9 on, so a node of the walk is one table lookup.  The
 table of shapes holds places, not letters, and C(n + 1, 5) templates, but
 one length's table cannot serve another: below n = 4 phantom letters give
 a shape that a longer length also has, with another continuation.  The
 table of leaf labels starts empty and fills as leaves miss, and is never
-cleared: it holds at most one entry per state and choice of free
-symbols, at most 163 choices from n = 9 on.  A run that starts a process
-pool builds the state in the calling process first, so workers forked
-from it inherit it, build no automaton and no shape and fill only their
-tables of leaf labels, and every later census of that length in the same
-process starts warm.  Under the ``spawn`` or ``forkserver`` start methods
-workers inherit nothing and each builds the state on its first shard.
+cleared.  A run that starts a process pool builds the state in the
+calling process first, so workers forked from it inherit it, build no
+automaton and no shape and fill only their tables of leaf labels, and
+every later census of that length in the same process starts warm.
+Under the ``spawn`` or ``forkserver`` start methods workers inherit
+nothing and each builds the state on its first shard.
 
 The memo, its ``shared`` values and the dict of S(w) belong to the run:
 :func:`run_census` makes them as locals and passes them to every shard
@@ -102,7 +103,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, Optional, Tuple
 
-from .automaton import catalog_automaton
+from .automaton import CatalogAutomaton
 from .formulas import _column_sums
 from .patterns import builtin_catalog, format_row, none_ceiling
 from .words import TABLE_CAP, _complexity, _pass, _prefix_table, format_word, unrank
@@ -283,29 +284,26 @@ def _catalog_sha256() -> str:
     return _sha256("\n".join(format_row(row) for row in builtin_catalog().rows).encode())
 
 
-def _length_state(n: int) -> tuple:
-    """``(automaton, table, shapes, labels)`` for length n: the automaton of
-    the built-in catalog at n, the prefix table over S_min(n-1, TABLE_CAP),
-    the complete table of shapes and the table of leaf labels, from the
-    ``lru_cache``d builders ``catalog_automaton``, ``_prefix_table``,
-    :func:`_table_of_shapes` and :func:`_leaf_label_table`.  Each is built
-    on the first call in a process and kept for its life, so a call before
-    a pool starts builds them once for every worker forked from it."""
-    return (catalog_automaton(builtin_catalog(), n), _prefix_table(min(n - 1, TABLE_CAP)),
-            _table_of_shapes(n), _leaf_label_table(n))
-
-
 @lru_cache(maxsize=None)
-def _leaf_label_table(n: int) -> dict:
-    """The process's table of leaf labels for length n: ``(state, symbols)``
-    to the label codes of a leaf's 24 words, as bytes, where ``state`` is
-    the automaton's after the leaf's prefix and ``symbols`` those of its
-    four free letters, in increasing order, as bytes.  The kernel fills it
-    on each miss through :func:`_orders` and never clears it: the letters
-    of a word are distinct, so a leaf's free symbols are its pinned letters
-    not yet read and x for the rest, and a length has at most 536 states
-    and, from n = 9 on, 163 choices of them."""
-    return {}
+def _length_state(n: int) -> tuple:
+    """``(automaton, table, shapes, labels)``, the kernel's state for length
+    n, made on the first call in a process and kept for its life, so a
+    call before a pool starts makes it once for every worker forked from
+    it.  ``automaton`` is the :class:`CatalogAutomaton` of the built-in
+    catalog at n, ``table`` the prefix table over S_min(n-1, TABLE_CAP)
+    from ``_prefix_table``, ``shapes`` the complete table of shapes from
+    :func:`_table_of_shapes`, and ``labels`` the table of leaf labels, made
+    empty: ``(state, symbols)`` to the label codes of a leaf's 24 words, as
+    bytes, where ``state`` is the automaton's after the leaf's prefix and
+    ``symbols`` those of its four free letters, in increasing order, as
+    bytes.  The kernel fills ``labels`` on each miss through
+    :func:`_orders` and never clears it, since it holds at most one entry
+    per state and choice of free symbols: 536 states and the sink at
+    most, times at most 163 choices from n = 9 on.  The letters of a word
+    are distinct, so a leaf's free symbols are its pinned letters not yet
+    read and x for the rest."""
+    return (CatalogAutomaton(builtin_catalog(), n), _prefix_table(min(n - 1, TABLE_CAP)),
+            _table_of_shapes(n), {})
 
 
 def _orders(go: list, codes: bytes, state: int, free: list) -> bytes:
@@ -374,11 +372,9 @@ def _template(stack: list, free: list, ls: list) -> bytes:
                     for t in permutations(free))
 
 
-@lru_cache(maxsize=None)
 def _table_of_shapes(n: int) -> dict:
     """Every shape of a leaf of S_n mapped to its template, from
-    :func:`_template`, built whole on the first call for n and kept,
-    like ``_prefix_table``.
+    :func:`_template`, built whole; :func:`_length_state` keeps it.
 
     From n = 4 on a leaf has four free letters and m = 4..n letters in play,
     n the largest of them, and its shape is m and the four places of the
@@ -452,7 +448,7 @@ def _shard_kernel(n: int, lo: int, hi: int,
     state's shape.  A shape is a number m <= n of letters in play and the
     places of the four free letters among them, which increase, so a
     length has C(n + 1, 5) shapes (126 at n = 8), each in the table built
-    whole by :func:`_length_state`, and no miss finishes the stack pass:
+    whole by :func:`_table_of_shapes`, and no miss finishes the stack pass:
     one ``translate`` of the shape's template and one ``split`` give the
     24 words.  Another state can give the same S(w) (S of the order
     a < b < c < d is the output and then every other letter in increasing
@@ -473,10 +469,10 @@ def _shard_kernel(n: int, lo: int, hi: int,
     The 24 labels of a leaf are fixed by the automaton's state after its
     prefix and by the symbols of its four free letters, which follow from
     the pinned letters the prefix has used.  They come, as label codes in
-    24 bytes, from the process's table for the length
-    (:func:`_leaf_label_table`), keyed by that state and those symbols;
-    a miss fills the entry through :func:`_orders`, which steps the
-    automaton through the 24 orders as a tree of four levels.  A leaf's
+    24 bytes, from the table of leaf labels of :func:`_length_state`,
+    keyed by that state and those symbols; a miss fills the entry through
+    :func:`_orders`, which steps the automaton through the 24 orders as a
+    tree of four levels.  A leaf's
     24 descent counts depend only on the prefix's descents d and on r, the
     number of free letters below its last letter, so they are
     ``desc[d][r]``, bytes from a table built once per call.  Complexity 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stacksort.automaton import NO_LETTER, CatalogAutomaton, catalog_automaton
+from stacksort.automaton import NO_LETTER, CatalogAutomaton
 from stacksort.patterns import (
     AbsValue,
     AnyOne,
@@ -101,7 +101,7 @@ def test_symbols_of_the_builtin_catalog():
     # the others share the symbol x, which is the last symbol
     cat = builtin_catalog()
     for n in range(4, 15):
-        auto = catalog_automaton(cat, n)
+        auto = CatalogAutomaton(cat, n)
         pinned = sorted({1, 2, 3, *range(max(n - 4, 1), n + 1)})
         assert list(auto.pinned) == pinned
         x = len(pinned)
@@ -116,7 +116,7 @@ def test_states_are_few_and_every_transition_is_tabled():
     # on there are 536 of them and the sink, at every length
     cat = builtin_catalog()
     for n in range(1, 17):
-        auto = catalog_automaton(cat, n)
+        auto = CatalogAutomaton(cat, n)
         states = len(auto.codes)
         assert all(len(column) == states for column in auto.delta)
         assert all(0 <= s < states for column in auto.delta for s in column)
@@ -131,7 +131,7 @@ def test_states_are_few_and_every_transition_is_tabled():
 def test_a_pinned_letter_read_twice_is_never_a_word():
     # only a word starting with 1 reaches the state after a leading 1, and
     # no word reads 1 again there: that transition is the sink's
-    auto = catalog_automaton(Catalog((parse_row("L1: 1 2 *"),)), 4)
+    auto = CatalogAutomaton(Catalog((parse_row("L1: 1 2 *"),)), 4)
     sink = len(auto.codes) - 1
     one = auto.delta[auto.symbol[1]]
     assert one[0] != sink and one[one[0]] == sink
@@ -139,7 +139,7 @@ def test_a_pinned_letter_read_twice_is_never_a_word():
 
 
 def test_classify_takes_standard_words_of_its_length_only():
-    auto = catalog_automaton(builtin_catalog(), 4)
+    auto = CatalogAutomaton(builtin_catalog(), 4)
     assert auto.classify((2, 3, 4, 1)) == "L1"
     assert auto.classify([2, 4, 3, 1]) == "L2-4"
     for bad in ((2, 3, 1), (2, 3, 4, 1, 5), (1, 1, 2, 3), (1, 2, 3, 5)):
@@ -147,19 +147,11 @@ def test_classify_takes_standard_words_of_its_length_only():
             auto.classify(bad)
 
 
-def test_automata_are_built_once_per_catalog_and_length(monkeypatch):
-    built = []
-    init = CatalogAutomaton.__init__
-
-    def counted(self, catalog, n):
-        built.append(n)
-        init(self, catalog, n)
-
-    monkeypatch.setattr(CatalogAutomaton, "__init__", counted)
-    cat = parse_catalog("L1: * n 1\nL2-1: * n 2")
-    assert built == []  # nothing is built before the first call
-    first = catalog_automaton(cat, 6)
-    assert catalog_automaton(cat, 6) is first
-    assert catalog_automaton(parse_catalog("L1: * n 1\nL2-1: * n 2"), 6) is first
-    assert catalog_automaton(cat, 7).n == 7
-    assert built == [6, 7]
+def test_lengths_up_to_255_build():
+    # a letter is a byte of the 256-entry symbol table, so n = 255 is the
+    # longest length; a longer or negative one raises before any work
+    auto = CatalogAutomaton(builtin_catalog(), 255)
+    assert auto.classify((*range(2, 256), 1)) == "L1"
+    for n in (256, -1):
+        with pytest.raises(ValueError, match="0..255"):
+            CatalogAutomaton(builtin_catalog(), n)

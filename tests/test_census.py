@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import stacksort.automaton as automaton_mod
 import stacksort.census as census_mod
 import stacksort.patterns as patterns_mod
 import stacksort.words as words_mod
@@ -183,18 +182,16 @@ def _counting(monkeypatch, name):
 
 
 def _counted_automata(monkeypatch):
-    """Forget every automaton and table of leaf labels this process holds,
-    and record from now on the length of each automaton built, in the list
-    returned."""
-    built, init = [], automaton_mod.CatalogAutomaton.__init__
+    """Forget the per-length state this process holds, and record from now
+    on the length of each automaton built, in the list returned."""
+    built, init = [], census_mod.CatalogAutomaton.__init__
 
     def counted(self, catalog, n):
         built.append(n)
         init(self, catalog, n)
 
-    monkeypatch.setattr(automaton_mod.CatalogAutomaton, "__init__", counted)
-    automaton_mod.catalog_automaton.cache_clear()
-    census_mod._leaf_label_table.cache_clear()
+    monkeypatch.setattr(census_mod.CatalogAutomaton, "__init__", counted)
+    census_mod._length_state.cache_clear()
     return built
 
 
@@ -208,7 +205,7 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     # and the places of its four free letters among them, so the first call,
     # on a table that no earlier test built, builds all C(10, 5) = 252 and
     # the second none
-    census_mod._table_of_shapes.cache_clear()
+    census_mod._length_state.cache_clear()
     calls = _counting(monkeypatch, "_complexity")
     shapes = _counting(monkeypatch, "_template")
     first = census_mod._shard_kernel(9, 0, 40320)
@@ -216,7 +213,7 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     assert census_mod._shard_kernel(9, 0, 40320) == first
     assert (len(calls), len(shapes)) == (2 * once, built)
     assert once <= 1780
-    assert built == len(census_mod._table_of_shapes(9)) == comb(10, 5)
+    assert built == len(census_mod._length_state(9)[2]) == comb(10, 5)
     assert first == _reference_kernel(9, 0, 40320)
 
 
@@ -306,7 +303,7 @@ def test_tables_of_shapes_are_kept_per_length(monkeypatch):
     # of its length; below n = 4 phantom letters give a shape that a longer
     # length has with another continuation ((4, 0, 1, 2, 3) at n = 3 and 4),
     # so a table shared across lengths would change the counts
-    census_mod._table_of_shapes.cache_clear()
+    census_mod._length_state.cache_clear()
     shapes = _counting(monkeypatch, "_template")
     for n in (*range(1, 9), *range(8, 0, -1)):
         c = run_census(n, shard_count=3)
@@ -317,9 +314,9 @@ def test_tables_of_shapes_are_kept_per_length(monkeypatch):
     # the template, 24 orders of the pass a call, was built once for each
     # shape of each length; stack[0] is the guard letter n + 1
     built = [stack[0] - 1 for stack, _, _ in shapes]
-    assert census_mod._table_of_shapes.cache_info().misses == 8
+    assert census_mod._length_state.cache_info().misses == 8
     for n in range(1, 9):
-        assert built.count(n) == len(census_mod._table_of_shapes(n)) == _shape_count(n), n
+        assert built.count(n) == len(census_mod._length_state(n)[2]) == _shape_count(n), n
 
 
 def _leaf_states(n, prefixes=None):
@@ -395,10 +392,10 @@ def test_kernel_builds_the_automaton_once_per_process(monkeypatch):
                         lambda *a: generated.append(a) or generate(*a))
     monkeypatch.delitem(builtin_catalog()._compiled, 9, raising=False)
     first = census_mod._shard_kernel(9, 0, 5000)
-    entries = dict(census_mod._leaf_label_table(9))
+    entries = dict(census_mod._length_state(9)[3])
     assert built == [9] and entries
     assert census_mod._shard_kernel(9, 0, 5000) == first
-    assert census_mod._leaf_label_table(9) == entries
+    assert census_mod._length_state(9)[3] == entries
     census_mod._shard_kernel(10, 0, 5000)
     assert built == [9, 10]
     assert generated == [] and 9 not in builtin_catalog()._compiled
@@ -415,8 +412,8 @@ def test_leaf_labels_are_kept_per_state_and_free_symbols(n, monkeypatch):
     # choice
     _counted_automata(monkeypatch)
     assert run_census(n).checksum == PINNED_CHECKSUMS[n]
-    table = census_mod._leaf_label_table(n)
-    states = len(automaton_mod.catalog_automaton(builtin_catalog(), n).codes)
+    automaton, _, _, table = census_mod._length_state(n)
+    states = len(automaton.codes)
     choices = {symbols for _, symbols in table}
     assert len(choices) == sum(comb(8, k) for k in range(max(12 - n, 0), 5))
     assert len(table) <= states * len(choices)
@@ -672,14 +669,25 @@ def test_resume_of_a_finished_run_starts_no_pool(tmp_path, census_cache, monkeyp
 
 
 def _drop_length_state(monkeypatch, n):
-    """Forget the prefix tables, the tables of shapes, the automata and the
-    tables of leaf labels, and the catalog compiled for length n, that this
-    process holds, so that the next use builds them again."""
+    """Forget the prefix tables, the per-length state and the catalog
+    compiled for length n that this process holds, so that the next use
+    builds them again."""
     words_mod._prefix_table.cache_clear()
     monkeypatch.delitem(builtin_catalog()._compiled, n, raising=False)
-    census_mod._table_of_shapes.cache_clear()
-    automaton_mod.catalog_automaton.cache_clear()
-    census_mod._leaf_label_table.cache_clear()
+    census_mod._length_state.cache_clear()
+
+
+def test_length_state_is_built_on_first_use():
+    # importing the package builds no per-length state, and a census builds
+    # the state of its length once
+    code = ("import stacksort, stacksort.census as c; "
+            "print(c._length_state.cache_info().currsize, end=' '); "
+            "stacksort.run_census(5, shard_count=3); "
+            "print(c._length_state.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(census_mod.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout.split() == ["0", "1"], done.stderr
 
 
 @fork_only
@@ -696,8 +704,8 @@ def test_forked_workers_inherit_the_per_length_state(census_cache, monkeypatch):
 
     monkeypatch.setattr(patterns_mod, "_generate", here_only(patterns_mod._generate))
     monkeypatch.setattr(words_mod, "_pass", here_only(words_mod._pass))
-    monkeypatch.setattr(automaton_mod, "CatalogAutomaton",
-                        here_only(automaton_mod.CatalogAutomaton))
+    monkeypatch.setattr(census_mod, "CatalogAutomaton",
+                        here_only(census_mod.CatalogAutomaton))
     _drop_length_state(monkeypatch, 7)
     assert run_census(7, shard_count=4, jobs=2).checksum == serial
 
@@ -723,21 +731,19 @@ def test_forked_workers_build_no_shape(monkeypatch):
         return g
 
     monkeypatch.setattr(census_mod, "_template", counted("template", census_mod._template))
-    monkeypatch.setattr(automaton_mod, "CatalogAutomaton",
-                        counted("automaton", automaton_mod.CatalogAutomaton))
+    monkeypatch.setattr(census_mod, "CatalogAutomaton",
+                        counted("automaton", census_mod.CatalogAutomaton))
     monkeypatch.setattr(census_mod, "_orders", counted("orders", census_mod._orders))
-    census_mod._table_of_shapes.cache_clear()
-    automaton_mod.catalog_automaton.cache_clear()
-    census_mod._leaf_label_table.cache_clear()
+    census_mod._length_state.cache_clear()
     for _ in range(2):
         c = run_census(8, shard_count=11, jobs=2)
         assert c.checksum == PINNED_CHECKSUMS[8]
     assert calls["template"].value == calls["automaton"].value == 0
     assert calls["orders"].value > 0
-    assert census_mod._table_of_shapes.cache_info().misses == 1
-    assert automaton_mod.catalog_automaton.cache_info().misses == 1
-    assert len(census_mod._table_of_shapes(8)) == comb(9, 5)
-    assert census_mod._leaf_label_table(8) == {}
+    assert census_mod._length_state.cache_info().misses == 1
+    _, _, shapes, labels = census_mod._length_state(8)
+    assert len(shapes) == comb(9, 5)
+    assert labels == {}
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -768,9 +774,7 @@ def test_resume_of_a_finished_run_builds_no_state(tmp_path, census_cache,
     assert c.checksum == serial
     assert words_mod._prefix_table.cache_info().currsize == 0
     assert 7 not in builtin_catalog()._compiled
-    assert census_mod._table_of_shapes.cache_info().currsize == 0
-    assert automaton_mod.catalog_automaton.cache_info().currsize == 0
-    assert census_mod._leaf_label_table.cache_info().currsize == 0
+    assert census_mod._length_state.cache_info().currsize == 0
 
 
 def test_partial_resume_computes_only_missing_shards(tmp_path, census_cache,
