@@ -53,7 +53,6 @@ from .formulas import (
     FormulaEntry,
     InexactDivision,
     REGISTRY,
-    ROW_COUNTS,
     VerifyCheck,
     VerifyReport,
     canonical_prefactor,

@@ -22,32 +22,22 @@ How long an automaton lives is its maker's choice: the census keeps one
 per process and length, with the rest of its per-length state.
 
 The census kernel classifies with it, one state per prefix of its walk.
-It shares nothing with the positional matcher of :mod:`stacksort.patterns`
-but the parsed tokens and the expansion of alternations; the test suite
-checks it against the brute-force oracle.
+It also counts each row's first matches (:attr:`CatalogAutomaton.counts`),
+which ``verify_census`` reads.  It shares nothing with the positional
+matcher of :mod:`stacksort.patterns` but ``resolve_branches``; the test
+suite checks its labels against the brute-force oracle and its counts
+against that and the rows' hand-derived forms.
 """
 from __future__ import annotations
 
+from functools import cached_property
+from math import factorial
 from typing import Optional, Sequence
 
-from .patterns import AnyOne, Catalog, RelValue, Star, expand_alternations
+from .patterns import Catalog, Star, resolve_branches
 from .words import _as_word, _require_standard, format_word
 
 NO_LETTER = 255  # the symbol of 0 and of every letter above n, in ``symbol``
-
-
-def _flat(tokens: Optional[tuple], n: int) -> list:
-    """``(ts, pins)`` for each alternation-free branch ``ts`` of ``tokens``
-    that can match at length n, with ``pins`` the letter each of its tokens
-    pins, None for a star or ``?``; none when ``tokens`` is None.  A branch
-    pinning a letter outside 1..n never matches, so it is left out."""
-    got = []
-    for ts in expand_alternations(tokens) if tokens is not None else ():
-        pins = [None if isinstance(t, (Star, AnyOne))
-                else n - t.offset if isinstance(t, RelValue) else t.value for t in ts]
-        if all(v is None or 1 <= v <= n for v in pins):
-            got.append((ts, pins))
-    return got
 
 
 class _Branch:
@@ -106,7 +96,8 @@ class CatalogAutomaton:
         levels = catalog.levels(n)
         rows = [row for row in catalog.rows if row.label in levels]
         self.labels = tuple(row.label for row in rows)
-        parts = [(_flat(row.tokens, n), _flat(row.exclusion, n)) for row in rows]
+        parts = [[resolve_branches(seq, n) for seq in (row.tokens, row.exclusion)]
+                 for row in rows]
         pinned = sorted({v for part in parts for flat in part for _, pins in flat
                          for v in pins if v is not None})
         self.pinned = tuple(pinned)
@@ -167,6 +158,38 @@ class CatalogAutomaton:
         self.delta = [[sink if row[c] is None else row[c] for row in taken] + [sink]
                       for c in range(symbols)]
         self.codes = bytes(codes) + bytes([none])
+
+    @cached_property
+    def counts(self) -> tuple:
+        """``counts[code]``: how many words of length n have label code
+        ``code``, no row last; they sum to n!.  Counted on first read by a
+        dynamic program over the positions that maps the pinned symbols
+        read, as bits, and the state to the symbol strings reaching them:
+        each pinned symbol is read at most once, and x while x letters
+        remain.  A string stands for (n - |pinned|)! words.
+
+        >>> from stacksort.patterns import builtin_catalog
+        >>> CatalogAutomaton(builtin_catalog(), 4).counts  # L1, L2-1..L2-5, none
+        (2, 2, 1, 2, 2, 1, 14)
+        """
+        n, x = self.n, len(self.pinned)
+        layer = {0: {0: 1}}  # pinned symbols read -> state -> strings reaching it
+        for i in range(n):
+            after: dict = {}
+            for used, ways in layer.items():
+                steps = [(c, used | 1 << c) for c in range(x) if not used >> c & 1]
+                if i - bin(used).count("1") < n - x:
+                    steps.append((x, used))
+                for c, key in steps:
+                    column, got = self.delta[c], after.setdefault(key, {})
+                    for s, w in ways.items():
+                        t = column[s]
+                        got[t] = got.get(t, 0) + w
+            layer = after
+        counts = [0] * (len(self.labels) + 1)
+        for s, w in layer[(1 << x) - 1].items():  # the strings read every pinned symbol
+            counts[self.codes[s]] += w
+        return tuple(c * factorial(n - x) for c in counts)
 
     def classify(self, w: Sequence[int]) -> Optional[str]:
         """Label of the first row valid at n that the standard word ``w`` of

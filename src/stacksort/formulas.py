@@ -24,7 +24,7 @@ unimodality in t-stack sortable permutations", JCTA 98, 2002): the words
 sortable in at most t passes with d descents number those with n-1-d.  It
 compares the census with itself, so it is a loop beside the registry, not
 an entry; it runs for t = 3..n-3, since the forms above fix the other
-sums.
+sums.  The rows' first-match counts come from the catalog's automaton.
 
 ``exact-n-4`` and ``sortable-n-5`` are conjectural: they reproduce every
 census computed here but carry no proof; verification reports flag them.
@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Callable, Dict, Mapping, Optional, Tuple
-
-from .patterns import builtin_catalog
 
 
 class InexactDivision(ArithmeticError):
@@ -180,40 +178,6 @@ REGISTRY: Dict[str, FormulaEntry] = {
 }
 
 
-# First-match counts for the built-in catalog rows (see catalog.txt); each
-# maps a word length to the number of words whose first matching row it is.
-ROW_COUNTS: Dict[str, Callable[[int], int]] = {
-    "L1": lambda n: factorial(n - 2),
-    "L2-1": lambda n: factorial(n - 2),
-    "L2-2": lambda n: factorial(n - 3),
-    "L2-3": lambda n: (n - 2) * factorial(n - 3),
-    "L2-4": lambda n: (n - 2) * factorial(n - 3),
-    "L2-5": lambda n: _exact_div(factorial(n - 2), 2),
-    "T1a": lambda n: factorial(n - 3),
-    "T1b": lambda n: factorial(n - 3),
-    "T1c": lambda n: factorial(n - 3),
-    "T1d": lambda n: _exact_div(factorial(n - 3), 2),
-    "T1e": lambda n: factorial(n - 4),
-    "T2a": lambda n: factorial(n - 2),
-    "T2b": lambda n: (n - 5) * factorial(n - 4),
-    "T2c": lambda n: factorial(n - 4),
-    "T3a": lambda n: (n - 3) * factorial(n - 3),
-    "T3b": lambda n: (n - 3) * factorial(n - 3),
-    "T4a": lambda n: factorial(n - 2) - factorial(n - 4),
-    "T4b": lambda n: factorial(n - 2),
-    "T4c": lambda n: factorial(n - 2),
-    "T4d": lambda n: factorial(n - 4),
-    "T5a": lambda n: _exact_div(factorial(n - 2), 2) - factorial(n - 4),
-    "T5b": lambda n: _exact_div(factorial(n - 3), 2),
-    "T5c": lambda n: _exact_div(factorial(n - 2), 6),
-    "T5d": lambda n: _exact_div(factorial(n - 2), 12),
-    "T5e": lambda n: (n - 4) * factorial(n - 3),
-    "T5f": lambda n: _exact_div(factorial(n - 3), 2),
-    "T5g": lambda n: _exact_div(factorial(n - 3), 2),
-    "T5h": lambda n: _exact_div(factorial(n - 2), 12),
-}
-
-
 # ---------------------------------------------------------------------------
 # verification against a census
 
@@ -256,9 +220,10 @@ def verify_census(census) -> VerifyReport:
     ``symmetry-<t>-d<d>`` for each t = 3..n-3 and d < n-1-d: the column
     sum over classes 0..t at d against the one at n-1-d.  It cannot see a
     move within the middle column, nor two mirrored moves.  The per-row
-    first-match counts come last.  The census only needs ``n``,
-    ``counts_by_complexity``, ``counts_by_row`` and ``descent_matrix``
-    attributes.
+    first-match counts come last, each expected from the ``counts`` of
+    the automaton the census keeps for n, counted once per process and
+    length.  The census only needs ``n``, ``counts_by_complexity``,
+    ``counts_by_row`` and ``descent_matrix`` attributes.
     """
     n = census.n
     checks = []
@@ -282,8 +247,10 @@ def verify_census(census) -> VerifyReport:
         sums = _column_sums(census.descent_matrix, slice(t + 1))
         for d in range(n // 2):
             add(f"symmetry-{t}-d{d}", sums[n - 1 - d], sums[d])
-    for label in builtin_catalog().levels(n):
-        add(f"row-{label}", ROW_COUNTS[label](n), census.counts_by_row.get(label, 0))
+    from .census import _length_state  # census imports _column_sums from here
+    automaton = _length_state(n)[0]
+    for label, expected in zip(automaton.labels, automaton.counts):
+        add(f"row-{label}", expected, census.counts_by_row.get(label, 0))
     return VerifyReport(n, tuple(checks))
 
 

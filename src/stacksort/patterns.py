@@ -25,7 +25,7 @@ Row labels carry a certified complexity tier by prefix: a word matching an
 an ``L2`` row exactly n-2 (n >= 4), and a ``T`` row exactly n-3 (n >= 6).
 :func:`classify` returns the first matching row in catalog order, so earlier
 rows shadow later ones; the built-in catalog is ordered so that the per-row
-counts follow closed formulas (see :mod:`stacksort.formulas`).
+counts follow closed formulas; :mod:`stacksort.automaton` counts them.
 
 :func:`classify`, :func:`matches` and :func:`row_matches` run through one
 positional matcher: in a word with distinct letters every pinned letter
@@ -322,6 +322,20 @@ def expand_alternations(tokens: Sequence[Token]) -> list:
     return seqs
 
 
+def resolve_branches(tokens: Optional[Sequence[Token]], n: int) -> list:
+    """``(ts, pins)`` for each alternation-free branch ``ts`` of ``tokens``
+    (none if None) with ``pins`` the letter each token pins at length n,
+    None for a star or ``?``.  A branch pinning a letter outside 1..n
+    never matches, so it is left out, for both matchers."""
+    got = []
+    for ts in expand_alternations(tokens) if tokens is not None else ():
+        pins = [None if isinstance(t, (Star, AnyOne))
+                else n - t.offset if isinstance(t, RelValue) else t.value for t in ts]
+        if all(v is None or 1 <= v <= n for v in pins):
+            got.append((ts, pins))
+    return got
+
+
 def _positions(w: tuple) -> list:
     """``pos[v]`` is the index of letter v in w, or -1 if v is absent.
 
@@ -458,7 +472,7 @@ def classify(w: Sequence[int]) -> Optional[str]:
 
 class _CompiledBranch:
     """One alternation-free branch resolved, for one word length, into
-    checks on the positions of its pinned letters.
+    checks on the positions of its pinned letters (``resolve_branches``).
 
     The stars cut the branch into runs.  A run holding a pinned letter is a
     block; stars and pin-free ``?`` runs form the gaps between blocks, each
@@ -473,20 +487,16 @@ class _CompiledBranch:
     functions generated from it are the positional matcher.
     """
 
-    def __init__(self, ts: tuple, n: int):
+    def __init__(self, ts: tuple, pins: list, n: int):
         # runs[0] * runs[1] * ... hold each letter's value, None for ?
-        runs, pins, pinned = [[]], [], [False]
-        for t in ts:
+        runs, pinned = [[]], [False]
+        for t, v in zip(ts, pins):
             if isinstance(t, Star):
                 runs.append([])
                 pinned.append(False)
-            elif isinstance(t, AnyOne):
-                runs[-1].append(None)
             else:
-                v = n - t.offset if isinstance(t, RelValue) else t.value
                 runs[-1].append(v)
-                pins.append(v)
-                pinned[-1] = True
+                pinned[-1] |= v is not None
         m = len(runs) - 1  # the number of stars
         left = runs[0] if pinned[0] or not m else []
         right = runs[m] if m and pinned[m] else []
@@ -512,8 +522,7 @@ class _CompiledBranch:
                              len(run) + mins[b + 1]))
         self.floating = tuple(floating)
         self.last = right[-1] if right else None
-        self.alive = (all(1 <= v <= n for v in pins)
-                      and len(ts) - m <= n and (m > 0 or len(ts) == n))
+        self.alive = len(ts) - m <= n and (m > 0 or len(ts) == n)
 
     def source(self) -> str:
         """The branch's checks as one boolean expression over ``w`` and
@@ -578,9 +587,9 @@ def _either(branches: Sequence[_CompiledBranch]) -> str:
     return " or ".join(f"({br.source()})" for br in branches) or "False"
 
 
-def _compile(tokens: tuple, n: int) -> tuple:
+def _compile(tokens: Optional[tuple], n: int) -> tuple:
     """The branches of a token sequence at length n that can match at all."""
-    branches = (_CompiledBranch(b, n) for b in expand_alternations(tokens))
+    branches = (_CompiledBranch(ts, pins, n) for ts, pins in resolve_branches(tokens, n))
     return tuple(br for br in branches if br.alive)
 
 
@@ -590,8 +599,7 @@ class CompiledRow:
     def __init__(self, row: PatternRow, n: int):
         self.label = row.label
         self.branches = _compile(row.tokens, n)
-        self.exclusions = (_compile(row.exclusion, n)
-                           if row.exclusion is not None else ())
+        self.exclusions = _compile(row.exclusion, n)
 
     def source(self) -> str:
         """Source true iff some branch matches and no exclusion does."""

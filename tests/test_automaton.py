@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,14 @@ from stacksort.patterns import (
 )
 
 import _matching_oracle as oracle
+from _row_counts import ROW_COUNTS
+
+
+def _oracle_counts(cat, n):
+    """The oracle's first-match count of each label valid at n, and of None,
+    over every word of S_n: what ``CatalogAutomaton.counts`` should read."""
+    got = Counter(oracle.classify(cat, p) for p in permutations(range(1, n + 1)))
+    return tuple(got[label] for label in (*cat.levels(n), None))
 
 
 def test_automaton_matches_the_oracle_on_every_word_to_n8():
@@ -75,6 +85,28 @@ def test_automaton_matches_the_oracle_on_general_shapes():
                     n >= tier(row.label)[1] and oracle.row_matches(row, p)), (row.label, p)
 
 
+def test_counts_match_the_oracle_on_general_shapes():
+    cat = parse_catalog(GENERAL_SHAPES)
+    for n in range(1, 9):
+        assert CatalogAutomaton(cat, n).counts == _oracle_counts(cat, n), n
+        if n < 8:  # and every row alone, so that no earlier row shadows it
+            for row in cat.rows:
+                one = Catalog((row,))
+                assert CatalogAutomaton(one, n).counts == _oracle_counts(one, n), (
+                    row.label, n)
+
+
+def test_counts_equal_the_hand_derived_forms_to_n30():
+    # every row at every length from its tier's floor, and the words no row
+    # matches make up the rest of the n! words
+    cat = builtin_catalog()
+    for n in range(1, 31):
+        auto = CatalogAutomaton(cat, n)
+        assert auto.labels == tuple(cat.levels(n))
+        assert auto.counts[:-1] == tuple(ROW_COUNTS[label](n) for label in auto.labels), n
+        assert sum(auto.counts) == factorial(n)
+
+
 _flat_seq = st.lists(st.one_of(
     st.just(Star()),
     st.just(AnyOne()),
@@ -94,6 +126,7 @@ def test_random_flat_rows_agree_with_oracle(row, n):
     auto = CatalogAutomaton(cat, n)
     for p in permutations(range(1, n + 1)):
         assert auto.classify(p) == oracle.classify(cat, p), (format_row(row), p)
+    assert auto.counts == _oracle_counts(cat, n), format_row(row)
 
 
 def test_symbols_of_the_builtin_catalog():

@@ -5,7 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
@@ -534,6 +534,34 @@ def test_verify_passes_at_the_top_lengths(n, census_cache, extended):
     assert report.ok, report.failures
     assert {f"{name}-d{n - 1}" for name in ("eulerian", "narayana", "jacquard-schaeffer")
             } <= {chk.name for chk in report.checks}
+
+
+def test_the_catalog_counts_its_rows_as_the_walk_does(census_cache, extended):
+    # the automaton's counter, which verify_census reads, against the walk's
+    # first-match tallies; to n = 11 with STACKSORT_EXTENDED=1
+    for n in range(1, 12 if extended else 10):
+        c = census_cache(n)
+        automaton = census_mod._length_state(n)[0]
+        rows = [c.counts_by_row.get(label, 0) for label in automaton.labels]
+        assert automaton.counts == (*rows, factorial(n) - sum(rows)), n
+
+
+def test_a_second_verify_at_a_length_counts_nothing(census_cache, monkeypatch):
+    # the counts are kept on the automaton of the per-length state, so only
+    # the first verify_census at a length runs the counter
+    counts, runs = census_mod.CatalogAutomaton.counts, []
+
+    def counting(self):
+        runs.append(self.n)
+        return counts.func(self)
+
+    patched = cached_property(counting)
+    patched.__set_name__(census_mod.CatalogAutomaton, "counts")
+    monkeypatch.setattr(census_mod.CatalogAutomaton, "counts", patched)
+    census_mod._length_state.cache_clear()
+    for _ in range(2):
+        assert verify_census(census_cache(7)).ok
+    assert runs == [7]
 
 
 def test_shard_invariance(census_cache):

@@ -5,18 +5,20 @@ from types import SimpleNamespace
 
 import pytest
 
+from stacksort.automaton import CatalogAutomaton
 from stacksort.census import run_census
 from stacksort.formulas import (
     BinomialFormula,
     FactorialPoly,
     InexactDivision,
     REGISTRY,
-    ROW_COUNTS,
     canonical_prefactor,
     fit_binomial,
     verify_census,
 )
-from stacksort.patterns import builtin_catalog
+from stacksort.patterns import builtin_catalog, tier
+
+from _row_counts import ROW_COUNTS
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -90,13 +92,15 @@ def test_exact_plus_cumulative_identity():
 
 
 def test_tier_sums_match_row_counts():
-    for n in range(6, 14):
-        l1 = ROW_COUNTS["L1"](n)
-        l2 = sum(ROW_COUNTS[f"L2-{i}"](n) for i in range(1, 6))
-        t = sum(fn(n) for label, fn in ROW_COUNTS.items() if label.startswith("T"))
-        assert l1 == REGISTRY["exact-n-1"].evaluate(n)
-        assert l2 == REGISTRY["exact-n-2"].evaluate(n)
-        assert t == REGISTRY["exact-n-3"].evaluate(n)
+    # the hand-derived forms and the catalog's own counter each sum, tier
+    # by tier, to the exact-n-k forms
+    for n in range(6, 31):
+        auto = CatalogAutomaton(builtin_catalog(), n)
+        for counts in ({label: fn(n) for label, fn in ROW_COUNTS.items()},
+                       dict(zip(auto.labels, auto.counts))):
+            for k in (1, 2, 3):
+                assert sum(v for label, v in counts.items() if tier(label)[0] == k
+                           ) == REGISTRY[f"exact-n-{k}"].evaluate(n), (n, k)
     assert ROW_COUNTS["T5a"](6) == 10
 
 
@@ -122,7 +126,7 @@ def test_registry_classes_are_the_named_ranges():
 
 
 def test_row_counts_cover_the_catalog():
-    # verify_census checks each row's count through ROW_COUNTS alone
+    # the test oracle has a hand-derived form for every row, in catalog order
     assert list(ROW_COUNTS) == builtin_catalog().labels()
 
 
