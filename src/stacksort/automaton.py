@@ -22,8 +22,10 @@ How long an automaton lives is its maker's choice: the census keeps one
 per process and length, with the rest of its per-length state.
 
 The census kernel classifies with it, one state per prefix of its walk.
-It also counts each row's first matches (:attr:`CatalogAutomaton.counts`),
-which ``verify_census`` reads.  It shares nothing with the positional
+One dynamic program over its layers (:meth:`CatalogAutomaton.layer`)
+counts each row's first matches (:attr:`CatalogAutomaton.counts`), which
+``verify_census`` reads, and gives the census the states its leaves can
+reach.  It shares nothing with the positional
 matcher of :mod:`stacksort.patterns` but ``resolve_branches``; the test
 suite checks its labels against the brute-force oracle and its counts
 against that and the rows' hand-derived forms.
@@ -159,22 +161,20 @@ class CatalogAutomaton:
                       for c in range(symbols)]
         self.codes = bytes(codes) + bytes([none])
 
-    @cached_property
-    def counts(self) -> tuple:
-        """``counts[code]``: how many words of length n have label code
-        ``code``, no row last; they sum to n!.  Counted on first read by a
-        dynamic program over the positions that maps the pinned symbols
-        read, as bits, and the state to the symbol strings reaching them:
-        each pinned symbol is read at most once, and x while x letters
-        remain.  A string stands for (n - |pinned|)! words.
+    def layer(self, depth: int) -> dict:
+        """The words' prefixes of ``depth`` letters as a dynamic program:
+        the pinned symbols read, as bits, to each state reached to the
+        number of symbol strings that reach it.  A string reads each pinned
+        symbol at most once, and x while x letters remain.  :attr:`counts`
+        reads the last layer; the census reads the one at its leaves.
 
         >>> from stacksort.patterns import builtin_catalog
-        >>> CatalogAutomaton(builtin_catalog(), 4).counts  # L1, L2-1..L2-5, none
-        (2, 2, 1, 2, 2, 1, 14)
+        >>> CatalogAutomaton(builtin_catalog(), 4).layer(1)  # one pinned letter read
+        {1: {0: 1}, 2: {0: 1}, 4: {1: 1}, 8: {2: 1}}
         """
         n, x = self.n, len(self.pinned)
-        layer = {0: {0: 1}}  # pinned symbols read -> state -> strings reaching it
-        for i in range(n):
+        layer = {0: {0: 1}}
+        for i in range(depth):
             after: dict = {}
             for used, ways in layer.items():
                 steps = [(c, used | 1 << c) for c in range(x) if not used >> c & 1]
@@ -186,8 +186,22 @@ class CatalogAutomaton:
                         t = column[s]
                         got[t] = got.get(t, 0) + w
             layer = after
+        return layer
+
+    @cached_property
+    def counts(self) -> tuple:
+        """``counts[code]``: how many words of length n have label code
+        ``code``, no row last; they sum to n!.  Counted on first read from
+        the last :meth:`layer`, the strings that read every pinned symbol:
+        a string stands for (n - |pinned|)! words.
+
+        >>> from stacksort.patterns import builtin_catalog
+        >>> CatalogAutomaton(builtin_catalog(), 4).counts  # L1, L2-1..L2-5, none
+        (2, 2, 1, 2, 2, 1, 14)
+        """
+        n, x = self.n, len(self.pinned)
         counts = [0] * (len(self.labels) + 1)
-        for s, w in layer[(1 << x) - 1].items():  # the strings read every pinned symbol
+        for s, w in self.layer(n)[(1 << x) - 1].items():
             counts[self.codes[s]] += w
         return tuple(c * factorial(n - x) for c in counts)
 

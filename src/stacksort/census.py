@@ -11,47 +11,50 @@ The shard kernel walks the prefix tree of its rank range depth first, so
 words that share a prefix share its work: the letters of a prefix go
 through the stack pass, the descent count and the catalog's automaton
 (:mod:`stacksort.automaton`) once for every word below them.  The walk
-stops four letters short of a word, at a leaf that serves the 24 orders
-of its last four letters.  Leaves whose prefixes leave that first pass in
-the same state (the same output and stack) share all 24 S(w): the kernel
+stops five letters short of a word, at a leaf that serves the 120 orders
+of its last five letters.  Leaves whose prefixes leave that first pass in
+the same state (the same output and stack) share all 120 S(w): the kernel
 computes their complexities once, in a memo cleared at a fixed size, and
 reads them back for every later prefix with that state.  A miss is three
 C-level calls over the whole leaf.  The state's shape, the places of the
-four free letters among the letters still in play, keys a template of its
-24 S(w) written as places: the rest of the pass only compares those
+five free letters among the letters still in play, keys a template of its
+120 S(w) written as places: the rest of the pass only compares those
 letters, so the shape fixes it up to their names.  One ``translate``
-renames the places to the state's letters, one ``split`` cuts the 24 S(w)
+renames the places to the state's letters, one ``split`` cuts the 120 S(w)
 apart, and one ``map`` reads each from a dict keyed by S(w) itself, since
 different states can give the same S(w); from n = 9 on that dict computes
-a complexity on its first read.  A length has C(n + 1, 5) shapes, and the
-pass runs once for each, when the table of templates is built.  Leaves
+a complexity on its first read.  A length has C(n + 1, 6) shapes.  Leaves
 whose prefixes leave the automaton in the same state, with the same
-symbols left for their free letters, share all 24 labels, which a table
-kept per process and length holds as bytes.  No word of a leaf is built:
-a leaf counts one for its exact key, its 24 complexities, descent counts
-and labels, each distinct pair of complexities and labels is checked once
-in rank order, and after the walk the keys add to the descent matrix and
-to the rows.  Every key is exact, so a hit gives what recomputing would
-and no tally can differ from a word-by-word walk.
+symbols left for their free letters, share all 120 labels, which a table
+holds as bytes.  No word of a leaf is built: a leaf counts one for its
+exact key, its 120 complexities, descent counts and labels; each distinct
+key is checked once, in rank order, by two ``translate`` calls and a
+compare; and after the walk the keys add to the descent matrix by their
+complexities and descents and to the rows by their labels.  Every key is
+exact, so a hit gives what recomputing would and no tally can differ from
+a word-by-word walk.
 
 The kernel's state has two lifetimes.  The automaton, the prefix table,
-the table of shapes and the table of leaf labels belong to the process
-and the length: one ``lru_cache``d call, :func:`_length_state`, makes
-them on the first use of the length in a process, never at import, and
-keeps them.  The prefix table comes from ``words._prefix_table``, whose
-cache ``complexity`` shares.  The first three are built whole.  The
-automaton holds the transitions of every state a word can reach, 536 and
-a sink from n = 9 on, so a node of the walk is one table lookup.  The
-table of shapes holds places, not letters, and C(n + 1, 5) templates, but
-one length's table cannot serve another: below n = 4 phantom letters give
-a shape that a longer length also has, with another continuation.  The
-table of leaf labels starts empty and fills as leaves miss, and is never
-cleared.  A run that starts a process pool builds the state in the
-calling process first, so workers forked from it inherit it, build no
-automaton and no shape and fill only their tables of leaf labels, and
-every later census of that length in the same process starts warm.
-Under the ``spawn`` or ``forkserver`` start methods workers inherit
-nothing and each builds the state on its first shard.
+the table of shapes, the table of leaf labels and the table of a leaf's
+descent counts belong to the process and the length: one ``lru_cache``d
+call, :func:`_length_state`, makes the object that holds them on the first
+use of the length in a process, never at import, and keeps it.  The
+automaton is built with it, and the tables, each built whole, on their
+first read, so ``verify_census``, which reads only the automaton, builds
+no table.  The prefix table comes from ``words._prefix_table``, whose cache
+``complexity`` shares.  The automaton holds the transitions of every state
+a word can reach, 536 and a sink from n = 9 on, so a node of the walk is
+one table lookup.  The table of shapes holds places, not letters, and
+C(n + 1, 6) templates, but one length's table cannot serve another: below
+n = 5 phantom letters give a shape that a longer length also has, with
+another continuation.  The table of leaf labels holds every pair of a
+state and free symbols a leaf can reach, from the automaton's reachable
+states at the leaves' depth, so the kernel only reads it.  A run that
+starts a process pool builds every table in the calling process first, so
+workers forked from it inherit them and build nothing, and every later
+census of that length in the same process starts warm.  Under the
+``spawn`` or ``forkserver`` start methods workers inherit nothing and each
+builds the state on its first shard.
 
 The memo, its ``shared`` values and the dict of S(w) belong to the run:
 :func:`run_census` makes them as locals and passes them to every shard
@@ -64,11 +67,11 @@ call starts with dicts of its own.
 
 Every shard kernel doubles as a soundness check: for each word it compares
 the catalog classification, read from the automaton, against the
-independently computed complexity, once for each distinct pair of a
-leaf's complexities and labels, and raises :class:`CensusSoundnessError`
-on any disagreement, naming the word, its rank and the level the catalog
-certified for it.  A completed census is therefore an exhaustive proof,
-for that n, that the catalog certifies exactly what
+independently computed complexity, once for each distinct key of a leaf,
+and raises :class:`CensusSoundnessError` on any disagreement, naming the
+word, its rank and the level the catalog certified for it.  A completed
+census is therefore an exhaustive proof, for that n, that the catalog
+certifies exactly what
 :mod:`stacksort.patterns` states: the level of each row valid at n in
 ``Catalog.levels(n)``, and ``none_ceiling(n)`` for words no row matches.
 
@@ -98,12 +101,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
+from bisect import bisect_left
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, Optional, Tuple
 
-from .automaton import CatalogAutomaton
+from .automaton import NO_LETTER, CatalogAutomaton
 from .formulas import _column_sums
 from .patterns import builtin_catalog, format_row, none_ceiling
 from .words import TABLE_CAP, _complexity, _pass, _prefix_table, format_word, unrank
@@ -116,8 +120,10 @@ MAX_N = 14
 # kernel clears the memo on a miss that finds it full, and the dict of S(w)
 # clears itself when a complexity it has not seen would overfill it
 _MEMO_CAP = 1 << 18
+_FREE = 5  # the free letters of a leaf of the walk
+_ORDERS = factorial(_FREE)  # the words a leaf serves, one for each order of them
 RANKS = bytes(range(256))  # the places in a template of a leaf's letters
-SEP = b"\xff"  # between a template's 24 words: above every letter and place
+SEP = b"\xff"  # between a template's 120 words: above every letter and place
 PLUS_ONE = RANKS[1:] + RANKS[:1]  # translates each complexity c to c + 1
 
 log = logging.getLogger(__name__)
@@ -284,38 +290,68 @@ def _catalog_sha256() -> str:
     return _sha256("\n".join(format_row(row) for row in builtin_catalog().rows).encode())
 
 
+class _LengthState:
+    """The kernel's state for length n, which :func:`_length_state` makes
+    once per process and length.  ``automaton``, the
+    :class:`CatalogAutomaton` of the built-in catalog at n, is built with
+    the object; ``verify_census`` reads only it.  The kernel's tables are
+    built whole on first read, and :meth:`tables` reads them all, so a call
+    before a pool starts builds them once for every worker forked from it.
+
+    ``table`` is the prefix table over S_min(n-1, TABLE_CAP) from
+    ``_prefix_table``; ``shapes`` the table of shapes from
+    :func:`_table_of_shapes`; ``labels`` the table of leaf labels from
+    :func:`_table_of_labels`; and ``descents`` the table of a leaf's
+    descent counts, ``descents[d][r]`` the 120 descent counts, as bytes, of
+    the orders of a leaf whose prefix has d descents and ends above r of its
+    free letters.  The kernel only reads them."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.automaton = CatalogAutomaton(builtin_catalog(), n)
+
+    @cached_property
+    def table(self) -> dict:
+        return _prefix_table(min(self.n - 1, TABLE_CAP))
+
+    @cached_property
+    def shapes(self) -> dict:
+        return _table_of_shapes(self.n)
+
+    @cached_property
+    def labels(self) -> dict:
+        return _table_of_labels(self.automaton, self.n)
+
+    @cached_property
+    def descents(self) -> list:
+        # the first letter of order t is the (t // 24)-th smallest free
+        # letter, and steps[t] the descents within the order
+        steps = [sum(a > b for a, b in zip(t, t[1:])) for t in permutations(range(_FREE))]
+        first = _ORDERS // _FREE
+        return [[bytes(d + (t // first < r) + s for t, s in enumerate(steps))
+                 for r in range(_FREE + 1)] for d in range(max(self.n - _FREE, 1))]
+
+    def tables(self) -> tuple:
+        """``(table, shapes, labels, descents)``, built on first read."""
+        return self.table, self.shapes, self.labels, self.descents
+
+
 @lru_cache(maxsize=None)
-def _length_state(n: int) -> tuple:
-    """``(automaton, table, shapes, labels)``, the kernel's state for length
-    n, made on the first call in a process and kept for its life, so a
-    call before a pool starts makes it once for every worker forked from
-    it.  ``automaton`` is the :class:`CatalogAutomaton` of the built-in
-    catalog at n, ``table`` the prefix table over S_min(n-1, TABLE_CAP)
-    from ``_prefix_table``, ``shapes`` the complete table of shapes from
-    :func:`_table_of_shapes`, and ``labels`` the table of leaf labels, made
-    empty: ``(state, symbols)`` to the label codes of a leaf's 24 words, as
-    bytes, where ``state`` is the automaton's after the leaf's prefix and
-    ``symbols`` those of its four free letters, in increasing order, as
-    bytes.  The kernel fills ``labels`` on each miss through
-    :func:`_orders` and never clears it, since it holds at most one entry
-    per state and choice of free symbols: 536 states and the sink at
-    most, times at most 163 choices from n = 9 on.  The letters of a word
-    are distinct, so a leaf's free symbols are its pinned letters not yet
-    read and x for the rest."""
-    return (CatalogAutomaton(builtin_catalog(), n), _prefix_table(min(n - 1, TABLE_CAP)),
-            _table_of_shapes(n), {})
+def _length_state(n: int) -> _LengthState:
+    """The :class:`_LengthState` of length n, made on the first call in a
+    process and kept for its life."""
+    return _LengthState(n)
 
 
-def _orders(go: list, codes: bytes, state: int, free: list) -> bytes:
-    """The label codes of the 24 orders of the letters ``free`` read from
-    the automaton's ``state``, in lexicographic order of their places in
-    ``free``: 40 steps down a tree of four levels.  ``go[x]`` is the column
-    of the transition table for the symbol of letter x; a phantom letter 0
-    steps nowhere."""
+def _orders(codes: bytes, state: int, cols: list) -> bytes:
+    """The label codes of the 24 orders of four letters read from the
+    automaton's ``state``, in lexicographic order of their places: 40 steps
+    down a tree of four levels.  ``cols[i]`` is the column of the transition
+    table for the symbol of the i-th letter."""
     got = []
-    for i, a in enumerate(free):
-        s = go[a][state]
-        b, c, d = (go[x] for x in free[:i] + free[i + 1:])  # in increasing order
+    for i, a in enumerate(cols):
+        s = a[state]
+        b, c, d = cols[:i] + cols[i + 1:]  # in increasing order
         t = b[s]
         got += (codes[d[c[t]]], codes[c[d[t]]])
         t = c[s]
@@ -323,6 +359,43 @@ def _orders(go: list, codes: bytes, state: int, free: list) -> bytes:
         t = d[s]
         got += (codes[c[b[t]]], codes[b[c[t]]])
     return bytes(got)
+
+
+def _table_of_labels(automaton: CatalogAutomaton, n: int) -> dict:
+    """Every ``(state, symbols)`` a leaf of S_n can reach, mapped to the
+    label codes of the leaf's 120 words as bytes, built whole;
+    :class:`_LengthState` keeps it.
+
+    ``state`` is the automaton's after the leaf's prefix and ``symbols``
+    those of its five free letters, in increasing order, as bytes.  The
+    states come from the automaton's :meth:`~CatalogAutomaton.layer` at the
+    leaves' depth, n - 5, with the pinned letters read to reach each.  The
+    letters of a word are distinct, so a leaf's free letters are the pinned
+    letters its prefix has not read and x letters for the rest; ``symbols``
+    keeps them in letter order, every way the x letters can fall among the
+    others (one way for the built-in catalog, whose x letters lie between
+    3 and n - 4).  Below n = 5 phantom letters 0, of symbol ``NO_LETTER``,
+    lead them and step nowhere.  An entry is five calls of :func:`_orders`,
+    one for each first letter: 212 entries at n = 8, 1,066 at n = 9."""
+    x = len(automaton.pinned)
+    cols = {**dict(enumerate(automaton.delta)), NO_LETTER: range(len(automaton.codes))}
+    labels = {}
+    for used, states in automaton.layer(max(n - _FREE, 0)).items():
+        keys = {bytes([NO_LETTER] * (_FREE - n))}
+        for c in automaton.symbol[1:n + 1]:  # each letter's, in increasing order
+            if c == x:  # an x letter may be free
+                keys |= {k + bytes([c]) for k in keys if len(k) < _FREE}
+            elif not used >> c & 1:  # a pinned letter not read is free
+                keys = {k + bytes([c]) for k in keys if len(k) < _FREE}
+        for key in keys:
+            if len(key) < _FREE:
+                continue
+            go = [cols[c] for c in key]
+            for state in states:
+                labels[state, key] = b"".join(
+                    _orders(automaton.codes, col[state], go[:i] + go[i + 1:])
+                    for i, col in enumerate(go))
+    return labels
 
 
 class _Complexities(dict):
@@ -348,59 +421,82 @@ def _start_worker() -> None:
 
 
 def _in_play(stack: list, free: list) -> tuple:
-    """``(ls, shape)`` of a leaf's state: ``ls``, the sorted letters still in
-    play, those of ``stack[1:] + free``, and the shape, their number and the
-    places of the free letters among them."""
+    """``(ls, shape)`` of a first-pass state: ``ls``, the sorted letters
+    still in play, those of ``stack[1:] + free``, and the shape, their
+    number and the places of the free letters among them."""
     ls = sorted(stack[1:] + free)
     return ls, (len(ls), *map(ls.index, free))
 
 
 def _template(stack: list, free: list, ls: list) -> bytes:
-    """The template of a leaf's state: its 24 whole S(w) without n, one for
-    each order of the four free letters ``free`` (lexicographic), as bytes
-    of places joined by ``SEP``.  Places 0..m - 1 stand for ``ls``, the m
-    sorted letters of ``stack[1:] + free``, and places m..n - 1 for the
-    n - m letters of the output in order; each S(w) is those n - m places,
-    then the continuation, what finishing the first pass appends to the
-    output.  ``stack`` decreases upwards over the guard letter n + 1, so
-    pushing ``stack[1:]`` again pops nothing; a phantom letter 0 in
-    ``free`` is not pushed, and n, the largest letter in play, comes out
-    last."""
-    head = RANKS[len(ls):stack[0] - 1]  # empty below n = 4, where m = 4 > n
+    """The template of a first-pass state: its whole S(w) without n, one
+    for each order of the free letters ``free`` (lexicographic), as bytes
+    of places joined by ``SEP``, from one pass for each order.  Places
+    0..m - 1 stand for ``ls``, the m sorted letters of ``stack[1:] +
+    free``, and places m..n - 1 for the n - m letters of the output in
+    order; each S(w) is those n - m places, then the continuation, what
+    finishing the first pass appends to the output.  ``stack`` decreases
+    upwards over the guard letter n + 1, so pushing ``stack[1:]`` again pops
+    nothing; a phantom letter 0 in ``free`` is not pushed, and n, the
+    largest letter in play, comes out last."""
+    head = RANKS[len(ls):stack[0] - 1]  # empty at the root below n = 5, where m = 5 > n
     return SEP.join(head + bytes(map(ls.index, _pass(stack[1:] + [x for x in t if x],
                                                      stack[0])[:-1]))
                     for t in permutations(free))
 
 
 def _table_of_shapes(n: int) -> dict:
-    """Every shape of a leaf of S_n mapped to its template, from
-    :func:`_template`, built whole; :func:`_length_state` keeps it.
+    """Every shape of a leaf of S_n mapped to its template, built whole;
+    :class:`_LengthState` keeps it.
 
-    From n = 4 on a leaf has four free letters and m = 4..n letters in play,
-    n the largest of them, and its shape is m and the four places of the
-    free letters among them, any four of the m: C(n + 1, 5) shapes in all
-    (126 at n = 8, 2,002 at n = 13).  Each is built from one state of that
+    From n = 5 on a leaf has five free letters and m = 5..n letters in play,
+    n the largest of them, and its shape is m and the five places of the
+    free letters among them, any five of the m: C(n + 1, 6) shapes in all
+    (84 at n = 8, 1,716 at n = 12).  Each is built from one state of that
     shape, with the letters 1..m and the others on the stack in decreasing
-    order.  Below n = 4 the root is the only leaf, with phantom letters 0
-    leading ``free``, and its one shape can be a shape of a longer length
-    with another continuation, (4, 0, 0, 2, 3) at n = 2, so one table
-    serves one length only.  A template is 24 words of n - 1 places
-    joined by ``SEP``, 24 * n - 1 bytes: 24,066 bytes in all at n = 8."""
-    if n < 4:
-        states = [([n + 1], [0] * (4 - n) + list(range(1, n + 1)))]
-    else:
-        states = [([n + 1, *(x for x in range(m, 0, -1) if x not in free)], free)
-                  for m in range(4, n + 1)
-                  for free in map(list, combinations(range(1, m + 1), 4))]
-    shapes = {}
-    for stack, free in states:
+    order, and from the templates of four free letters, C(n + 1, 5) of
+    them, each built the same way by :func:`_template`: the first free
+    letter of an order pops the stack letters below it and leaves a state
+    with four free letters, whose 24 words one ``translate`` renames to
+    this state's places.  Below n = 5 the root is the only leaf, with
+    phantom letters 0 leading ``free``, and :func:`_template` builds its
+    one shape, which can be a shape of a longer length with another
+    continuation, (5, 0, 1, 2, 3, 4) at n = 4 and 5, so one table serves
+    one length only.  A template is 120 words of n - 1 places joined by
+    ``SEP``, 120 * n - 1 bytes: 80,556 bytes in all at n = 8."""
+    if n < _FREE:
+        stack, free = [n + 1], [0] * (_FREE - n) + list(range(1, n + 1))
         ls, shape = _in_play(stack, free)
-        shapes[shape] = _template(stack, free, ls)
+        return {shape: _template(stack, free, ls)}
+
+    def states(k):  # one state of each shape with k free letters
+        return [([n + 1, *(x for x in range(m, 0, -1) if x not in free)], free)
+                for m in range(k, n + 1) for free in map(list, combinations(range(1, m + 1), k))]
+
+    fours = {}
+    for stack, free in states(_FREE - 1):
+        ls, shape = _in_play(stack, free)
+        fours[shape] = _template(stack, free, ls)
+    shapes = {}
+    for stack, free in states(_FREE):
+        ls, shape = _in_play(stack, free)
+        words = []
+        for i, a in enumerate(free):
+            cut = len(stack) - sum(x < a for x in stack)  # a pops stack[cut:]
+            rest = free[:i] + free[i + 1:]
+            below, child = _in_play(stack[:cut] + [a], rest)
+            # the child's places: its letters in play, then its output, this
+            # state's and then the popped letters, top first
+            places = bytes(map(ls.index, below + stack[:cut - 1:-1]))
+            places = places[:len(below)] + RANKS[len(ls):n] + places[len(below):]
+            words.append(fours[child].translate(
+                bytes.maketrans(RANKS[:len(places)], places)))
+        shapes[shape] = SEP.join(words)
     return shapes
 
 
 def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
-    """The 24 S(w) without n of a leaf at the first-pass state ``out``,
+    """The 120 S(w) without n of a leaf at the first-pass state ``out``,
     ``stack`` with free letters ``free``, in lexicographic order of the
     free letters, each as bytes.
 
@@ -408,14 +504,35 @@ def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
     ``ls``, and the stack decreases upwards, so the state's shape (see
     :func:`_in_play`) fixes each S(w) as a sequence of places: those of
     the output's letters, then places in ``ls``.  ``shapes``, the complete
-    table of shapes of the length (:func:`_table_of_shapes`), holds the 24
+    table of shapes of the length (:func:`_table_of_shapes`), holds the 120
     sequences of each shape as one template; one ``translate`` renames
     the places to this state's letters, ``ls`` then ``out``, and one
-    ``split`` cuts the 24 words apart."""
+    ``split`` cuts the 120 words apart."""
     ls, shape = _in_play(stack, free)
     letters = bytes(ls + out)
     return shapes[shape].translate(
         bytes.maketrans(RANKS[:len(letters)], letters)).split(SEP)
+
+
+def _check_tables(level: list, ceiling: int) -> tuple:
+    """``(clamp, certify)``, the ``translate`` tables of a leaf's check:
+    ``cs.translate(clamp) == ls.translate(certify)`` exactly when each word
+    passes, the complexity in ``cs`` of each a level its label code in
+    ``ls`` certifies.  ``level[j]`` is the level row code j certifies and
+    ``ceiling`` the most an unclassified word, of code ``len(level)``, may
+    have.  ``clamp`` lifts each complexity at or below the ceiling to it
+    and ``certify`` maps each code to its level, no row to the ceiling, or,
+    when the ceiling is below 0 and certifies no complexity, to a byte no
+    complexity takes.  A row certifying at most the ceiling would let a
+    word the per-word test fails pass, so it raises; ``none_ceiling``
+    rules it out by its definition."""
+    if min(level, default=ceiling + 1) <= ceiling:
+        raise AssertionError(f"a row certifies {min(level)}, at most the "
+                             f"unclassified ceiling {ceiling}")
+    low = max(ceiling + 1, 0)  # the complexities at or below the ceiling
+    clamp = bytes([ceiling] * low) + RANKS[low:]
+    certify = bytes([*level, ceiling if low else 255]).ljust(256, b"\0")
+    return clamp, certify
 
 
 def _shard_kernel(n: int, lo: int, hi: int,
@@ -429,36 +546,36 @@ def _shard_kernel(n: int, lo: int, hi: int,
     shared stack pass (the smaller letters it pops go to one shared output
     list), adds its descent and steps the catalog's automaton by its
     letter's symbol, one table lookup, once for every word below it, and
-    undoes the pass on return.  The walk stops at depth n - 4: a leaf
-    serves the 24 orders of its four free letters in lexicographic order,
+    undoes the pass on return.  The walk stops at depth n - 5: a leaf
+    serves the 120 orders of its five free letters in lexicographic order,
     each word a rank of its block, and a shard edge inside a leaf slices
-    its 24 entries.  Below n = 4 the root is the leaf, and phantom letters
-    0 lead ``free`` so that the first n! of the 24 orders are the words of
+    its 120 entries.  Below n = 5 the root is the leaf, and phantom letters
+    0 lead ``free`` so that the first n! of the 120 orders are the words of
     S_n.
 
-    The 24 S(w) of a leaf are fixed by its first-pass state, the output
+    The 120 S(w) of a leaf are fixed by its first-pass state, the output
     and the stack (the free letters are those in neither), so prefixes
-    that reach the same state, such as 132 and 312, give the same 24
+    that reach the same state, such as 132 and 312, give the same 120
     words.  A memo maps the state, as ``bytes(out + stack)``, where the
     guard letter n + 1 marks the boundary, to one plus the complexity of
-    each S(w) without n, as 24 bytes stored once however many states
-    share them.  Only on a miss does the leaf build its 24 S(w) without n,
+    each S(w) without n, as 120 bytes stored once however many states
+    share them.  Only on a miss does the leaf build its 120 S(w) without n,
     through :func:`_leaf_words`: each is the output followed by letters in
     play, those of the stack and the free ones, in an order fixed by the
     state's shape.  A shape is a number m <= n of letters in play and the
-    places of the four free letters among them, which increase, so a
-    length has C(n + 1, 5) shapes (126 at n = 8), each in the table built
+    places of the five free letters among them, which increase, so a
+    length has C(n + 1, 6) shapes (84 at n = 8), each in the table built
     whole by :func:`_table_of_shapes`, and no miss finishes the stack pass:
     one ``translate`` of the shape's template and one ``split`` give the
-    24 words.  Another state can give the same S(w) (S of the order
-    a < b < c < d is the output and then every other letter in increasing
-    order), so one ``map`` reads each S(w) without n, as bytes, from a
-    dict of S(w): the prefix table itself when n - 1 <= TABLE_CAP, since
-    it holds all of S_{n-1} and so is only ever read, and otherwise a
+    120 words.  Another state can give the same S(w) (S of the order
+    a < b < c < d < e is the output and then every other letter in
+    increasing order), so one ``map`` reads each S(w) without n, as bytes,
+    from a dict of S(w): the prefix table itself when n - 1 <= TABLE_CAP,
+    since it holds all of S_{n-1} and so is only ever read, and otherwise a
     :class:`_Complexities` that fills itself through ``_complexity``,
     which drops the settled maxima at the end of S(w) and of each later
     pass until the table answers.  A last ``translate`` adds one to each
-    of the 24 complexities for the memo.  The memo, its ``shared`` values
+    of the 120 complexities for the memo.  The memo, its ``shared`` values
     and the dict of S(w) are ``dicts``, the run's in this process (see the
     module docstring); a direct call with none gets fresh ones that die
     with it.  The memo and the dict of S(w) are cleared when they hold
@@ -466,61 +583,62 @@ def _shard_kernel(n: int, lo: int, hi: int,
     process.  A key is the exact state, shape or word, never a hash of it,
     so a hit returns what a miss would compute and no tally can change.
 
-    The 24 labels of a leaf are fixed by the automaton's state after its
-    prefix and by the symbols of its four free letters, which follow from
+    The 120 labels of a leaf are fixed by the automaton's state after its
+    prefix and by the symbols of its five free letters, which follow from
     the pinned letters the prefix has used.  They come, as label codes in
-    24 bytes, from the table of leaf labels of :func:`_length_state`,
-    keyed by that state and those symbols; a miss fills the entry through
-    :func:`_orders`, which steps the automaton through the 24 orders as a
-    tree of four levels.  A leaf's
-    24 descent counts depend only on the prefix's descents d and on r, the
-    number of free letters below its last letter, so they are
-    ``desc[d][r]``, bytes from a table built once per call.  Complexity 0
-    is the sorted word, the one with no descent, which can only be a
-    leaf's first: when that word has none, a 0 replaces its entry of
-    ``cs``.  No word of a leaf is built: a leaf counts one for its key
-    ``(cs, es, ls)``, its complexities, descents and labels as exact
-    bytes.  Each distinct ``(cs, ls)`` pair is checked once, the first
-    time the walk meets it, so the walk meets every pair in rank order and
-    the first clash raised is the lowest-ranked one: the first failing
-    word of the first failing leaf, rebuilt from its rank by
-    ``words.unrank``.  After the walk each distinct key adds its count to
-    ``descents[k][e]`` and to its row for each of its words; the counts
-    are the row sums of the descent matrix.  The automaton, the prefix
-    table, the table of shapes and the table of leaf labels come from
+    120 bytes, from the table of leaf labels, keyed by that state and
+    those symbols and built whole before the walk.  A leaf's 120 descent
+    counts depend only on the prefix's descents d and on r, the number of
+    free letters below its last letter, so they are ``descents[d][r]``.
+    Complexity 0 is the sorted word, the one with no descent, which can
+    only be a leaf's first: when that word has none, a 0 replaces its entry
+    of ``cs``.  No word of a leaf is built: a leaf counts one for its key
+    ``(cs, es, ls)``, its complexities, descents and labels as exact bytes.
+
+    Each distinct key is checked the first time the walk meets it, as two
+    ``translate`` calls and a compare: ``clamp`` lifts each complexity at or
+    below the unclassified ceiling to the ceiling, and ``certify`` maps
+    each label code to the level it certifies, so the two agree exactly
+    when every word passes, since every row certifies a level above the
+    ceiling (a ceiling below 0 certifies no complexity, so no row gets a
+    byte that no complexity takes).  Only when they differ does a loop over
+    the words find the first that fails.  The walk meets the keys in rank
+    order, so the first clash raised is the lowest-ranked one: the first
+    failing word of the first failing leaf, rebuilt from its rank by
+    ``words.unrank``.  After the walk the keys are summed by
+    ``(cs, es)``, each of which adds to the descent matrix, and by ``ls``,
+    each of which adds to the rows; the counts are the row sums of the
+    descent matrix.  The automaton, the prefix table, the table of shapes,
+    the table of leaf labels and the table of descent counts come from
     :func:`_length_state`, the process's for the length.
     """
     tallies = _zero_tallies(n)
     if hi <= lo:
         return tallies
     cnt, rows, dm = tallies.values()
-    automaton, table, shapes, labelled = _length_state(n)
+    own = _length_state(n)
+    automaton = own.automaton
+    table, shapes, labelled, desc = own.tables()
     levels = builtin_catalog().levels(n)
     names = (*automaton.labels, None)  # by label code
     none = len(automaton.labels)       # the code of no row
+    ceiling = none_ceiling(n)
     # the level each code certifies: a row's, or at most the ceiling for none
-    level = [*(levels[label] for label in automaton.labels), none_ceiling(n)]
-    codes, symbol = automaton.codes, automaton.symbol
+    level = [*(levels[label] for label in automaton.labels), ceiling]
+    clamp, certify = _check_tables(level[:none], ceiling)
+    symbol = automaton.symbol
     # each letter's column of the transition table; phantom letter 0 stays put
-    go = [range(len(codes)), *(automaton.delta[c] for c in symbol[1:n + 1])]
-    # bytes(out + stack) at a leaf -> 1 + complexity of each of its 24 S(w),
+    go = [range(len(automaton.codes)), *(automaton.delta[c] for c in symbol[1:n + 1])]
+    # bytes(out + stack) at a leaf -> 1 + complexity of each of its 120 S(w),
     # as bytes; the memo's values, each distinct one stored once; and
     # bytes(S(w) without n) -> its complexity: the run's or this call's own
     memo, shared, known = dicts if dicts is not None else ({}, {}, _Complexities())
     if n - 1 <= TABLE_CAP:
         known = table  # it holds all of S_{n-1}, so it only ever hits
     fact = [factorial(m) for m in range(n + 1)]
-    leaf = max(n - 4, 0)  # the depth of the leaves
-    # the descents of a leaf's 24 words, as bytes, when its prefix has d
-    # descents and ends above r of the four free letters: the first letter
-    # of order t is the (t // 6)-th smallest, and steps[t] the descents
-    # within the order
-    steps = [sum(a > b for a, b in zip(t, t[1:])) for t in permutations(range(4))]
-    desc = [[bytes(d + (t // 6 < r) + s for t, s in enumerate(steps)) for r in range(5)]
-            for d in range(max(n - 4, 1))]
+    leaf = max(n - _FREE, 0)  # the depth of the leaves
     leaves: dict = {}  # (complexities, descents, labels) of a leaf's words -> its leaves
-    checked = set()    # the (complexities, labels) pairs of the leaves met so far
-    free = [0] * (4 - n) + list(range(1, n + 1))  # letters not yet placed
+    free = [0] * (_FREE - n) + list(range(1, n + 1))  # letters not yet placed
     stack = [n + 1]  # decreasing upwards, over a guard letter
     out = []         # letters popped so far, in output order
 
@@ -547,23 +665,18 @@ def _shard_kernel(n: int, lo: int, hi: int,
                 cs = bytes(map(known.__getitem__, _leaf_words(shapes, stack, out, free))
                            ).translate(PLUS_ONE)
                 cs = memo[key] = shared.setdefault(cs, cs)
-            key = state, bytes(free).translate(symbol)
-            ls = labelled.get(key)
-            if ls is None:
-                ls = labelled[key] = _orders(go, codes, state, free)
-            a, b, c, f = free  # in increasing order
-            es = desc[d][(prev > a) + (prev > b) + (prev > c) + (prev > f)]
-            if lo > base or hi < base + 24:
-                t0, t1 = max(lo - base, 0), min(hi - base, 24)
+            ls = labelled[state, bytes(free).translate(symbol)]
+            es = desc[d][bisect_left(free, prev)]
+            if lo > base or hi < base + _ORDERS:
+                t0, t1 = max(lo - base, 0), min(hi - base, _ORDERS)
                 cs, es, ls = cs[t0:t1], es[t0:t1], ls[t0:t1]
             if not es[0]:  # the sorted word, the one with no descent
                 cs = b"\0" + cs[1:]
             key = cs, es, ls
             seen = leaves.get(key)
             if seen is None:
-                if (cs, ls) not in checked:
+                if cs.translate(clamp) != ls.translate(certify):
                     check(cs, ls, max(lo, base))
-                    checked.add((cs, ls))
                 leaves[key] = 1
             else:
                 leaves[key] = seen + 1
@@ -584,10 +697,17 @@ def _shard_kernel(n: int, lo: int, hi: int,
 
     walk(0, 0, 0, 0, 0)
     del walk  # it refers to itself through its closure
-    hits = [0] * len(names)  # words by label code
+    pairs: dict = {}    # (complexities, descents) -> leaves
+    by_labels: dict = {}  # labels -> leaves
     for (cs, es, ls), c in leaves.items():
-        for k, e, j in zip(cs, es, ls):
+        pairs[cs, es] = pairs.get((cs, es), 0) + c
+        by_labels[ls] = by_labels.get(ls, 0) + c
+    for (cs, es), c in pairs.items():
+        for k, e in zip(cs, es):
             dm[k][e] += c
+    hits = [0] * len(names)  # words by label code
+    for ls, c in by_labels.items():
+        for j in ls:
             hits[j] += c
     for label, h in zip(automaton.labels, hits):
         rows[label] += h
@@ -722,11 +842,11 @@ def run_census(
     Only the shards left to compute go to the kernel, in a pool of
     ``min(jobs, shards left)`` workers when more than one is left.  Just
     before that pool starts, this process builds the per-length state of
-    :func:`_length_state`, so forked workers inherit it; without a pool the
-    first shard computed here builds it, and a resume with no shard left
-    builds none.  When the wait for that pool is cut short, by an interrupt
-    or a failed shard, the pool is stopped at once: no queued shard is
-    waited for.  The shards computed here share kernel dicts this call
+    :func:`_length_state`, every table included, so forked workers inherit
+    it; without a pool the first shard computed here builds it, and a
+    resume with no shard left builds none.  When the wait for that pool is
+    cut short, by an interrupt or a failed shard, the pool is stopped at
+    once: no queued shard is waited for.  The shards computed here share kernel dicts this call
     makes as locals; each pool worker, made for this run alone, has its own.
     The merge sums the rows and the descent matrices and derives the counts
     once, as the merged matrix's row sums; :meth:`Census.validate` checks it.
@@ -758,7 +878,7 @@ def run_census(
         dicts = ({}, {}, _Complexities())  # the kernel dicts of this run in this process
         computed = [_shard_task(t, dicts) for t in todo]
     else:
-        _length_state(n)  # here, so that forked workers inherit it
+        _length_state(n).tables()  # here, so that forked workers inherit them
         with ProcessPoolExecutor(max_workers=min(jobs, len(todo)),
                                  initializer=_start_worker) as pool:
             try:

@@ -248,7 +248,7 @@ def verify_census(census) -> VerifyReport:
         for d in range(n // 2):
             add(f"symmetry-{t}-d{d}", sums[n - 1 - d], sums[d])
     from .census import _length_state  # census imports _column_sums from here
-    automaton = _length_state(n)[0]
+    automaton = _length_state(n).automaton
     for label, expected in zip(automaton.labels, automaton.counts):
         add(f"row-{label}", expected, census.counts_by_row.get(label, 0))
     return VerifyReport(n, tuple(checks))

@@ -11,6 +11,8 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import stacksort.census as census_mod
 import stacksort.patterns as patterns_mod
@@ -201,10 +203,10 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     # The 40,320 words of S_9 that start with 1 give 1,780 distinct S(w),
     # as many as S_8 has sorted words: the dict of S(w) computes each once.
     # The table of shapes is the process's, for each length, and complete
-    # when built: a leaf's shape is its number m = 4..9 of letters in play
-    # and the places of its four free letters among them, so the first call,
-    # on a table that no earlier test built, builds all C(10, 5) = 252 and
-    # the second none
+    # when built: a leaf's shape is its number m = 5..9 of letters in play
+    # and the places of its five free letters among them, so the first call,
+    # on a table that no earlier test built, builds all C(10, 6) = 210, from
+    # the C(10, 5) = 252 templates of four free letters, and the second none
     census_mod._length_state.cache_clear()
     calls = _counting(monkeypatch, "_complexity")
     shapes = _counting(monkeypatch, "_template")
@@ -213,7 +215,8 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     assert census_mod._shard_kernel(9, 0, 40320) == first
     assert (len(calls), len(shapes)) == (2 * once, built)
     assert once <= 1780
-    assert built == len(census_mod._length_state(9)[2]) == comb(10, 5)
+    assert built == comb(10, 5)
+    assert len(census_mod._length_state(9).shapes) == comb(10, 6)
     assert first == _reference_kernel(9, 0, 40320)
 
 
@@ -291,18 +294,18 @@ def test_a_run_never_reads_dicts_held_by_the_calling_process(jobs, monkeypatch):
     assert c.checksum == PINNED_CHECKSUMS[8]
 
 
-def _shape_count(n):
-    """Shapes of a leaf of S_n: C(n + 1, 5) from n = 4 on, the root's one
-    below it."""
-    return comb(n + 1, 5) if n >= 4 else 1
+def _shape_count(n, free=5):
+    """Shapes of a state of S_n with ``free`` free letters: C(n + 1,
+    free + 1) from n = 5 on, the root's one below it."""
+    return comb(n + 1, free + 1) if n >= 5 else 1
 
 
 def test_tables_of_shapes_are_kept_per_length(monkeypatch):
     # one process runs every length up and then down, so each table of
     # shapes, built whole on the first run of its length, serves later runs
-    # of its length; below n = 4 phantom letters give a shape that a longer
-    # length has with another continuation ((4, 0, 1, 2, 3) at n = 3 and 4),
-    # so a table shared across lengths would change the counts
+    # of its length; below n = 5 phantom letters give a shape that a longer
+    # length has with another continuation ((5, 0, 1, 2, 3, 4) at n = 4 and
+    # 5), so a table shared across lengths would change the counts
     census_mod._length_state.cache_clear()
     shapes = _counting(monkeypatch, "_template")
     for n in (*range(1, 9), *range(8, 0, -1)):
@@ -312,27 +315,30 @@ def test_tables_of_shapes_are_kept_per_length(monkeypatch):
         if n in PINNED_CHECKSUMS:
             assert c.checksum == PINNED_CHECKSUMS[n], n
     # the template, 24 orders of the pass a call, was built once for each
-    # shape of each length; stack[0] is the guard letter n + 1
+    # shape of four free letters of each length, from which those of five
+    # come, and below n = 5 once for the root; stack[0] is the guard letter
+    # n + 1
     built = [stack[0] - 1 for stack, _, _ in shapes]
     assert census_mod._length_state.cache_info().misses == 8
     for n in range(1, 9):
-        assert built.count(n) == len(census_mod._length_state(n)[2]) == _shape_count(n), n
+        assert built.count(n) == _shape_count(n, 4), n
+        assert len(census_mod._length_state(n).shapes) == _shape_count(n), n
 
 
 def _leaf_states(n, prefixes=None):
-    """(prefix, stack, out, free) of each leaf of S_n whose prefix of n - 4
+    """(prefix, stack, out, free) of each leaf of S_n whose prefix of n - 5
     letters is in ``prefixes``, by default every leaf: the prefix after one
-    stack pass, and the four free letters, led by phantom 0s below n = 4,
+    stack pass, and the five free letters, led by phantom 0s below n = 5,
     as the kernel holds them."""
     if prefixes is None:
-        prefixes = permutations(range(1, n + 1), max(n - 4, 0))
+        prefixes = permutations(range(1, n + 1), max(n - 5, 0))
     for prefix in prefixes:
         stack, out = [n + 1], []
         for x in prefix:
             while stack[-1] < x:
                 out.append(stack.pop())
             stack.append(x)
-        free = [0] * (4 - n) + sorted(set(range(1, n + 1)) - set(prefix))
+        free = [0] * (5 - n) + sorted(set(range(1, n + 1)) - set(prefix))
         yield list(prefix), stack, out, free
 
 
@@ -340,17 +346,17 @@ def _leaf_states(n, prefixes=None):
 def test_leaf_shapes_give_every_sorted_word(n):
     # the complete table of shapes, each built from one canonical state,
     # serves every leaf of S_n: what it gives for a leaf is S of each of the
-    # leaf's 24 words, by the recursive definition, the output's letters
+    # leaf's 120 words, by the recursive definition, the output's letters
     # included.  Every leaf up to n = 8; from n = 9 on, seeded leaves
     shapes = census_mod._table_of_shapes(n)
     assert len(shapes) == _shape_count(n)
-    # each template holds 24 words of n - 1 places (empty at n = 1)
+    # each template holds 120 words of n - 1 places (empty at n = 1)
     for template in shapes.values():
-        assert [len(v) for v in template.split(census_mod.SEP)] == [n - 1] * 24
+        assert [len(v) for v in template.split(census_mod.SEP)] == [n - 1] * 120
     prefixes = None
     if n >= 9:
         rng = random.Random(n)
-        prefixes = [rng.sample(range(1, n + 1), n - 4) for _ in range(300)]
+        prefixes = [rng.sample(range(1, n + 1), n - 5) for _ in range(300)]
     for prefix, stack, out, free in _leaf_states(n, prefixes):
         want = [bytes(stack_sort(prefix + [x for x in t if x]))[:-1]
                 for t in permutations(free)]
@@ -386,49 +392,71 @@ def test_kernel_builds_the_automaton_once_per_process(monkeypatch):
     # the kernel classifies with the automaton of the built-in catalog at
     # its length, built whole on the first call in a process and kept, and
     # generates no positional matcher; the table of leaf labels, the
-    # process's too, fills on the first call and serves the second whole
+    # process's too, is built whole on the first call and only read after
     built, generated, generate = _counted_automata(monkeypatch), [], patterns_mod._generate
     monkeypatch.setattr(patterns_mod, "_generate",
                         lambda *a: generated.append(a) or generate(*a))
     monkeypatch.delitem(builtin_catalog()._compiled, 9, raising=False)
     first = census_mod._shard_kernel(9, 0, 5000)
-    entries = dict(census_mod._length_state(9)[3])
+    entries = dict(census_mod._length_state(9).labels)
     assert built == [9] and entries
     assert census_mod._shard_kernel(9, 0, 5000) == first
-    assert census_mod._length_state(9)[3] == entries
+    assert census_mod._length_state(9).labels == entries
     census_mod._shard_kernel(10, 0, 5000)
     assert built == [9, 10]
     assert generated == [] and 9 not in builtin_catalog()._compiled
 
 
-@pytest.mark.parametrize("n", [8, 9])
-def test_leaf_labels_are_kept_per_state_and_free_symbols(n, monkeypatch):
-    # a leaf's free letters are distinct, so their symbols, in increasing
+class _ReadKeys(dict):
+    """A table of leaf labels that records each key the kernel reads."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_leaf_labels_are_kept_per_state_and_free_symbols(n):
+    # the table of leaf labels is built whole from the automaton's states at
+    # the leaves' depth, and its keys are exactly those a whole walk reads.
+    # A leaf's free letters are distinct, so their symbols, in increasing
     # order, are the pinned letters its prefix has not used and x for the
-    # rest: a whole census meets every choice of at most four of the eight
-    # pinned letters that leaves x enough letters, n - 8 from n = 9 on
-    # (70 at n = 8, 126 at n = 9, 163 from n = 12 on), and the table of
-    # leaf labels, never cleared, holds at most one entry per state and
-    # choice
-    _counted_automata(monkeypatch)
-    assert run_census(n).checksum == PINNED_CHECKSUMS[n]
-    automaton, _, _, table = census_mod._length_state(n)
-    states = len(automaton.codes)
+    # rest: every choice of at most five of the eight pinned letters that
+    # leaves x enough letters, n - 8 from n = 9 on (56 at n = 8, 126 at
+    # n = 9, 219 from n = 13 on)
+    state = census_mod._length_state(n)
+    table = state.labels
+    recorded = state.__dict__["labels"] = _ReadKeys(table)
+    try:
+        census_mod._shard_kernel(n, 0, factorial(n))
+    finally:
+        state.__dict__["labels"] = table
+    assert recorded.read == table.keys()
+    assert len(table) == {8: 212, 9: 1066, 10: 2887}[n]
     choices = {symbols for _, symbols in table}
-    assert len(choices) == sum(comb(8, k) for k in range(max(12 - n, 0), 5))
-    assert len(table) <= states * len(choices)
-    assert all(len(labels) == 24 for labels in table.values())
+    assert len(choices) == sum(comb(8, k) for k in range(max(13 - n, 0), 6))
+    assert len(table) <= len(state.automaton.codes) * len(choices)
+    assert all(len(labels) == 120 for labels in table.values())
 
 
 @pytest.mark.parametrize("patch", ["tiers", "ceiling", "T5 tier", "T4 tier"])
 def test_walk_raises_on_the_reference_word(patch, monkeypatch):
     # an L1 offset one too high, or an unclassified ceiling one too low, makes
     # many words fail: both kernels must raise on the same, first one.  T5 or
-    # T4 rows certifying one level too high make fewer words fail.  Under
-    # the T4 patch the first failing word of the last two ranges is one
-    # whose leaf state an earlier prefix of the range reached, a memo hit;
-    # no other range of any patch raises on a hit (counted on an
-    # instrumented copy of the kernel)
+    # T4 rows certifying one level too high make fewer words fail.  With
+    # fresh dicts no range of any patch raises on a leaf-memo hit: each
+    # raises at the first leaf of its state (counted on an instrumented copy
+    # of the kernel, over every range that starts just after a failing word
+    # of S_6..S_8 and after each of the first 1,500 of S_9).  So each range
+    # runs again with the dicts of a whole walk of its length made before
+    # the patch, where every leaf is a hit
+    warm = {n: ({}, {}, census_mod._Complexities()) for n in (6, 7, 8, 9)}
+    for n, dicts in warm.items():
+        census_mod._shard_kernel(n, 0, factorial(n), dicts)
     if patch == "tiers":
         monkeypatch.setattr(patterns_mod, "_TIERS",
                             (("L1", 2, 2), ("L2", 2, 4), ("T", 3, 6)))
@@ -449,11 +477,12 @@ def test_walk_raises_on_the_reference_word(patch, monkeypatch):
         except CensusSoundnessError as exc:
             want = (exc.word, exc.rank, exc.label, exc.complexity, exc.certified)
             raised += 1
-        try:
-            got = census_mod._shard_kernel(n, lo, hi)
-        except CensusSoundnessError as exc:
-            got = (exc.word, exc.rank, exc.label, exc.complexity, exc.certified)
-        assert got == want, (n, lo, hi)
+        for dicts in (None, warm[n]):
+            try:
+                got = census_mod._shard_kernel(n, lo, hi, dicts)
+            except CensusSoundnessError as exc:
+                got = (exc.word, exc.rank, exc.label, exc.complexity, exc.certified)
+            assert got == want, (n, lo, hi, dicts is None)
     assert 0 < raised < len(ranges)
 
 
@@ -471,15 +500,17 @@ def _reference_outcomes(n, lo, hi):
 
 
 @pytest.mark.parametrize("patched", [False, True])
-@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("n", range(5, 10))
 def test_leaf_edges_match_the_reference(n, patched, monkeypatch):
-    # from n = 4 on a leaf of the walk is a block of 24 ranks; every range
-    # that starts and ends inside one, at each offset 0..24, gives the
-    # reference's tallies, or, with L1 certified one level too low (the
-    # "tiers" patch of test_walk_raises_on_the_reference_word), the
-    # reference's first failing word.  The leaves are the first, the last,
-    # and the one holding the first word from a seeded rank on that the
-    # patched catalog fails (at offsets 9 and 15 of its leaf for each n)
+    # from n = 5 on a leaf of the walk is a block of 120 ranks; ranges that
+    # start and end inside one give the reference's tallies, or, with L1
+    # certified one level too low (the "tiers" patch of
+    # test_walk_raises_on_the_reference_word), the reference's first
+    # failing word.  The ranges start at each offset 0..120 and run to the
+    # block's end or over 0, 1 or 2 words, and end at each offset from the
+    # block's start.  The leaves are the first, the last, and the one
+    # holding the first word from a seeded rank on that the patched catalog
+    # fails (at offset 81 of its leaf at n = 5 and 33 from n = 6 on)
     total = factorial(n)
     r = random.Random(n).randrange(total)
     monkeypatch.setattr(patterns_mod, "_TIERS",
@@ -494,22 +525,25 @@ def test_leaf_edges_match_the_reference(n, patched, monkeypatch):
     if not patched:
         monkeypatch.undo()
     raised = 0
-    for base in (0, r // 24 * 24, total - 24):
-        outcomes = _reference_outcomes(n, base, base + 24)
-        for lo in range(base, base + 25):
-            for hi in range(lo, base + 25):
-                want = outcomes[lo - base:hi - base]
-                failed = [e for e in want if isinstance(e, Exception)]
-                try:
-                    got = census_mod._shard_kernel(n, lo, hi)
-                except CensusSoundnessError as exc:
-                    got = (exc.rank, exc.word, exc.label)
-                if failed:
-                    raised += 1
-                    want = (failed[0].rank, failed[0].word, failed[0].label)
-                else:
-                    want = _tallies(n, want)
-                assert got == want, (n, lo, hi)
+    for base in (0, r // 120 * 120, total - 120):
+        outcomes = _reference_outcomes(n, base, base + 120)
+        edge = base + 120
+        ranges = {(lo, hi) for lo in range(base, edge + 1)
+                  for hi in (lo, lo + 1, lo + 2, edge) if hi <= edge}
+        ranges |= {(base, hi) for hi in range(base, edge + 1)}
+        for lo, hi in sorted(ranges):
+            want = outcomes[lo - base:hi - base]
+            failed = [e for e in want if isinstance(e, Exception)]
+            try:
+                got = census_mod._shard_kernel(n, lo, hi)
+            except CensusSoundnessError as exc:
+                got = (exc.rank, exc.word, exc.label)
+            if failed:
+                raised += 1
+                want = (failed[0].rank, failed[0].word, failed[0].label)
+            else:
+                want = _tallies(n, want)
+            assert got == want, (n, lo, hi)
     assert bool(raised) == patched
 
 
@@ -541,7 +575,7 @@ def test_the_catalog_counts_its_rows_as_the_walk_does(census_cache, extended):
     # first-match tallies; to n = 11 with STACKSORT_EXTENDED=1
     for n in range(1, 12 if extended else 10):
         c = census_cache(n)
-        automaton = census_mod._length_state(n)[0]
+        automaton = census_mod._length_state(n).automaton
         rows = [c.counts_by_row.get(label, 0) for label in automaton.labels]
         assert automaton.counts == (*rows, factorial(n) - sum(rows)), n
 
@@ -562,6 +596,18 @@ def test_a_second_verify_at_a_length_counts_nothing(census_cache, monkeypatch):
     for _ in range(2):
         assert verify_census(census_cache(7)).ok
     assert runs == [7]
+
+
+def test_verify_builds_none_of_the_kernel_tables(census_cache, monkeypatch):
+    # verify_census reads only the automaton of the per-length state: at a
+    # length this process holds no state for, it builds no shape and no
+    # leaf's labels
+    c = census_cache(8)
+    census_mod._length_state.cache_clear()
+    shapes, orders = _counting(monkeypatch, "_template"), _counting(monkeypatch, "_orders")
+    assert verify_census(c).ok
+    assert (len(shapes), len(orders)) == (0, 0)
+    assert census_mod._length_state.cache_info().currsize == 1
 
 
 def test_shard_invariance(census_cache):
@@ -740,12 +786,12 @@ def test_forked_workers_inherit_the_per_length_state(census_cache, monkeypatch):
 
 @fork_only
 def test_forked_workers_build_no_shape(monkeypatch):
-    # the calling process builds the whole table of shapes and the automaton
-    # before the pool starts, so the forked workers find every shape they
-    # meet, and every transition, in them; a table filled as leaves miss
-    # would leave them up to 126 shapes to build at n = 8, in every pooled
-    # run, since a worker's table dies with it.  The workers fill their own
-    # tables of leaf labels: the caller's stays empty
+    # the calling process builds the automaton, the whole table of shapes
+    # and the whole table of leaf labels before the pool starts, so the
+    # forked workers find every transition, shape and leaf's labels they
+    # meet in them; tables filled as leaves miss would leave them up to 84
+    # shapes and 212 entries of labels to build at n = 8, in every pooled
+    # run, since a worker's tables die with it
     parent = os.getpid()
     calls = {name: multiprocessing.Value("i", 0)
              for name in ("template", "automaton", "orders")}
@@ -767,11 +813,12 @@ def test_forked_workers_build_no_shape(monkeypatch):
         c = run_census(8, shard_count=11, jobs=2)
         assert c.checksum == PINNED_CHECKSUMS[8]
     assert calls["template"].value == calls["automaton"].value == 0
-    assert calls["orders"].value > 0
+    assert calls["orders"].value == 0
     assert census_mod._length_state.cache_info().misses == 1
-    _, _, shapes, labels = census_mod._length_state(8)
-    assert len(shapes) == comb(9, 5)
-    assert labels == {}
+    state = census_mod._length_state(8)
+    assert len(state.shapes) == comb(9, 6)
+    assert state.labels == census_mod._table_of_labels(state.automaton, 8)
+    assert len(state.labels) == 212
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -1088,23 +1135,48 @@ def test_soundness_guard_trips(monkeypatch):
 
 def test_sorted_word_clash_at_every_leaf_depth(monkeypatch):
     # the sorted word is the one with no descent, so it alone has
-    # complexity 0, whether its leaf is the root with phantom letters
-    # (n < 4) or lies deeper; with no row allowed to leave a word
+    # complexity 0, whether its leaf is the root with 5 - n phantom letters
+    # (n < 5) or lies deeper; with no row allowed to leave a word
     # unclassified, it trips first
     monkeypatch.setattr(census_mod, "none_ceiling", lambda n: -1)
-    for n in range(1, 10):
+    for n in range(1, 11):
         with pytest.raises(CensusSoundnessError) as e:
             census_mod._shard_kernel(n, 0, 1)
         got = (e.value.word, e.value.rank, e.value.complexity, e.value.label)
         assert got == (tuple(range(1, n + 1)), 0, 0, None), n
     # past the sorted word, the first to trip is rank 1, whose rank the
     # kernel recovers from the word itself
-    for n in range(4, 10):
+    for n in range(5, 11):
         with pytest.raises(CensusSoundnessError) as e:
             census_mod._shard_kernel(n, 1, factorial(n))
         w = unrank(n, 1)
         assert (e.value.word, e.value.rank) == (tuple(w), 1), n
         assert e.value.complexity == words_mod.complexity(w), n
+
+
+@given(st.data())
+def test_the_bytes_check_agrees_with_the_word_loop(data):
+    # a leaf's check is one compare of two translates: it passes exactly
+    # when every word passes the per-word test, for any ceiling from -1 up
+    # (test_sorted_word_clash_at_every_leaf_depth patches it to -1, where no
+    # complexity is certified) and any row levels above it.  Each word's
+    # complexity is often the one its label certifies, so that whole leaves
+    # pass as well as fail
+    ceiling = data.draw(st.integers(-1, 12), "ceiling")
+    level = data.draw(st.lists(st.integers(ceiling + 1, 13), max_size=5), "levels")
+    # (label code, complexity) of each word, None for the one it certifies
+    words = data.draw(st.lists(st.tuples(st.integers(0, len(level)),
+                                         st.none() | st.integers(0, 13)), max_size=120))
+    ls = bytes(j for j, _ in words)
+    cs = bytes((level + [max(ceiling, 0)])[j] if k is None else k for j, k in words)
+    clamp, certify = census_mod._check_tables(level, ceiling)
+    every = all(k <= ceiling if j == len(level) else k == level[j] for k, j in zip(cs, ls))
+    assert (cs.translate(clamp) == ls.translate(certify)) == every
+
+
+def test_the_bytes_check_refuses_a_row_at_the_ceiling():
+    with pytest.raises(AssertionError):
+        census_mod._check_tables([4, 3], 3)
 
 
 def test_soundness_guard_trips_on_wrong_offset(monkeypatch):
