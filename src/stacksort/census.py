@@ -8,31 +8,32 @@ of the shard count, so runs can be parallelized, checkpointed to disk, and
 resumed.
 
 The shard kernel walks the prefix tree of its rank range depth first, so
-words that share a prefix share its work: the letters of a prefix go
-through the stack pass, the descent count and the catalog's automaton
-(:mod:`stacksort.automaton`) once for every word below them.  The walk
-stops five letters short of a word, at a leaf that serves the 120 orders
-of its last five letters.  Leaves whose prefixes leave that first pass in
-the same state (the same output and stack) share all 120 S(w): the kernel
-computes their complexities once, in a memo cleared at a fixed size, and
-reads them back for every later prefix with that state.  A miss is three
-C-level calls over the whole leaf.  The state's shape, the places of the
-five free letters among the letters still in play, keys a template of its
-120 S(w) written as places: the rest of the pass only compares those
-letters, so the shape fixes it up to their names.  One ``translate``
-renames the places to the state's letters, one ``split`` cuts the 120 S(w)
-apart, and one ``map`` reads each from a dict keyed by S(w) itself, since
-different states can give the same S(w); from n = 9 on that dict computes
-a complexity on its first read.  A length has C(n + 1, 6) shapes.  Leaves
-whose prefixes leave the automaton in the same state, with the same
-symbols left for their free letters, share all 120 labels, which a table
-holds as bytes.  No word of a leaf is built: a leaf counts one for its
-exact key, its 120 complexities, descent counts and labels; each distinct
-key is checked once, in rank order, by two ``translate`` calls and a
-compare; and after the walk the keys add to the descent matrix by their
-complexities and descents and to the rows by their labels.  Every key is
-exact, so a hit gives what recomputing would and no tally can differ from
-a word-by-word walk.
+words that share a prefix share its work: the letters of a prefix go through
+the stack pass, the descent count and the catalog's automaton
+(:mod:`stacksort.automaton`) once for every word below them.  The walk stops
+k = min(n, ``_FREE``) letters short of a word, ``_FREE`` being 5, at a leaf
+that serves the k! orders of its last k letters, its free letters: 120 from
+n = 5 on, and below it the root serves every word.  Leaves whose prefixes
+leave that first pass in the same state (the same output and stack) share
+all k! S(w): the kernel computes their complexities once, in a memo cleared
+at a fixed size, and reads them back for every later prefix with that
+state.  A miss is three C-level calls over the whole leaf.  The state's shape,
+the places of the k free letters among the letters still in play, keys a
+template of its k! S(w) written as places: the rest of the pass only
+compares those letters, so the shape fixes it up to their names.  One
+``translate`` renames the places to the state's letters, one ``split`` cuts
+the k! S(w) apart, and one ``map`` reads each from a dict keyed by S(w)
+itself, since different states can give the same S(w); from n = 9 on that
+dict computes a complexity on its first read.  A length has C(n + 1, k + 1)
+shapes.  Leaves whose prefixes leave the automaton in the same state, with
+the same symbols left for their free letters, share all k! labels, which a
+table holds as bytes.  No word of a leaf is built: a leaf counts one for its
+exact key, its k! complexities, descent counts and labels; each distinct key
+is checked once, in rank order, by two ``translate`` calls and a compare;
+and after the walk the keys add to the descent matrix by their complexities
+and descents and to the rows by their labels.  Every key is exact, so a hit
+gives what recomputing would and no tally can differ from a word-by-word
+walk.
 
 The kernel's state has two lifetimes.  The automaton, the prefix table,
 the table of shapes, the table of leaf labels and the table of a leaf's
@@ -41,20 +42,22 @@ call, :func:`_length_state`, makes the object that holds them on the first
 use of the length in a process, never at import, and keeps it.  The
 automaton is built with it, and the tables, each built whole, on their
 first read, so ``verify_census``, which reads only the automaton, builds
-no table.  The prefix table comes from ``words._prefix_table``, whose cache
-``complexity`` shares.  The automaton holds the transitions of every state
-a word can reach, 536 and a sink from n = 9 on, so a node of the walk is
-one table lookup.  The table of shapes holds places, not letters, and
-C(n + 1, 6) templates, but one length's table cannot serve another: below
-n = 5 phantom letters give a shape that a longer length also has, with
-another continuation.  The table of leaf labels holds every pair of a
-state and free symbols a leaf can reach, from the automaton's reachable
-states at the leaves' depth, so the kernel only reads it.  A run that
-starts a process pool builds every table in the calling process first, so
-workers forked from it inherit them and build nothing, and every later
-census of that length in the same process starts warm.  Under the
-``spawn`` or ``forkserver`` start methods workers inherit nothing and each
-builds the state on its first shard.
+no table.  The kernel and its three leaf tables each take k from
+``_FREE``, the one constant that sizes a leaf.  The prefix table comes from
+``words._prefix_table``, whose cache ``complexity`` shares.  The automaton
+holds the transitions of every state a word can reach, 536 and a sink from
+n = 9 on, so a node of the walk is one table lookup.  The table of shapes
+holds places, not letters, and C(n + 1, k + 1) templates, derived level
+by level from the states with no free letter; but one length's table
+cannot serve another, since a template holds the places of the output's
+n - m letters, so a shape has another template at another length.  The
+table of leaf labels holds every pair of a state and free symbols a leaf
+can reach, from the automaton's reachable states at the leaves' depth, so
+the kernel only reads it.  A run that starts a process pool builds every
+table in the calling process first, so workers forked from it inherit
+them and build nothing, and every later census of that length in the same
+process starts warm.  Under the ``spawn`` or ``forkserver`` start methods
+workers inherit nothing and each builds the state on its first shard.
 
 The memo, its ``shared`` values and the dict of S(w) belong to the run:
 :func:`run_census` makes them as locals and passes them to every shard
@@ -107,10 +110,10 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, Optional, Tuple
 
-from .automaton import NO_LETTER, CatalogAutomaton
+from .automaton import CatalogAutomaton
 from .formulas import _column_sums
 from .patterns import builtin_catalog, format_row, none_ceiling
-from .words import TABLE_CAP, _complexity, _pass, _prefix_table, format_word, unrank
+from .words import TABLE_CAP, _complexity, _prefix_table, format_word, unrank
 
 SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
@@ -120,10 +123,9 @@ MAX_N = 14
 # kernel clears the memo on a miss that finds it full, and the dict of S(w)
 # clears itself when a complexity it has not seen would overfill it
 _MEMO_CAP = 1 << 18
-_FREE = 5  # the free letters of a leaf of the walk
-_ORDERS = factorial(_FREE)  # the words a leaf serves, one for each order of them
+_FREE = 5  # the free letters of a leaf of the walk, min(n, _FREE) at length n
 RANKS = bytes(range(256))  # the places in a template of a leaf's letters
-SEP = b"\xff"  # between a template's 120 words: above every letter and place
+SEP = b"\xff"  # between a template's words: above every letter and place
 PLUS_ONE = RANKS[1:] + RANKS[:1]  # translates each complexity c to c + 1
 
 log = logging.getLogger(__name__)
@@ -298,11 +300,12 @@ class _LengthState:
     built whole on first read, and :meth:`tables` reads them all, so a call
     before a pool starts builds them once for every worker forked from it.
 
-    ``table`` is the prefix table over S_min(n-1, TABLE_CAP) from
-    ``_prefix_table``; ``shapes`` the table of shapes from
+    A leaf of the walk has k = min(n, ``_FREE``) free letters and serves
+    their k! orders.  ``table`` is the prefix table over S_min(n-1,
+    TABLE_CAP) from ``_prefix_table``; ``shapes`` the table of shapes from
     :func:`_table_of_shapes`; ``labels`` the table of leaf labels from
     :func:`_table_of_labels`; and ``descents`` the table of a leaf's
-    descent counts, ``descents[d][r]`` the 120 descent counts, as bytes, of
+    descent counts, ``descents[d][r]`` the k! descent counts, as bytes, of
     the orders of a leaf whose prefix has d descents and ends above r of its
     free letters.  The kernel only reads them."""
 
@@ -324,12 +327,13 @@ class _LengthState:
 
     @cached_property
     def descents(self) -> list:
-        # the first letter of order t is the (t // 24)-th smallest free
+        # the first letter of order t is the (t // (k - 1)!)-th smallest free
         # letter, and steps[t] the descents within the order
-        steps = [sum(a > b for a, b in zip(t, t[1:])) for t in permutations(range(_FREE))]
-        first = _ORDERS // _FREE
+        k = min(self.n, _FREE)
+        steps = [sum(a > b for a, b in zip(t, t[1:])) for t in permutations(range(k))]
+        first = factorial(k - 1)
         return [[bytes(d + (t // first < r) + s for t, s in enumerate(steps))
-                 for r in range(_FREE + 1)] for d in range(max(self.n - _FREE, 1))]
+                 for r in range(k + 1)] for d in range(max(self.n - k, 1))]
 
     def tables(self) -> tuple:
         """``(table, shapes, labels, descents)``, built on first read."""
@@ -343,58 +347,54 @@ def _length_state(n: int) -> _LengthState:
     return _LengthState(n)
 
 
-def _orders(codes: bytes, state: int, cols: list) -> bytes:
-    """The label codes of the 24 orders of four letters read from the
-    automaton's ``state``, in lexicographic order of their places: 40 steps
-    down a tree of four levels.  ``cols[i]`` is the column of the transition
-    table for the symbol of the i-th letter."""
-    got = []
-    for i, a in enumerate(cols):
-        s = a[state]
-        b, c, d = cols[:i] + cols[i + 1:]  # in increasing order
-        t = b[s]
-        got += (codes[d[c[t]]], codes[c[d[t]]])
-        t = c[s]
-        got += (codes[d[b[t]]], codes[b[d[t]]])
-        t = d[s]
-        got += (codes[c[b[t]]], codes[b[c[t]]])
-    return bytes(got)
-
-
 def _table_of_labels(automaton: CatalogAutomaton, n: int) -> dict:
     """Every ``(state, symbols)`` a leaf of S_n can reach, mapped to the
-    label codes of the leaf's 120 words as bytes, built whole;
-    :class:`_LengthState` keeps it.
+    label codes of the leaf's k! words as bytes, k = min(n, ``_FREE``),
+    built whole; :class:`_LengthState` keeps it.
 
     ``state`` is the automaton's after the leaf's prefix and ``symbols``
-    those of its five free letters, in increasing order, as bytes.  The
-    states come from the automaton's :meth:`~CatalogAutomaton.layer` at the
-    leaves' depth, n - 5, with the pinned letters read to reach each.  The
-    letters of a word are distinct, so a leaf's free letters are the pinned
-    letters its prefix has not read and x letters for the rest; ``symbols``
-    keeps them in letter order, every way the x letters can fall among the
-    others (one way for the built-in catalog, whose x letters lie between
-    3 and n - 4).  Below n = 5 phantom letters 0, of symbol ``NO_LETTER``,
-    lead them and step nowhere.  An entry is five calls of :func:`_orders`,
-    one for each first letter: 212 entries at n = 8, 1,066 at n = 9."""
+    those of its k free letters, in increasing order, as bytes.  The states
+    come from the automaton's :meth:`~CatalogAutomaton.layer` at the leaves'
+    depth, n - k, with the pinned letters read to reach each.  The letters
+    of a word are distinct, so a leaf's free letters are the pinned letters
+    its prefix has not read and x letters for the rest; ``symbols`` keeps
+    them in letter order, every way the x letters can fall among the others
+    (one way for the built-in catalog, whose x letters lie between 3 and
+    n - 4).  An entry reads the orders of its symbols in lexicographic order
+    of their places, as one recursion over the first symbol read, whose
+    memo of ``(state, symbols)`` serves one layer key: 212 entries at
+    n = 8, 1,066 at n = 9."""
+    k = min(n, _FREE)
     x = len(automaton.pinned)
-    cols = {**dict(enumerate(automaton.delta)), NO_LETTER: range(len(automaton.codes))}
+    codes, delta = automaton.codes, automaton.delta
+    memo: dict = {}
+
+    def orders(state, key):
+        """The label codes of the orders of the symbols ``key`` read from
+        ``state``, in lexicographic order of their places."""
+        if len(key) == 1:
+            t = delta[key[0]][state]
+            return codes[t:t + 1]
+        got = memo.get((state, key))
+        if got is None:
+            got = memo[state, key] = b"".join([
+                orders(delta[c][state], key[:i] + key[i + 1:]) for i, c in enumerate(key)])
+        return got
+
     labels = {}
-    for used, states in automaton.layer(max(n - _FREE, 0)).items():
-        keys = {bytes([NO_LETTER] * (_FREE - n))}
+    for used, states in automaton.layer(n - k).items():
+        memo.clear()
+        keys = {b""}
         for c in automaton.symbol[1:n + 1]:  # each letter's, in increasing order
             if c == x:  # an x letter may be free
-                keys |= {k + bytes([c]) for k in keys if len(k) < _FREE}
+                keys |= {key + bytes([c]) for key in keys if len(key) < k}
             elif not used >> c & 1:  # a pinned letter not read is free
-                keys = {k + bytes([c]) for k in keys if len(k) < _FREE}
+                keys = {key + bytes([c]) for key in keys if len(key) < k}
         for key in keys:
-            if len(key) < _FREE:
-                continue
-            go = [cols[c] for c in key]
-            for state in states:
-                labels[state, key] = b"".join(
-                    _orders(automaton.codes, col[state], go[:i] + go[i + 1:])
-                    for i, col in enumerate(go))
+            if len(key) == k:
+                for state in states:
+                    labels[state, key] = orders(state, key)
+    del orders  # it refers to itself through its closure
     return labels
 
 
@@ -428,86 +428,55 @@ def _in_play(stack: list, free: list) -> tuple:
     return ls, (len(ls), *map(ls.index, free))
 
 
-def _template(stack: list, free: list, ls: list) -> bytes:
-    """The template of a first-pass state: its whole S(w) without n, one
-    for each order of the free letters ``free`` (lexicographic), as bytes
-    of places joined by ``SEP``, from one pass for each order.  Places
-    0..m - 1 stand for ``ls``, the m sorted letters of ``stack[1:] +
-    free``, and places m..n - 1 for the n - m letters of the output in
-    order; each S(w) is those n - m places, then the continuation, what
-    finishing the first pass appends to the output.  ``stack`` decreases
-    upwards over the guard letter n + 1, so pushing ``stack[1:]`` again pops
-    nothing; a phantom letter 0 in ``free`` is not pushed, and n, the
-    largest letter in play, comes out last."""
-    head = RANKS[len(ls):stack[0] - 1]  # empty at the root below n = 5, where m = 5 > n
-    return SEP.join(head + bytes(map(ls.index, _pass(stack[1:] + [x for x in t if x],
-                                                     stack[0])[:-1]))
-                    for t in permutations(free))
-
-
 def _table_of_shapes(n: int) -> dict:
     """Every shape of a leaf of S_n mapped to its template, built whole;
     :class:`_LengthState` keeps it.
 
-    From n = 5 on a leaf has five free letters and m = 5..n letters in play,
-    n the largest of them, and its shape is m and the five places of the
-    free letters among them, any five of the m: C(n + 1, 6) shapes in all
-    (84 at n = 8, 1,716 at n = 12).  Each is built from one state of that
-    shape, with the letters 1..m and the others on the stack in decreasing
-    order, and from the templates of four free letters, C(n + 1, 5) of
-    them, each built the same way by :func:`_template`: the first free
-    letter of an order pops the stack letters below it and leaves a state
-    with four free letters, whose 24 words one ``translate`` renames to
-    this state's places.  Below n = 5 the root is the only leaf, with
-    phantom letters 0 leading ``free``, and :func:`_template` builds its
-    one shape, which can be a shape of a longer length with another
-    continuation, (5, 0, 1, 2, 3, 4) at n = 4 and 5, so one table serves
-    one length only.  A template is 120 words of n - 1 places joined by
-    ``SEP``, 120 * n - 1 bytes: 80,556 bytes in all at n = 8."""
-    if n < _FREE:
-        stack, free = [n + 1], [0] * (_FREE - n) + list(range(1, n + 1))
-        ls, shape = _in_play(stack, free)
-        return {shape: _template(stack, free, ls)}
-
-    def states(k):  # one state of each shape with k free letters
-        return [([n + 1, *(x for x in range(m, 0, -1) if x not in free)], free)
-                for m in range(k, n + 1) for free in map(list, combinations(range(1, m + 1), k))]
-
-    fours = {}
-    for stack, free in states(_FREE - 1):
-        ls, shape = _in_play(stack, free)
-        fours[shape] = _template(stack, free, ls)
-    shapes = {}
-    for stack, free in states(_FREE):
-        ls, shape = _in_play(stack, free)
-        words = []
-        for i, a in enumerate(free):
-            cut = len(stack) - sum(x < a for x in stack)  # a pops stack[cut:]
-            rest = free[:i] + free[i + 1:]
-            below, child = _in_play(stack[:cut] + [a], rest)
-            # the child's places: its letters in play, then its output, this
-            # state's and then the popped letters, top first
-            places = bytes(map(ls.index, below + stack[:cut - 1:-1]))
-            places = places[:len(below)] + RANKS[len(ls):n] + places[len(below):]
-            words.append(fours[child].translate(
-                bytes.maketrans(RANKS[:len(places)], places)))
-        shapes[shape] = SEP.join(words)
+    A leaf has k = min(n, ``_FREE``) free letters and m = k..n letters in
+    play, n the largest of them, and its shape is m and the k places of the
+    free letters among them, any k of the m: C(n + 1, k + 1) shapes in all
+    (84 at n = 8, 1,716 at n = 12).  The table is derived level by level,
+    level j holding every shape of j free letters, each from one state of
+    that shape, with the letters 1..m and the others on the stack in
+    decreasing order.  At level 0 the stack pops in increasing order and n,
+    the largest, comes out last and is dropped.  At level j the first free
+    letter of an order pops the stack letters below it and leaves a state of
+    level j - 1, whose words one ``translate`` renames to this state's
+    places.  A template is k! words of n - 1 places joined by ``SEP``:
+    80,556 bytes in all at n = 8."""
+    shapes = {(m,): RANKS[m:n] + RANKS[:m - 1] for m in range(1, n + 1)}
+    for j in range(1, min(n, _FREE) + 1):
+        level = {}
+        for m in range(j, n + 1):
+            for free in map(list, combinations(range(1, m + 1), j)):
+                stack = [n + 1, *(x for x in range(m, 0, -1) if x not in free)]
+                words = []
+                for i, a in enumerate(free):
+                    cut = len(stack) - sum(x < a for x in stack)  # a pops stack[cut:]
+                    below, child = _in_play(stack[:cut] + [a], free[:i] + free[i + 1:])
+                    # the child's places: its letters in play, then its output,
+                    # this state's and then the popped letters, top first
+                    places = (bytes(x - 1 for x in below) + RANKS[m:n]
+                              + bytes(x - 1 for x in stack[:cut - 1:-1]))
+                    words.append(shapes[child].translate(bytes.maketrans(RANKS[:n], places)))
+                level[(m, *(a - 1 for a in free))] = SEP.join(words)
+        shapes = level
     return shapes
 
 
 def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
-    """The 120 S(w) without n of a leaf at the first-pass state ``out``,
-    ``stack`` with free letters ``free``, in lexicographic order of the
-    free letters, each as bytes.
+    """The S(w) without n of a leaf at the first-pass state ``out``,
+    ``stack`` with free letters ``free``, one for each order of the free
+    letters in lexicographic order, each as bytes.
 
     Finishing the pass only compares letters still in play, those of
     ``ls``, and the stack decreases upwards, so the state's shape (see
     :func:`_in_play`) fixes each S(w) as a sequence of places: those of
     the output's letters, then places in ``ls``.  ``shapes``, the complete
-    table of shapes of the length (:func:`_table_of_shapes`), holds the 120
+    table of shapes of the length (:func:`_table_of_shapes`), holds the
     sequences of each shape as one template; one ``translate`` renames
     the places to this state's letters, ``ls`` then ``out``, and one
-    ``split`` cuts the 120 words apart."""
+    ``split`` cuts the words apart."""
     ls, shape = _in_play(stack, free)
     letters = bytes(ls + out)
     return shapes[shape].translate(
@@ -516,14 +485,14 @@ def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
 
 def _check_tables(level: list, ceiling: int) -> tuple:
     """``(clamp, certify)``, the ``translate`` tables of a leaf's check:
-    ``cs.translate(clamp) == ls.translate(certify)`` exactly when each word
-    passes, the complexity in ``cs`` of each a level its label code in
-    ``ls`` certifies.  ``level[j]`` is the level row code j certifies and
-    ``ceiling`` the most an unclassified word, of code ``len(level)``, may
-    have.  ``clamp`` lifts each complexity at or below the ceiling to it
-    and ``certify`` maps each code to its level, no row to the ceiling, or,
-    when the ceiling is below 0 and certifies no complexity, to a byte no
-    complexity takes.  A row certifying at most the ceiling would let a
+    ``cs.translate(clamp)`` and ``ls.translate(certify)`` agree at a word
+    exactly when it passes, its complexity in ``cs`` a level its label code
+    in ``ls`` certifies, so they are equal when every word passes.
+    ``level[j]`` is the level row code j certifies and ``ceiling`` the most
+    an unclassified word, of code ``len(level)``, may have.  ``clamp`` lifts
+    each complexity at or below the ceiling to it and ``certify`` maps each
+    code to its level, no row to the ceiling, or, when the ceiling is below
+    0 and certifies no complexity, to a byte no complexity takes.  A row certifying at most the ceiling would let a
     word the per-word test fails pass, so it raises; ``none_ceiling``
     rules it out by its definition."""
     if min(level, default=ceiling + 1) <= ceiling:
@@ -546,28 +515,27 @@ def _shard_kernel(n: int, lo: int, hi: int,
     shared stack pass (the smaller letters it pops go to one shared output
     list), adds its descent and steps the catalog's automaton by its
     letter's symbol, one table lookup, once for every word below it, and
-    undoes the pass on return.  The walk stops at depth n - 5: a leaf
-    serves the 120 orders of its five free letters in lexicographic order,
-    each word a rank of its block, and a shard edge inside a leaf slices
-    its 120 entries.  Below n = 5 the root is the leaf, and phantom letters
-    0 lead ``free`` so that the first n! of the 120 orders are the words of
-    S_n.
+    undoes the pass on return.  The walk stops at depth n - k, where
+    k = min(n, ``_FREE``): a leaf serves the k! orders of its k free
+    letters in lexicographic order, each word a rank of its block, and a
+    shard edge inside a leaf slices its k! entries.  Up to n = 5 the root
+    is the only leaf.
 
-    The 120 S(w) of a leaf are fixed by its first-pass state, the output
-    and the stack (the free letters are those in neither), so prefixes
-    that reach the same state, such as 132 and 312, give the same 120
-    words.  A memo maps the state, as ``bytes(out + stack)``, where the
-    guard letter n + 1 marks the boundary, to one plus the complexity of
-    each S(w) without n, as 120 bytes stored once however many states
-    share them.  Only on a miss does the leaf build its 120 S(w) without n,
-    through :func:`_leaf_words`: each is the output followed by letters in
-    play, those of the stack and the free ones, in an order fixed by the
-    state's shape.  A shape is a number m <= n of letters in play and the
-    places of the five free letters among them, which increase, so a
-    length has C(n + 1, 6) shapes (84 at n = 8), each in the table built
-    whole by :func:`_table_of_shapes`, and no miss finishes the stack pass:
-    one ``translate`` of the shape's template and one ``split`` give the
-    120 words.  Another state can give the same S(w) (S of the order
+    The k! S(w) of a leaf are fixed by its first-pass state, the output and
+    the stack (the free letters are those in neither), so prefixes that
+    reach the same state, such as 132 and 312, give the same k! words.  A
+    memo maps the state, as ``bytes(out + stack)``, where the guard letter
+    n + 1 marks the boundary, to one plus the complexity of each S(w)
+    without n, as k! bytes stored once however many states share them.
+    Only on a miss does the leaf build its k! S(w) without n, through
+    :func:`_leaf_words`: each is the output followed by letters in play,
+    those of the stack and the free ones, in an order fixed by the state's
+    shape.  A shape is a number m <= n of letters in play and the places of
+    the k free letters among them, which increase, so a length has
+    C(n + 1, k + 1) shapes (84 at n = 8), each in the table built whole by
+    :func:`_table_of_shapes`, and no miss finishes the stack pass: one
+    ``translate`` of the shape's template and one ``split`` give the k!
+    words.  Another state can give the same S(w) (S of the order
     a < b < c < d < e is the output and then every other letter in
     increasing order), so one ``map`` reads each S(w) without n, as bytes,
     from a dict of S(w): the prefix table itself when n - 1 <= TABLE_CAP,
@@ -575,7 +543,7 @@ def _shard_kernel(n: int, lo: int, hi: int,
     :class:`_Complexities` that fills itself through ``_complexity``,
     which drops the settled maxima at the end of S(w) and of each later
     pass until the table answers.  A last ``translate`` adds one to each
-    of the 120 complexities for the memo.  The memo, its ``shared`` values
+    of the k! complexities for the memo.  The memo, its ``shared`` values
     and the dict of S(w) are ``dicts``, the run's in this process (see the
     module docstring); a direct call with none gets fresh ones that die
     with it.  The memo and the dict of S(w) are cleared when they hold
@@ -583,13 +551,13 @@ def _shard_kernel(n: int, lo: int, hi: int,
     process.  A key is the exact state, shape or word, never a hash of it,
     so a hit returns what a miss would compute and no tally can change.
 
-    The 120 labels of a leaf are fixed by the automaton's state after its
-    prefix and by the symbols of its five free letters, which follow from
-    the pinned letters the prefix has used.  They come, as label codes in
-    120 bytes, from the table of leaf labels, keyed by that state and
-    those symbols and built whole before the walk.  A leaf's 120 descent
-    counts depend only on the prefix's descents d and on r, the number of
-    free letters below its last letter, so they are ``descents[d][r]``.
+    The k! labels of a leaf are fixed by the automaton's state after its
+    prefix and by the symbols of its k free letters, which follow from the
+    pinned letters the prefix has used.  They come, as label codes in k!
+    bytes, from the table of leaf labels, keyed by that state and those
+    symbols and built whole before the walk.  A leaf's k! descent counts
+    depend only on the prefix's descents d and on r, the number of free
+    letters below its last letter, so they are ``descents[d][r]``.
     Complexity 0 is the sorted word, the one with no descent, which can
     only be a leaf's first: when that word has none, a 0 replaces its entry
     of ``cs``.  No word of a leaf is built: a leaf counts one for its key
@@ -598,13 +566,13 @@ def _shard_kernel(n: int, lo: int, hi: int,
     Each distinct key is checked the first time the walk meets it, as two
     ``translate`` calls and a compare: ``clamp`` lifts each complexity at or
     below the unclassified ceiling to the ceiling, and ``certify`` maps
-    each label code to the level it certifies, so the two agree exactly
-    when every word passes, since every row certifies a level above the
+    each label code to the level it certifies, so the two agree at a word
+    exactly when it passes, since every row certifies a level above the
     ceiling (a ceiling below 0 certifies no complexity, so no row gets a
-    byte that no complexity takes).  Only when they differ does a loop over
-    the words find the first that fails.  The walk meets the keys in rank
-    order, so the first clash raised is the lowest-ranked one: the first
-    failing word of the first failing leaf, rebuilt from its rank by
+    byte that no complexity takes).  When they differ, the first place
+    where they do is the first word that fails.  The walk meets the keys in
+    rank order, so the first clash raised is the lowest-ranked one: the
+    first failing word of the first failing leaf, rebuilt from its rank by
     ``words.unrank``.  After the walk the keys are summed by
     ``(cs, es)``, each of which adds to the descent matrix, and by ``ls``,
     each of which adds to the rows; the counts are the row sums of the
@@ -627,29 +595,20 @@ def _shard_kernel(n: int, lo: int, hi: int,
     level = [*(levels[label] for label in automaton.labels), ceiling]
     clamp, certify = _check_tables(level[:none], ceiling)
     symbol = automaton.symbol
-    # each letter's column of the transition table; phantom letter 0 stays put
-    go = [range(len(automaton.codes)), *(automaton.delta[c] for c in symbol[1:n + 1])]
-    # bytes(out + stack) at a leaf -> 1 + complexity of each of its 120 S(w),
+    free = list(range(1, n + 1))  # letters not yet placed
+    go = {x: automaton.delta[symbol[x]] for x in free}  # its column of transitions
+    # bytes(out + stack) at a leaf -> 1 + complexity of each of its S(w),
     # as bytes; the memo's values, each distinct one stored once; and
     # bytes(S(w) without n) -> its complexity: the run's or this call's own
     memo, shared, known = dicts if dicts is not None else ({}, {}, _Complexities())
     if n - 1 <= TABLE_CAP:
         known = table  # it holds all of S_{n-1}, so it only ever hits
     fact = [factorial(m) for m in range(n + 1)]
-    leaf = max(n - _FREE, 0)  # the depth of the leaves
+    k = min(n, _FREE)  # the free letters of a leaf
+    leaf, orders = n - k, fact[k]  # the leaves' depth and the words each serves
     leaves: dict = {}  # (complexities, descents, labels) of a leaf's words -> its leaves
-    free = [0] * (_FREE - n) + list(range(1, n + 1))  # letters not yet placed
     stack = [n + 1]  # decreasing upwards, over a guard letter
     out = []         # letters popped so far, in output order
-
-    def check(cs, ls, first):
-        """Raise on the first of a leaf's words, from rank ``first`` on,
-        whose complexity in ``cs`` its label code in ``ls`` does not
-        certify."""
-        for t, (k, j) in enumerate(zip(cs, ls)):
-            if k > level[j] if j == none else k != level[j]:
-                r = first + t
-                raise CensusSoundnessError(unrank(n, r), r, names[j], k, level[j])
 
     def walk(depth, prev, d, base, state):
         """Walk the block of ranks [base, base + (n - depth)!), whose words
@@ -667,16 +626,19 @@ def _shard_kernel(n: int, lo: int, hi: int,
                 cs = memo[key] = shared.setdefault(cs, cs)
             ls = labelled[state, bytes(free).translate(symbol)]
             es = desc[d][bisect_left(free, prev)]
-            if lo > base or hi < base + _ORDERS:
-                t0, t1 = max(lo - base, 0), min(hi - base, _ORDERS)
+            if lo > base or hi < base + orders:
+                t0, t1 = max(lo - base, 0), min(hi - base, orders)
                 cs, es, ls = cs[t0:t1], es[t0:t1], ls[t0:t1]
             if not es[0]:  # the sorted word, the one with no descent
                 cs = b"\0" + cs[1:]
             key = cs, es, ls
             seen = leaves.get(key)
             if seen is None:
-                if cs.translate(clamp) != ls.translate(certify):
-                    check(cs, ls, max(lo, base))
+                got, want = cs.translate(clamp), ls.translate(certify)
+                if got != want:  # raise on the first word that fails
+                    t = next(t for t, (a, b) in enumerate(zip(got, want)) if a != b)
+                    r, j = max(lo, base) + t, ls[t]
+                    raise CensusSoundnessError(unrank(n, r), r, names[j], cs[t], level[j])
                 leaves[key] = 1
             else:
                 leaves[key] = seen + 1

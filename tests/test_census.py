@@ -205,17 +205,16 @@ def test_leaf_memo_lives_in_one_kernel_call(monkeypatch):
     # The table of shapes is the process's, for each length, and complete
     # when built: a leaf's shape is its number m = 5..9 of letters in play
     # and the places of its five free letters among them, so the first call,
-    # on a table that no earlier test built, builds all C(10, 6) = 210, from
-    # the C(10, 5) = 252 templates of four free letters, and the second none
+    # on a table that no earlier test built, builds all C(10, 6) = 210 in
+    # one call, and the second builds none
     census_mod._length_state.cache_clear()
     calls = _counting(monkeypatch, "_complexity")
-    shapes = _counting(monkeypatch, "_template")
+    shapes = _counting(monkeypatch, "_table_of_shapes")
     first = census_mod._shard_kernel(9, 0, 40320)
-    once, built = len(calls), len(shapes)
+    once = len(calls)
     assert census_mod._shard_kernel(9, 0, 40320) == first
-    assert (len(calls), len(shapes)) == (2 * once, built)
+    assert (len(calls), shapes) == (2 * once, [(9,)])
     assert once <= 1780
-    assert built == comb(10, 5)
     assert len(census_mod._length_state(9).shapes) == comb(10, 6)
     assert first == _reference_kernel(9, 0, 40320)
 
@@ -294,51 +293,48 @@ def test_a_run_never_reads_dicts_held_by_the_calling_process(jobs, monkeypatch):
     assert c.checksum == PINNED_CHECKSUMS[8]
 
 
-def _shape_count(n, free=5):
-    """Shapes of a state of S_n with ``free`` free letters: C(n + 1,
-    free + 1) from n = 5 on, the root's one below it."""
-    return comb(n + 1, free + 1) if n >= 5 else 1
+def _shape_count(n):
+    """Shapes of a leaf of S_n, whose min(n, 5) free letters fall among
+    the m letters in play, any of min(n, 5)..n: C(n + 1, min(n, 5) + 1)."""
+    return comb(n + 1, min(n, 5) + 1)
 
 
 def test_tables_of_shapes_are_kept_per_length(monkeypatch):
     # one process runs every length up and then down, so each table of
     # shapes, built whole on the first run of its length, serves later runs
-    # of its length; below n = 5 phantom letters give a shape that a longer
-    # length has with another continuation ((5, 0, 1, 2, 3, 4) at n = 4 and
-    # 5), so a table shared across lengths would change the counts
+    # of its length.  A shape's template holds the places of the n - m
+    # letters of the output, so one shape has another template at another
+    # length ((5, 0, 1, 2, 3, 4) at n = 5 and 6), and a table shared across
+    # lengths would change the counts
     census_mod._length_state.cache_clear()
-    shapes = _counting(monkeypatch, "_template")
+    shapes = _counting(monkeypatch, "_table_of_shapes")
     for n in (*range(1, 9), *range(8, 0, -1)):
         c = run_census(n, shard_count=3)
         if n in KNOWN_COUNTS:
             assert list(c.counts_by_complexity) == KNOWN_COUNTS[n], n
         if n in PINNED_CHECKSUMS:
             assert c.checksum == PINNED_CHECKSUMS[n], n
-    # the template, 24 orders of the pass a call, was built once for each
-    # shape of four free letters of each length, from which those of five
-    # come, and below n = 5 once for the root; stack[0] is the guard letter
-    # n + 1
-    built = [stack[0] - 1 for stack, _, _ in shapes]
+    # each length's table was built once, whole, on its first run
+    assert shapes == [(n,) for n in range(1, 9)]
     assert census_mod._length_state.cache_info().misses == 8
     for n in range(1, 9):
-        assert built.count(n) == _shape_count(n, 4), n
         assert len(census_mod._length_state(n).shapes) == _shape_count(n), n
 
 
 def _leaf_states(n, prefixes=None):
-    """(prefix, stack, out, free) of each leaf of S_n whose prefix of n - 5
-    letters is in ``prefixes``, by default every leaf: the prefix after one
-    stack pass, and the five free letters, led by phantom 0s below n = 5,
-    as the kernel holds them."""
+    """(prefix, stack, out, free) of each leaf of S_n whose prefix of
+    n - min(n, 5) letters is in ``prefixes``, by default every leaf: the
+    prefix after one stack pass, and the free letters, as the kernel holds
+    them."""
     if prefixes is None:
-        prefixes = permutations(range(1, n + 1), max(n - 5, 0))
+        prefixes = permutations(range(1, n + 1), n - min(n, 5))
     for prefix in prefixes:
         stack, out = [n + 1], []
         for x in prefix:
             while stack[-1] < x:
                 out.append(stack.pop())
             stack.append(x)
-        free = [0] * (5 - n) + sorted(set(range(1, n + 1)) - set(prefix))
+        free = sorted(set(range(1, n + 1)) - set(prefix))
         yield list(prefix), stack, out, free
 
 
@@ -346,20 +342,20 @@ def _leaf_states(n, prefixes=None):
 def test_leaf_shapes_give_every_sorted_word(n):
     # the complete table of shapes, each built from one canonical state,
     # serves every leaf of S_n: what it gives for a leaf is S of each of the
-    # leaf's 120 words, by the recursive definition, the output's letters
-    # included.  Every leaf up to n = 8; from n = 9 on, seeded leaves
+    # leaf's min(n, 5)! words, by the recursive definition, the output's
+    # letters included.  Every leaf up to n = 8; from n = 9 on, seeded leaves
     shapes = census_mod._table_of_shapes(n)
     assert len(shapes) == _shape_count(n)
-    # each template holds 120 words of n - 1 places (empty at n = 1)
+    # each template holds min(n, 5)! words of n - 1 places (empty at n = 1)
     for template in shapes.values():
-        assert [len(v) for v in template.split(census_mod.SEP)] == [n - 1] * 120
+        assert [len(v) for v in template.split(census_mod.SEP)] == [n - 1] * factorial(
+            min(n, 5))
     prefixes = None
     if n >= 9:
         rng = random.Random(n)
         prefixes = [rng.sample(range(1, n + 1), n - 5) for _ in range(300)]
     for prefix, stack, out, free in _leaf_states(n, prefixes):
-        want = [bytes(stack_sort(prefix + [x for x in t if x]))[:-1]
-                for t in permutations(free)]
+        want = [bytes(stack_sort(prefix + list(t)))[:-1] for t in permutations(free)]
         assert census_mod._leaf_words(shapes, stack, out, free) == want, prefix
 
 
@@ -547,6 +543,29 @@ def test_leaf_edges_match_the_reference(n, patched, monkeypatch):
     assert bool(raised) == patched
 
 
+@pytest.mark.parametrize("free", [1, 3, 4, 6])
+def test_the_leaf_size_is_one_constant(free, census_cache, monkeypatch):
+    # a leaf serves the orders of its min(n, _FREE) free letters, and every
+    # table the kernel reads derives from that one constant: with another
+    # leaf size each census to n = 9 gives the same checksum, and seeded
+    # ranges, whose edges mostly fall inside a leaf, the reference's tallies
+    want = {n: census_cache(n).checksum for n in range(1, 10)}
+    assert all(want[n] == PINNED_CHECKSUMS[n] for n in (5, 8, 9))
+    monkeypatch.setattr(census_mod, "_FREE", free)
+    census_mod._length_state.cache_clear()
+    try:
+        for n in range(1, 10):
+            assert run_census(n).checksum == want[n], n
+        rng = random.Random(free)
+        for n in (6, 7, 8):
+            for lo, hi in _seeded_ranges(n, rng, 3, 2 * factorial(min(n, free)) + 50):
+                if hi - lo <= 3000:
+                    assert census_mod._shard_kernel(n, lo, hi) == _reference_kernel(
+                        n, lo, hi), (n, lo, hi)
+    finally:
+        census_mod._length_state.cache_clear()  # no table of this leaf size outlives it
+
+
 def test_known_distributions(census_cache):
     for n, expected in KNOWN_COUNTS.items():
         c = census_cache(n)
@@ -604,9 +623,10 @@ def test_verify_builds_none_of_the_kernel_tables(census_cache, monkeypatch):
     # leaf's labels
     c = census_cache(8)
     census_mod._length_state.cache_clear()
-    shapes, orders = _counting(monkeypatch, "_template"), _counting(monkeypatch, "_orders")
+    shapes = _counting(monkeypatch, "_table_of_shapes")
+    labels = _counting(monkeypatch, "_table_of_labels")
     assert verify_census(c).ok
-    assert (len(shapes), len(orders)) == (0, 0)
+    assert (shapes, labels) == ([], [])
     assert census_mod._length_state.cache_info().currsize == 1
 
 
@@ -794,7 +814,7 @@ def test_forked_workers_build_no_shape(monkeypatch):
     # run, since a worker's tables die with it
     parent = os.getpid()
     calls = {name: multiprocessing.Value("i", 0)
-             for name in ("template", "automaton", "orders")}
+             for name in ("shapes", "automaton", "labels")}
 
     def counted(name, f):
         def g(*args):
@@ -804,16 +824,18 @@ def test_forked_workers_build_no_shape(monkeypatch):
             return f(*args)
         return g
 
-    monkeypatch.setattr(census_mod, "_template", counted("template", census_mod._template))
+    monkeypatch.setattr(census_mod, "_table_of_shapes",
+                        counted("shapes", census_mod._table_of_shapes))
     monkeypatch.setattr(census_mod, "CatalogAutomaton",
                         counted("automaton", census_mod.CatalogAutomaton))
-    monkeypatch.setattr(census_mod, "_orders", counted("orders", census_mod._orders))
+    monkeypatch.setattr(census_mod, "_table_of_labels",
+                        counted("labels", census_mod._table_of_labels))
     census_mod._length_state.cache_clear()
     for _ in range(2):
         c = run_census(8, shard_count=11, jobs=2)
         assert c.checksum == PINNED_CHECKSUMS[8]
-    assert calls["template"].value == calls["automaton"].value == 0
-    assert calls["orders"].value == 0
+    assert calls["shapes"].value == calls["automaton"].value == 0
+    assert calls["labels"].value == 0
     assert census_mod._length_state.cache_info().misses == 1
     state = census_mod._length_state(8)
     assert len(state.shapes) == comb(9, 6)
@@ -1135,9 +1157,8 @@ def test_soundness_guard_trips(monkeypatch):
 
 def test_sorted_word_clash_at_every_leaf_depth(monkeypatch):
     # the sorted word is the one with no descent, so it alone has
-    # complexity 0, whether its leaf is the root with 5 - n phantom letters
-    # (n < 5) or lies deeper; with no row allowed to leave a word
-    # unclassified, it trips first
+    # complexity 0, whether its leaf is the root (n <= 5) or lies deeper;
+    # with no row allowed to leave a word unclassified, it trips first
     monkeypatch.setattr(census_mod, "none_ceiling", lambda n: -1)
     for n in range(1, 11):
         with pytest.raises(CensusSoundnessError) as e:
@@ -1156,8 +1177,9 @@ def test_sorted_word_clash_at_every_leaf_depth(monkeypatch):
 
 @given(st.data())
 def test_the_bytes_check_agrees_with_the_word_loop(data):
-    # a leaf's check is one compare of two translates: it passes exactly
-    # when every word passes the per-word test, for any ceiling from -1 up
+    # a leaf's check is one compare of two translates, which agree at a word
+    # exactly when it passes the per-word test, and so are equal exactly
+    # when every word passes, for any ceiling from -1 up
     # (test_sorted_word_clash_at_every_leaf_depth patches it to -1, where no
     # complexity is certified) and any row levels above it.  Each word's
     # complexity is often the one its label certifies, so that whole leaves
@@ -1170,8 +1192,11 @@ def test_the_bytes_check_agrees_with_the_word_loop(data):
     ls = bytes(j for j, _ in words)
     cs = bytes((level + [max(ceiling, 0)])[j] if k is None else k for j, k in words)
     clamp, certify = census_mod._check_tables(level, ceiling)
-    every = all(k <= ceiling if j == len(level) else k == level[j] for k, j in zip(cs, ls))
-    assert (cs.translate(clamp) == ls.translate(certify)) == every
+    passes = [k <= ceiling if j == len(level) else k == level[j] for k, j in zip(cs, ls)]
+    got, want = cs.translate(clamp), ls.translate(certify)
+    assert (got == want) == all(passes)
+    # word by word too: the kernel names the first place they differ
+    assert [a == b for a, b in zip(got, want)] == passes
 
 
 def test_the_bytes_check_refuses_a_row_at_the_ceiling():
