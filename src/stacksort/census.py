@@ -17,23 +17,26 @@ n = 5 on, and below it the root serves every word.  Leaves whose prefixes
 leave that first pass in the same state (the same output and stack) share
 all k! S(w): the kernel computes their complexities once, in a memo cleared
 at a fixed size, and reads them back for every later prefix with that
-state.  A miss is three C-level calls over the whole leaf.  The state's shape,
-the places of the k free letters among the letters still in play, keys a
-template of its k! S(w) written as places: the rest of the pass only
-compares those letters, so the shape fixes it up to their names.  One
-``translate`` renames the places to the state's letters, one ``split`` cuts
-the k! S(w) apart, and one ``map`` reads each from a dict keyed by S(w)
-itself, since different states can give the same S(w); from n = 9 on that
-dict computes a complexity on its first read.  A length has C(n + 1, k + 1)
-shapes.  Leaves whose prefixes leave the automaton in the same state, with
-the same symbols left for their free letters, share all k! labels, which a
-table holds as bytes.  No word of a leaf is built: a leaf counts one for its
-exact key, its k! complexities, descent counts and labels; each distinct key
-is checked once, in rank order, by two ``translate`` calls and a compare;
-and after the walk the keys add to the descent matrix by their complexities
-and descents and to the rows by their labels.  Every key is exact, so a hit
-gives what recomputing would and no tally can differ from a word-by-word
-walk.
+state.  A miss is a few C-level calls over the leaf's distinct S(w).  The
+state's shape, the places of the k free letters among the letters still in
+play, keys a template of its S(w) written as places: the rest of the pass
+only compares those letters, so the shape fixes it up to their names.  The
+image of stack-sort is small, so a template holds each distinct S(w) once
+(at most 61 of a leaf's 120 up to n = 14) and a byte index, the position
+of each order's.  One ``translate`` renames the places to the state's
+letters, one ``split`` cuts the distinct S(w) apart, and one ``map`` reads
+each from a dict keyed by S(w) itself, since different states can give the
+same S(w); from n = 9 on that dict computes a complexity on its first read.
+One ``translate`` of the index then spreads the complexities over the k!
+orders.  A length has C(n + 1, k + 1) shapes.  Leaves whose prefixes leave
+the automaton in the same state, with the same symbols left for their free
+letters, share all k! labels, which a table holds as bytes.  No word of a
+leaf is built: a leaf counts one for its exact key, its k! complexities,
+descent counts and labels; each distinct key is checked once, in rank
+order, by two ``translate`` calls and a compare; and after the walk the
+keys add to the descent matrix by their complexities and descents and to
+the rows by their labels.  Every key is exact, so a hit gives what
+recomputing would and no tally can differ from a word-by-word walk.
 
 The kernel's state has two lifetimes.  The automaton, the prefix table,
 the table of shapes, the table of leaf labels and the table of a leaf's
@@ -47,17 +50,19 @@ no table.  The kernel and its three leaf tables each take k from
 ``words._prefix_table``, whose cache ``complexity`` shares.  The automaton
 holds the transitions of every state a word can reach, 536 and a sink from
 n = 9 on, so a node of the walk is one table lookup.  The table of shapes
-holds places, not letters, and C(n + 1, k + 1) templates, derived level
-by level from the states with no free letter; but one length's table
-cannot serve another, since a template holds the places of the output's
-n - m letters, so a shape has another template at another length.  The
-table of leaf labels holds every pair of a state and free symbols a leaf
-can reach, from the automaton's reachable states at the leaves' depth, so
-the kernel only reads it.  A run that starts a process pool builds every
-table in the calling process first, so workers forked from it inherit
-them and build nothing, and every later census of that length in the same
-process starts warm.  Under the ``spawn`` or ``forkserver`` start methods
-workers inherit nothing and each builds the state on its first shard.
+holds places, not letters, and C(n + 1, k + 1) templates of distinct words
+and an index, derived level by level from the states with no free letter
+(3.7 MB at n = 14, where a template of all k! words took 8.4 MB); but
+one length's table cannot serve another, since a template holds the
+places of the output's n - m letters, so a shape has another template at
+another length.  The table of leaf labels holds every pair of a state and
+free symbols a leaf can reach, from the automaton's reachable states at
+the leaves' depth, so the kernel only reads it.  A run that starts a
+process pool builds every table in the calling process first, so workers
+forked from it inherit them and build nothing, and every later census of
+that length in the same process starts warm.  Under the ``spawn`` or
+``forkserver`` start methods workers inherit nothing and each builds the
+state on its first shard.
 
 The memo, its ``shared`` values and the dict of S(w) belong to the run:
 :func:`run_census` makes them as locals and passes them to every shard
@@ -303,7 +308,9 @@ class _LengthState:
     A leaf of the walk has k = min(n, ``_FREE``) free letters and serves
     their k! orders.  ``table`` is the prefix table over S_min(n-1,
     TABLE_CAP) from ``_prefix_table``; ``shapes`` the table of shapes from
-    :func:`_table_of_shapes`; ``labels`` the table of leaf labels from
+    :func:`_table_of_shapes`, each shape's distinct S(w) and the byte index
+    that spreads them over the k! orders, so that a memo miss reads each
+    distinct S(w) once; ``labels`` the table of leaf labels from
     :func:`_table_of_labels`; and ``descents`` the table of a leaf's
     descent counts, ``descents[d][r]`` the k! descent counts, as bytes, of
     the orders of a leaf whose prefix has d descents and ends above r of its
@@ -435,52 +442,82 @@ def _table_of_shapes(n: int) -> dict:
     A leaf has k = min(n, ``_FREE``) free letters and m = k..n letters in
     play, n the largest of them, and its shape is m and the k places of the
     free letters among them, any k of the m: C(n + 1, k + 1) shapes in all
-    (84 at n = 8, 1,716 at n = 12).  The table is derived level by level,
-    level j holding every shape of j free letters, each from one state of
-    that shape, with the letters 1..m and the others on the stack in
-    decreasing order.  At level 0 the stack pops in increasing order and n,
-    the largest, comes out last and is dropped.  At level j the first free
-    letter of an order pops the stack letters below it and leaves a state of
-    level j - 1, whose words one ``translate`` renames to this state's
-    places.  A template is k! words of n - 1 places joined by ``SEP``:
-    80,556 bytes in all at n = 8."""
-    shapes = {(m,): RANKS[m:n] + RANKS[:m - 1] for m in range(1, n + 1)}
+    (84 at n = 8, 1,716 at n = 12).  A template is ``(words, index)``:
+    ``words`` the shape's distinct S(w) without n, each n - 1 places, joined
+    by ``SEP`` in order of first appearance, and ``index`` k! bytes, the
+    position in ``words`` of the word of each order, in lexicographic order.
+    The image of stack-sort is small, so the 120 orders of a leaf have 33
+    distinct words on average at n = 8 and at most 61 up to n = 14: the
+    table holds 32,284 bytes at n = 8, words and indexes, and 3.7 MB at
+    n = 14.  A shape of more than 256 distinct words, which a byte cannot
+    index, raises OverflowError naming it.
+
+    The table is derived level by level, level j holding every shape of j
+    free letters from one state of that shape, the letters 1..m in play at
+    places 0..m - 1, the free ones at places f and the others on the stack
+    in decreasing order.  At level 0 the stack pops in increasing order and
+    n, the largest, comes out last and is dropped.  At level j the first
+    free letter read, at place p = f[i], pops the stack letters below it,
+    places 0..p - 1 other than f[:i], in increasing order, and leaves a
+    state of level j - 1 whose letters in play are those at f[:i] and at
+    p..m - 1.  One ``translate`` renames the child's words to this state's
+    places, and another composes the child's index with the positions of
+    those words here."""
+    shapes = {(m,): (RANKS[m:n] + RANKS[:m - 1], b"\0") for m in range(1, n + 1)}
     for j in range(1, min(n, _FREE) + 1):
         level = {}
         for m in range(j, n + 1):
-            for free in map(list, combinations(range(1, m + 1), j)):
-                stack = [n + 1, *(x for x in range(m, 0, -1) if x not in free)]
-                words = []
-                for i, a in enumerate(free):
-                    cut = len(stack) - sum(x < a for x in stack)  # a pops stack[cut:]
-                    below, child = _in_play(stack[:cut] + [a], free[:i] + free[i + 1:])
-                    # the child's places: its letters in play, then its output,
-                    # this state's and then the popped letters, top first
-                    places = (bytes(x - 1 for x in below) + RANKS[m:n]
-                              + bytes(x - 1 for x in stack[:cut - 1:-1]))
-                    words.append(shapes[child].translate(bytes.maketrans(RANKS[:n], places)))
-                level[(m, *(a - 1 for a in free))] = SEP.join(words)
+            for f in combinations(RANKS[:m], j):
+                shape = (m, *f)
+                # every child's words in turn, where each child's end in
+                # every, and each child's index
+                every, ends, indexes = [], [0], []
+                for i, p in enumerate(f):
+                    low = f[:i]
+                    child = (i + m - p, *range(i), *(i + x - p for x in f[i + 1:]))
+                    # a translate table from the child's places to this state's:
+                    # its letters in play, at low and p..m - 1, then its output,
+                    # this state's at m..n - 1 and then the popped letters
+                    places = (bytes(low) + RANKS[p:n]
+                              + bytes(x for x in range(p) if x not in low) + RANKS[n:])
+                    words, index = shapes[child]
+                    every += words.translate(places).split(SEP)
+                    ends.append(len(every))
+                    indexes.append(index)
+                ids = dict.fromkeys(every)
+                if len(ids) > 256:
+                    raise OverflowError(f"shape {shape} of length {n} has {len(ids)} "
+                                        "distinct words, more than a byte index holds")
+                ids = dict(zip(ids, RANKS))  # each distinct word -> its position
+                to = bytes(map(ids.__getitem__, every))
+                level[shape] = (SEP.join(ids), b"".join(
+                    index.translate(to[a:b].ljust(256, b"\0"))
+                    for index, a, b in zip(indexes, ends, ends[1:])))
         shapes = level
     return shapes
 
 
-def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> list:
-    """The S(w) without n of a leaf at the first-pass state ``out``,
-    ``stack`` with free letters ``free``, one for each order of the free
-    letters in lexicographic order, each as bytes.
+def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> tuple:
+    """``(words, index)`` of a leaf at the first-pass state ``out``,
+    ``stack`` with free letters ``free``: ``words``, its distinct S(w)
+    without n as a list of bytes, and ``index``, k! bytes, the position in
+    ``words`` of the S(w) of each order of the free letters, in
+    lexicographic order.
 
     Finishing the pass only compares letters still in play, those of
     ``ls``, and the stack decreases upwards, so the state's shape (see
     :func:`_in_play`) fixes each S(w) as a sequence of places: those of
     the output's letters, then places in ``ls``.  ``shapes``, the complete
-    table of shapes of the length (:func:`_table_of_shapes`), holds the
-    sequences of each shape as one template; one ``translate`` renames
-    the places to this state's letters, ``ls`` then ``out``, and one
-    ``split`` cuts the words apart."""
+    table of shapes of the length (:func:`_table_of_shapes`), holds each
+    shape's distinct sequences and their index as one template; one
+    ``translate`` renames the places to this state's letters, ``ls`` then
+    ``out``, and one ``split`` cuts the distinct words apart.  Renaming
+    keeps distinct words distinct, so the shape's index serves the leaf."""
     ls, shape = _in_play(stack, free)
     letters = bytes(ls + out)
-    return shapes[shape].translate(
-        bytes.maketrans(RANKS[:len(letters)], letters)).split(SEP)
+    words, index = shapes[shape]
+    rename = bytes.maketrans(RANKS[:len(letters)], letters)
+    return words.translate(rename).split(SEP), index
 
 
 def _check_tables(level: list, ceiling: int) -> tuple:
@@ -492,9 +529,9 @@ def _check_tables(level: list, ceiling: int) -> tuple:
     an unclassified word, of code ``len(level)``, may have.  ``clamp`` lifts
     each complexity at or below the ceiling to it and ``certify`` maps each
     code to its level, no row to the ceiling, or, when the ceiling is below
-    0 and certifies no complexity, to a byte no complexity takes.  A row certifying at most the ceiling would let a
-    word the per-word test fails pass, so it raises; ``none_ceiling``
-    rules it out by its definition."""
+    0 and certifies no complexity, to a byte no complexity takes.  A row
+    certifying at most the ceiling would let a word the per-word test fails
+    pass, so it raises; ``none_ceiling`` rules it out by its definition."""
     if min(level, default=ceiling + 1) <= ceiling:
         raise AssertionError(f"a row certifies {min(level)}, at most the "
                              f"unclassified ceiling {ceiling}")
@@ -527,23 +564,25 @@ def _shard_kernel(n: int, lo: int, hi: int,
     memo maps the state, as ``bytes(out + stack)``, where the guard letter
     n + 1 marks the boundary, to one plus the complexity of each S(w)
     without n, as k! bytes stored once however many states share them.
-    Only on a miss does the leaf build its k! S(w) without n, through
+    Only on a miss does the leaf build its distinct S(w) without n, through
     :func:`_leaf_words`: each is the output followed by letters in play,
     those of the stack and the free ones, in an order fixed by the state's
     shape.  A shape is a number m <= n of letters in play and the places of
     the k free letters among them, which increase, so a length has
     C(n + 1, k + 1) shapes (84 at n = 8), each in the table built whole by
     :func:`_table_of_shapes`, and no miss finishes the stack pass: one
-    ``translate`` of the shape's template and one ``split`` give the k!
-    words.  Another state can give the same S(w) (S of the order
-    a < b < c < d < e is the output and then every other letter in
-    increasing order), so one ``map`` reads each S(w) without n, as bytes,
-    from a dict of S(w): the prefix table itself when n - 1 <= TABLE_CAP,
-    since it holds all of S_{n-1} and so is only ever read, and otherwise a
-    :class:`_Complexities` that fills itself through ``_complexity``,
-    which drops the settled maxima at the end of S(w) and of each later
-    pass until the table answers.  A last ``translate`` adds one to each
-    of the k! complexities for the memo.  The memo, its ``shared`` values
+    ``translate`` of the shape's distinct words and one ``split`` give the
+    leaf's, 33 of its 120 on average at n = 8, with the shape's index, the
+    position of each order's word.  Another state can give the same S(w)
+    (S of the order a < b < c < d < e is the output and then every other
+    letter in increasing order), so one ``map`` reads each distinct S(w)
+    without n, as bytes, from a dict of S(w): the prefix table itself when
+    n - 1 <= TABLE_CAP, since it holds all of S_{n-1} and so is only ever
+    read, and otherwise a :class:`_Complexities` that fills itself through
+    ``_complexity``, which drops the settled maxima at the end of S(w) and
+    of each later pass until the table answers.  A ``translate`` adds one
+    to each complexity, and one ``translate`` of the index by them gives
+    the k! for the memo.  The memo, its ``shared`` values
     and the dict of S(w) are ``dicts``, the run's in this process (see the
     module docstring); a direct call with none gets fresh ones that die
     with it.  The memo and the dict of S(w) are cleared when they hold
@@ -621,8 +660,9 @@ def _shard_kernel(n: int, lo: int, hi: int,
                 if len(memo) >= _MEMO_CAP:
                     memo.clear()
                     shared.clear()
-                cs = bytes(map(known.__getitem__, _leaf_words(shapes, stack, out, free))
-                           ).translate(PLUS_ONE)
+                words, index = _leaf_words(shapes, stack, out, free)
+                cs = bytes(map(known.__getitem__, words)).translate(PLUS_ONE)
+                cs = index.translate(cs.ljust(256, b"\0"))
                 cs = memo[key] = shared.setdefault(cs, cs)
             ls = labelled[state, bytes(free).translate(symbol)]
             es = desc[d][bisect_left(free, prev)]

@@ -341,22 +341,52 @@ def _leaf_states(n, prefixes=None):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_leaf_shapes_give_every_sorted_word(n):
     # the complete table of shapes, each built from one canonical state,
-    # serves every leaf of S_n: what it gives for a leaf is S of each of the
-    # leaf's min(n, 5)! words, by the recursive definition, the output's
-    # letters included.  Every leaf up to n = 8; from n = 9 on, seeded leaves
+    # serves every leaf of S_n: its distinct words, expanded through its
+    # index, are S of each of the leaf's min(n, 5)! words in lexicographic
+    # order, by the recursive definition, the output's letters included.
+    # Every leaf up to n = 8; from n = 9 on, seeded leaves
     shapes = census_mod._table_of_shapes(n)
     assert len(shapes) == _shape_count(n)
-    # each template holds min(n, 5)! words of n - 1 places (empty at n = 1)
-    for template in shapes.values():
-        assert [len(v) for v in template.split(census_mod.SEP)] == [n - 1] * factorial(
-            min(n, 5))
+    # each template holds distinct words of n - 1 places (empty at n = 1) in
+    # order of first appearance, every one of them used, and an index of
+    # min(n, 5)! bytes
+    for words, index in shapes.values():
+        words = words.split(census_mod.SEP)
+        assert {len(v) for v in words} == {n - 1}
+        assert len(set(words)) == len(words)
+        assert len(index) == factorial(min(n, 5))
+        assert list(dict.fromkeys(index)) == list(range(len(words)))
     prefixes = None
     if n >= 9:
         rng = random.Random(n)
         prefixes = [rng.sample(range(1, n + 1), n - 5) for _ in range(300)]
     for prefix, stack, out, free in _leaf_states(n, prefixes):
         want = [bytes(stack_sort(prefix + list(t)))[:-1] for t in permutations(free)]
-        assert census_mod._leaf_words(shapes, stack, out, free) == want, prefix
+        words, index = census_mod._leaf_words(shapes, stack, out, free)
+        assert [words[i] for i in index] == want, prefix
+
+
+def test_a_shape_with_more_words_than_a_byte_indexes_raises(monkeypatch, extended):
+    # a template indexes its distinct words by one byte each, so a shape with
+    # more than 256 raises rather than truncating: with seven free letters
+    # the one shape of n = 7 has 326, one for each sorted word of length 7,
+    # and a census of n = 7 gives no tally.  With STACKSORT_EXTENDED=1, the
+    # five free letters of a leaf give at most 61 at every n up to MAX_N
+    # (the n = 13 and 14 builds take 0.2-0.6 s)
+    if extended:
+        for n in range(1, census_mod.MAX_N + 1):
+            shapes = census_mod._table_of_shapes(n)
+            assert max(w.count(census_mod.SEP) + 1 for w, _ in shapes.values()) <= 61, n
+    monkeypatch.setattr(census_mod, "_FREE", 7)
+    census_mod._length_state.cache_clear()
+    too_many = r"shape \(7, 0, 1, 2, 3, 4, 5, 6\) of length 7 has 326 distinct words"
+    try:
+        with pytest.raises(OverflowError, match=too_many):
+            census_mod._table_of_shapes(7)
+        with pytest.raises(OverflowError, match=too_many):
+            run_census(7)
+    finally:
+        census_mod._length_state.cache_clear()  # no table of this leaf size outlives it
 
 
 def test_kernel_never_writes_the_prefix_table(monkeypatch):
