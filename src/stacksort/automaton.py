@@ -18,14 +18,14 @@ are those a word reaches: the letters of a word are distinct, so it reads
 each pinned letter at most once.  The whole table of transitions, of every
 such state by every symbol, is built in one go when the automaton is
 made; a transition no word takes leads to a sink that matches no row.
-How long an automaton lives is its maker's choice: the census keeps one
-per process and length, with the rest of its per-length state.
+How long an automaton lives is its maker's choice (the census's:
+``census._LengthState``).
 
 The census kernel classifies with it, one state per prefix of its walk.
 One dynamic program over its layers (:meth:`CatalogAutomaton.layer`)
 counts each row's first matches (:attr:`CatalogAutomaton.counts`), which
 ``verify_census`` reads, and gives the census the states its leaves can
-reach.  It shares nothing with the positional
+reach (``census._table_of_labels``).  It shares nothing with the positional
 matcher of :mod:`stacksort.patterns` but ``resolve_branches``; the test
 suite checks its labels against the brute-force oracle and its counts
 against that and the rows' hand-derived forms.

@@ -1,104 +1,27 @@
 """Exhaustive census of stack-sorting complexity over all words of length n.
 
-A census walks every standard word of length n in lexicographic order and
-tallies three exact tables: counts by complexity, counts by first matching
-catalog row, and a complexity-by-descents matrix.  The walk is split into
-rank-range shards whose results merge into bit-identical totals regardless
-of the shard count, so runs can be parallelized, checkpointed to disk, and
-resumed.
+A census walks every standard word of length n and tallies three exact
+tables: counts by complexity, counts by first matching catalog row, and a
+complexity-by-descents matrix.  The rank range [0, n!) splits into shards
+whose tallies merge into the same totals for every shard count, so runs can
+be parallelized, checkpointed to disk and resumed.  Counters are exact
+integers end to end, and files store them as decimal strings
+(:func:`_tally_strings`).  Every shard checks each word's catalog
+classification against its complexity and raises
+:class:`CensusSoundnessError` on a clash, so a completed census proves, for
+that n, that the catalog certifies what :mod:`stacksort.patterns` states.
 
-The shard kernel walks the prefix tree of its rank range depth first, so
-words that share a prefix share its work: the letters of a prefix go through
-the stack pass, the descent count and the catalog's automaton
-(:mod:`stacksort.automaton`) once for every word below them.  The walk stops
-k = min(n, ``_FREE``) letters short of a word, ``_FREE`` being 5, at a leaf
-that serves the k! orders of its last k letters, its free letters: 120 from
-n = 5 on, and below it the root serves every word.  Leaves whose prefixes
-leave that first pass in the same state (the same output and stack) share
-all k! S(w): the kernel computes their complexities once, in a memo cleared
-at a fixed size, and reads them back for every later prefix with that
-state.  A miss is a few C-level calls over the leaf's distinct S(w).  The
-state's shape, the places of the k free letters among the letters still in
-play, keys a template of its S(w) written as places: the rest of the pass
-only compares those letters, so the shape fixes it up to their names.  The
-image of stack-sort is small, so a template holds each distinct S(w) once
-(at most 61 of a leaf's 120 up to n = 14) and a byte index, the position
-of each order's.  One ``translate`` renames the places to the state's
-letters, one ``split`` cuts the distinct S(w) apart, and one ``map`` reads
-each from a dict keyed by S(w) itself, since different states can give the
-same S(w); from n = 9 on that dict computes a complexity on its first read.
-One ``translate`` of the index then spreads the complexities over the k!
-orders.  A length has C(n + 1, k + 1) shapes.  Leaves whose prefixes leave
-the automaton in the same state, with the same symbols left for their free
-letters, share all k! labels, which a table holds as bytes.  No word of a
-leaf is built: a leaf counts one for its exact key, its k! complexities,
-descent counts and labels; each distinct key is checked once, in rank
-order, by two ``translate`` calls and a compare; and after the walk the
-keys add to the descent matrix by their complexities and descents and to
-the rows by their labels.  Every key is exact, so a hit gives what
-recomputing would and no tally can differ from a word-by-word walk.
+Each mechanism is described once, at its owner:
 
-The kernel's state has two lifetimes.  The automaton, the prefix table,
-the table of shapes, the table of leaf labels and the table of a leaf's
-descent counts belong to the process and the length: one ``lru_cache``d
-call, :func:`_length_state`, makes the object that holds them on the first
-use of the length in a process, never at import, and keeps it.  The
-automaton is built with it, and the tables, each built whole, on their
-first read, so ``verify_census``, which reads only the automaton, builds
-no table.  The kernel and its three leaf tables each take k from
-``_FREE``, the one constant that sizes a leaf.  The prefix table comes from
-``words._prefix_table``, whose cache ``complexity`` shares.  The automaton
-holds the transitions of every state a word can reach, 536 and a sink from
-n = 9 on, so a node of the walk is one table lookup.  The table of shapes
-holds places, not letters, and C(n + 1, k + 1) templates of distinct words
-and an index, derived level by level from the states with no free letter
-(3.7 MB at n = 14, where a template of all k! words took 8.4 MB); but
-one length's table cannot serve another, since a template holds the
-places of the output's n - m letters, so a shape has another template at
-another length.  The table of leaf labels holds every pair of a state and
-free symbols a leaf can reach, from the automaton's reachable states at
-the leaves' depth, so the kernel only reads it.  A run that starts a
-process pool builds every table in the calling process first, so workers
-forked from it inherit them and build nothing, and every later census of
-that length in the same process starts warm.  Under the ``spawn`` or
-``forkserver`` start methods workers inherit nothing and each builds the
-state on its first shard.
-
-The memo, its ``shared`` values and the dict of S(w) belong to the run:
-:func:`run_census` makes them as locals and passes them to every shard
-it computes, and each pool worker, made for one run and ending with it,
-gets its own from :func:`_start_worker`.  So a sharded census computes
-each state and each S(w) once per process, as a one-shard census does,
-and the tens of MiB those dicts can reach at n >= 10 go when the run
-ends; the calling process never holds a worker's dicts.  A direct kernel
-call starts with dicts of its own.
-
-Every shard kernel doubles as a soundness check: for each word it compares
-the catalog classification, read from the automaton, against the
-independently computed complexity, once for each distinct key of a leaf,
-and raises :class:`CensusSoundnessError` on any disagreement, naming the
-word, its rank and the level the catalog certified for it.  A completed
-census is therefore an exhaustive proof, for that n, that the catalog
-certifies exactly what
-:mod:`stacksort.patterns` states: the level of each row valid at n in
-``Catalog.levels(n)``, and ``none_ceiling(n)`` for words no row matches.
-
-Counters are exact integers end to end; the JSON report stores them as
-decimal strings so they survive parsers that would round large values.
-
-A run describes each shard by one record, ``(header, path)``: the header
-is the dict of :func:`_shard_header`, the shard's identity (length, shard
-count, index, rank range, kernel version and catalog hash), and the path
-its file's, or None without a checkpoint directory.  The record is the
-task :func:`_shard_task` computes, saving ``{**header, **tallies}`` at the
-path; the identity a resume checks; and, by ``header["index"]``, the merge
-key.  The merge sums the rows and the descent matrices and derives the
-counts by complexity once, as the merged matrix's row sums.  A resume
-reads the saved shards in the calling process and trusts a file only when
-it passes every check of :func:`_read_shard` against its record's header;
-any other file is logged on the ``stacksort.census`` logger and recomputed.
-Reports are read back through the same tally reader and checks, with a
-total of n!.
+* the walk of a rank range and the tally after it: :func:`_shard_kernel`;
+* a leaf's complexities, its memo, shapes, distinct S(w) and their index,
+  and the dict of S(w): :func:`_table_of_shapes` and :func:`_leaf_words`;
+* a leaf's labels: :func:`_table_of_labels`;
+* the check of a leaf: :func:`_check_tables`;
+* the lifetimes of the kernel's tables and dicts: :class:`_LengthState`
+  and :func:`run_census`, which also owns the shard records and the merge;
+* the files: :func:`_shard_text`, :func:`_read_shard` and
+  :func:`load_census`.
 """
 from __future__ import annotations
 
@@ -106,6 +29,7 @@ import hashlib
 import json
 import logging
 import os
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
@@ -116,7 +40,6 @@ from math import factorial
 from typing import Dict, Optional, Tuple
 
 from .automaton import CatalogAutomaton
-from .formulas import _column_sums
 from .patterns import builtin_catalog, format_row, none_ceiling
 from .words import TABLE_CAP, _complexity, _prefix_table, format_word, unrank
 
@@ -124,9 +47,7 @@ SCHEMA_VERSION = 1
 KERNEL_VERSION = 1  # bump when the kernel's tallies could change for a shard
 MAX_N = 14
 # entries of the leaf memo, and from n = 9 on of the dict of S(w), that one
-# census run holds in one process (or one direct kernel call holds): the
-# kernel clears the memo on a miss that finds it full, and the dict of S(w)
-# clears itself when a complexity it has not seen would overfill it
+# run holds in one process; the kernel and _Complexities clear them when full
 _MEMO_CAP = 1 << 18
 _FREE = 5  # the free letters of a leaf of the walk, min(n, _FREE) at length n
 RANKS = bytes(range(256))  # the places in a template of a leaf's letters
@@ -298,31 +219,22 @@ def _catalog_sha256() -> str:
 
 
 class _LengthState:
-    """The kernel's state for length n, which :func:`_length_state` makes
-    once per process and length.  ``automaton``, the
-    :class:`CatalogAutomaton` of the built-in catalog at n, is built with
-    the object; ``verify_census`` reads only it.  The kernel's tables are
-    built whole on first read, and :meth:`tables` reads them all, so a call
-    before a pool starts builds them once for every worker forked from it.
+    """The kernel's state for length n, which :func:`_length_state` makes on
+    the first use of the length in a process, never at import, and keeps.
 
-    A leaf of the walk has k = min(n, ``_FREE``) free letters and serves
-    their k! orders.  ``table`` is the prefix table over S_min(n-1,
-    TABLE_CAP) from ``_prefix_table``; ``shapes`` the table of shapes from
-    :func:`_table_of_shapes`, each shape's distinct S(w) and the byte index
-    that spreads them over the k! orders, so that a memo miss reads each
-    distinct S(w) once; ``labels`` the table of leaf labels from
-    :func:`_table_of_labels`; and ``descents`` the table of a leaf's
-    descent counts, ``descents[d][r]`` the k! descent counts, as bytes, of
-    the orders of a leaf whose prefix has d descents and ends above r of its
-    free letters.  The kernel only reads them."""
+    ``automaton``, the :class:`CatalogAutomaton` of the built-in catalog at
+    n, is built with the object, and ``verify_census`` reads only it.  The
+    tables, ``shapes`` (:func:`_table_of_shapes`), ``labels``
+    (:func:`_table_of_labels`) and ``descents``, ``descents[d][r]`` the
+    descent counts of the k! orders of a leaf whose prefix has d descents
+    and ends above r free letters, are each built whole on first read, and
+    the kernel only reads them.  :meth:`tables` before a pool forks builds
+    them once for every worker; under the ``spawn`` or ``forkserver`` start
+    methods a worker inherits nothing and builds them on its first shard."""
 
     def __init__(self, n: int):
         self.n = n
         self.automaton = CatalogAutomaton(builtin_catalog(), n)
-
-    @cached_property
-    def table(self) -> dict:
-        return _prefix_table(min(self.n - 1, TABLE_CAP))
 
     @cached_property
     def shapes(self) -> dict:
@@ -334,17 +246,19 @@ class _LengthState:
 
     @cached_property
     def descents(self) -> list:
-        # the first letter of order t is the (t // (k - 1)!)-th smallest free
-        # letter, and steps[t] the descents within the order
+        # each order's first letter, t[0]-th smallest of the free letters,
+        # and the descents within the order
         k = min(self.n, _FREE)
-        steps = [sum(a > b for a, b in zip(t, t[1:])) for t in permutations(range(k))]
-        first = factorial(k - 1)
-        return [[bytes(d + (t // first < r) + s for t, s in enumerate(steps))
+        orders = [(t[0], sum(a > b for a, b in zip(t, t[1:])))
+                  for t in permutations(range(k))]
+        return [[bytes(d + (first < r) + s for first, s in orders)
                  for r in range(k + 1)] for d in range(max(self.n - k, 1))]
 
     def tables(self) -> tuple:
-        """``(table, shapes, labels, descents)``, built on first read."""
-        return self.table, self.shapes, self.labels, self.descents
+        """``(shapes, labels, descents)``, after building the prefix table
+        the kernel reads up to n = 8, which ``words._prefix_table`` keeps."""
+        _prefix_table(min(self.n - 1, TABLE_CAP))
+        return self.shapes, self.labels, self.descents
 
 
 @lru_cache(maxsize=None)
@@ -356,25 +270,26 @@ def _length_state(n: int) -> _LengthState:
 
 def _table_of_labels(automaton: CatalogAutomaton, n: int) -> dict:
     """Every ``(state, symbols)`` a leaf of S_n can reach, mapped to the
-    label codes of the leaf's k! words as bytes, k = min(n, ``_FREE``),
-    built whole; :class:`_LengthState` keeps it.
+    label codes of its k! orders as bytes, k = min(n, ``_FREE``): a leaf's
+    labels are fixed by the automaton's state after its prefix and the
+    symbols of its k free letters, in increasing order.
 
-    ``state`` is the automaton's after the leaf's prefix and ``symbols``
-    those of its k free letters, in increasing order, as bytes.  The states
-    come from the automaton's :meth:`~CatalogAutomaton.layer` at the leaves'
-    depth, n - k, with the pinned letters read to reach each.  The letters
-    of a word are distinct, so a leaf's free letters are the pinned letters
-    its prefix has not read and x letters for the rest; ``symbols`` keeps
-    them in letter order, every way the x letters can fall among the others
-    (one way for the built-in catalog, whose x letters lie between 3 and
-    n - 4).  An entry reads the orders of its symbols in lexicographic order
-    of their places, as one recursion over the first symbol read, whose
-    memo of ``(state, symbols)`` serves one layer key: 212 entries at
-    n = 8, 1,066 at n = 9."""
+    The states come from the automaton's :meth:`~CatalogAutomaton.layer` at
+    the leaves' depth, n - k, with the pinned letters read to reach each.
+    A leaf's free letters are the pinned letters its prefix has not read
+    and x letters for the rest, every way the x letters can fall among the
+    others (one way for the built-in catalog, whose x letters lie between 3
+    and n - 4).  An entry reads the orders in lexicographic order, by one
+    recursion over the first symbol read with one memo, by symbols and
+    state, for the whole build.  The table holds exactly the pairs a whole
+    walk reads: 212 at n = 8, 1,066 at n = 9."""
     k = min(n, _FREE)
     x = len(automaton.pinned)
     codes, delta = automaton.codes, automaton.delta
-    memo: dict = {}
+    # symbols -> state -> the orders' label codes; keyed in two steps, an
+    # entry needs no tuple: the build's traced peak at n = 9 is 1.1 MB,
+    # against 1.7 MB keyed by (state, symbols)
+    memo = defaultdict(dict)
 
     def orders(state, key):
         """The label codes of the orders of the symbols ``key`` read from
@@ -382,15 +297,15 @@ def _table_of_labels(automaton: CatalogAutomaton, n: int) -> dict:
         if len(key) == 1:
             t = delta[key[0]][state]
             return codes[t:t + 1]
-        got = memo.get((state, key))
+        per = memo[key]
+        got = per.get(state)
         if got is None:
-            got = memo[state, key] = b"".join([
+            got = per[state] = b"".join([
                 orders(delta[c][state], key[:i] + key[i + 1:]) for i, c in enumerate(key)])
         return got
 
     labels = {}
     for used, states in automaton.layer(n - k).items():
-        memo.clear()
         keys = {b""}
         for c in automaton.symbol[1:n + 1]:  # each letter's, in increasing order
             if c == x:  # an x letter may be free
@@ -427,42 +342,33 @@ def _start_worker() -> None:
     _worker_dicts = ({}, {}, _Complexities())
 
 
-def _in_play(stack: list, free: list) -> tuple:
-    """``(ls, shape)`` of a first-pass state: ``ls``, the sorted letters
-    still in play, those of ``stack[1:] + free``, and the shape, their
-    number and the places of the free letters among them."""
-    ls = sorted(stack[1:] + free)
-    return ls, (len(ls), *map(ls.index, free))
-
-
 def _table_of_shapes(n: int) -> dict:
-    """Every shape of a leaf of S_n mapped to its template, built whole;
-    :class:`_LengthState` keeps it.
+    """Every shape of a leaf of S_n mapped to its template, built whole.
 
-    A leaf has k = min(n, ``_FREE``) free letters and m = k..n letters in
-    play, n the largest of them, and its shape is m and the k places of the
-    free letters among them, any k of the m: C(n + 1, k + 1) shapes in all
-    (84 at n = 8, 1,716 at n = 12).  A template is ``(words, index)``:
-    ``words`` the shape's distinct S(w) without n, each n - 1 places, joined
-    by ``SEP`` in order of first appearance, and ``index`` k! bytes, the
-    position in ``words`` of the word of each order, in lexicographic order.
-    The image of stack-sort is small, so the 120 orders of a leaf have 33
-    distinct words on average at n = 8 and at most 61 up to n = 14: the
-    table holds 32,284 bytes at n = 8, words and indexes, and 3.7 MB at
-    n = 14.  A shape of more than 256 distinct words, which a byte cannot
-    index, raises OverflowError naming it.
+    A leaf's k! S(w), k = min(n, ``_FREE``), are fixed by its first-pass
+    state.  Finishing the pass only compares the letters still in play,
+    those on the stack and the free ones, so the state's shape fixes every
+    S(w) up to their names: their number m, k..n, n the largest, and the
+    places of the k free letters among them, C(n + 1, k + 1) shapes in
+    all.  A template is ``(words, index)``: ``words`` the shape's distinct
+    S(w) without n as n - 1 places, the output's n - m letters at
+    m..n - 1 and the letters in play at 0..m - 1, joined by ``SEP`` in
+    order of first appearance; ``index`` k! bytes, the position in
+    ``words`` of each order's, in lexicographic order.  The output's places
+    depend on n, so a table serves one length.  The image of stack-sort is
+    small: a shape has at most 61 distinct words up to n = 14, and one of
+    more than 256, which a byte cannot index, raises OverflowError.
 
-    The table is derived level by level, level j holding every shape of j
-    free letters from one state of that shape, the letters 1..m in play at
-    places 0..m - 1, the free ones at places f and the others on the stack
-    in decreasing order.  At level 0 the stack pops in increasing order and
-    n, the largest, comes out last and is dropped.  At level j the first
-    free letter read, at place p = f[i], pops the stack letters below it,
-    places 0..p - 1 other than f[:i], in increasing order, and leaves a
-    state of level j - 1 whose letters in play are those at f[:i] and at
-    p..m - 1.  One ``translate`` renames the child's words to this state's
-    places, and another composes the child's index with the positions of
-    those words here."""
+    Level j of the derivation holds every shape of j free letters, from one
+    state of that shape: the letters 1..m in play at places 0..m - 1, the
+    free ones at places f and the others on the stack in decreasing order.
+    At level 0 the stack pops in increasing order and n, the largest, comes
+    out last and is dropped.  At level j the first free letter read, at
+    place p = f[i], pops the stack letters below it, places 0..p - 1 other
+    than f[:i], and leaves a state of level j - 1 whose letters in play are
+    those at f[:i] and p..m - 1.  One ``translate`` renames the child's
+    words to this state's places, and another composes the child's index
+    with their positions here."""
     shapes = {(m,): (RANKS[m:n] + RANKS[:m - 1], b"\0") for m in range(1, n + 1)}
     for j in range(1, min(n, _FREE) + 1):
         level = {}
@@ -499,23 +405,26 @@ def _table_of_shapes(n: int) -> dict:
 
 def _leaf_words(shapes: dict, stack: list, out: list, free: list) -> tuple:
     """``(words, index)`` of a leaf at the first-pass state ``out``,
-    ``stack`` with free letters ``free``: ``words``, its distinct S(w)
-    without n as a list of bytes, and ``index``, k! bytes, the position in
-    ``words`` of the S(w) of each order of the free letters, in
-    lexicographic order.
+    ``stack`` with free letters ``free``: ``words`` its distinct S(w)
+    without n, as a list of bytes, and ``index`` its shape's.
 
-    Finishing the pass only compares letters still in play, those of
-    ``ls``, and the stack decreases upwards, so the state's shape (see
-    :func:`_in_play`) fixes each S(w) as a sequence of places: those of
-    the output's letters, then places in ``ls``.  ``shapes``, the complete
-    table of shapes of the length (:func:`_table_of_shapes`), holds each
-    shape's distinct sequences and their index as one template; one
-    ``translate`` renames the places to this state's letters, ``ls`` then
-    ``out``, and one ``split`` cuts the distinct words apart.  Renaming
-    keeps distinct words distinct, so the shape's index serves the leaf."""
-    ls, shape = _in_play(stack, free)
+    The kernel's memo maps the state, ``bytes(out + stack)`` with the guard
+    letter n + 1 between them, to one plus the complexity of each of the
+    leaf's k! S(w), as k! bytes, each distinct value stored once in a
+    ``shared`` dict; prefixes that reach the same state, such as 132 and
+    312, share them.  Only a miss calls this function: one ``translate``
+    renames the shape's template (:func:`_table_of_shapes`) from places to
+    the letters in play in increasing order, then the output's, and one
+    ``split`` cuts the distinct words apart, which renaming keeps distinct.
+    The kernel reads each word's complexity from a dict of S(w), since
+    different states can give the same S(w): the prefix table over S_{n-1}
+    when n - 1 <= ``TABLE_CAP``, and otherwise the run's
+    :class:`_Complexities`.  One ``translate`` adds one to each, and one of
+    the index spreads them over the k! orders.  Every key is the exact
+    state, shape or word, so a hit gives what a miss would compute."""
+    ls = sorted(stack[1:] + free)  # the letters in play
     letters = bytes(ls + out)
-    words, index = shapes[shape]
+    words, index = shapes[(len(ls), *map(ls.index, free))]
     rename = bytes.maketrans(RANKS[:len(letters)], letters)
     return words.translate(rename).split(SEP), index
 
@@ -548,76 +457,30 @@ def _shard_kernel(n: int, lo: int, hi: int,
     A depth-first walk of the prefix tree in lexicographic order.  A node
     whose rank block lies partly outside [lo, hi) descends only into the
     children that meet it, so the range splits into O(n^2) complete prefix
-    blocks, each walked in full.  A node pushes its letter through one
-    shared stack pass (the smaller letters it pops go to one shared output
-    list), adds its descent and steps the catalog's automaton by its
-    letter's symbol, one table lookup, once for every word below it, and
-    undoes the pass on return.  The walk stops at depth n - k, where
-    k = min(n, ``_FREE``): a leaf serves the k! orders of its k free
-    letters in lexicographic order, each word a rank of its block, and a
-    shard edge inside a leaf slices its k! entries.  Up to n = 5 the root
-    is the only leaf.
+    blocks.  A node pushes its letter through one shared stack pass (the
+    letters it pops go to one shared output list), adds its descent and
+    steps the catalog's automaton by its letter's symbol, once for every
+    word below it, and undoes the pass on return.  The walk stops at depth
+    n - k, k = min(n, ``_FREE``): a leaf serves the k! orders of its free
+    letters in lexicographic order, and a shard edge inside a leaf slices
+    them.  Up to n = 5 the root is the only leaf.
 
-    The k! S(w) of a leaf are fixed by its first-pass state, the output and
-    the stack (the free letters are those in neither), so prefixes that
-    reach the same state, such as 132 and 312, give the same k! words.  A
-    memo maps the state, as ``bytes(out + stack)``, where the guard letter
-    n + 1 marks the boundary, to one plus the complexity of each S(w)
-    without n, as k! bytes stored once however many states share them.
-    Only on a miss does the leaf build its distinct S(w) without n, through
-    :func:`_leaf_words`: each is the output followed by letters in play,
-    those of the stack and the free ones, in an order fixed by the state's
-    shape.  A shape is a number m <= n of letters in play and the places of
-    the k free letters among them, which increase, so a length has
-    C(n + 1, k + 1) shapes (84 at n = 8), each in the table built whole by
-    :func:`_table_of_shapes`, and no miss finishes the stack pass: one
-    ``translate`` of the shape's distinct words and one ``split`` give the
-    leaf's, 33 of its 120 on average at n = 8, with the shape's index, the
-    position of each order's word.  Another state can give the same S(w)
-    (S of the order a < b < c < d < e is the output and then every other
-    letter in increasing order), so one ``map`` reads each distinct S(w)
-    without n, as bytes, from a dict of S(w): the prefix table itself when
-    n - 1 <= TABLE_CAP, since it holds all of S_{n-1} and so is only ever
-    read, and otherwise a :class:`_Complexities` that fills itself through
-    ``_complexity``, which drops the settled maxima at the end of S(w) and
-    of each later pass until the table answers.  A ``translate`` adds one
-    to each complexity, and one ``translate`` of the index by them gives
-    the k! for the memo.  The memo, its ``shared`` values
-    and the dict of S(w) are ``dicts``, the run's in this process (see the
-    module docstring); a direct call with none gets fresh ones that die
-    with it.  The memo and the dict of S(w) are cleared when they hold
-    ``_MEMO_CAP`` entries, which bounds a run of any length in each
-    process.  A key is the exact state, shape or word, never a hash of it,
-    so a hit returns what a miss would compute and no tally can change.
+    A leaf reads its complexities from the memo (:func:`_leaf_words`), its
+    labels from the table of :func:`_table_of_labels` and its descent
+    counts from ``_LengthState.descents``.  A memo entry is one more than
+    the complexity of S(w), which is wrong only for the sorted word, the
+    one with no descent and always a leaf's first: it gets a 0.  No word is
+    built: a leaf counts one for its key, its complexities, descents and
+    labels as exact bytes, and each distinct key is checked when the walk
+    first meets it (:func:`_check_tables`), in rank order, so the first
+    clash raised is the lowest-ranked failing word.  After the walk the
+    keys are summed by complexities and descents into the descent matrix
+    and by labels into the rows; the counts are the matrix's row sums.
+    Every key is exact, so no tally can differ from a word-by-word walk.
 
-    The k! labels of a leaf are fixed by the automaton's state after its
-    prefix and by the symbols of its k free letters, which follow from the
-    pinned letters the prefix has used.  They come, as label codes in k!
-    bytes, from the table of leaf labels, keyed by that state and those
-    symbols and built whole before the walk.  A leaf's k! descent counts
-    depend only on the prefix's descents d and on r, the number of free
-    letters below its last letter, so they are ``descents[d][r]``.
-    Complexity 0 is the sorted word, the one with no descent, which can
-    only be a leaf's first: when that word has none, a 0 replaces its entry
-    of ``cs``.  No word of a leaf is built: a leaf counts one for its key
-    ``(cs, es, ls)``, its complexities, descents and labels as exact bytes.
-
-    Each distinct key is checked the first time the walk meets it, as two
-    ``translate`` calls and a compare: ``clamp`` lifts each complexity at or
-    below the unclassified ceiling to the ceiling, and ``certify`` maps
-    each label code to the level it certifies, so the two agree at a word
-    exactly when it passes, since every row certifies a level above the
-    ceiling (a ceiling below 0 certifies no complexity, so no row gets a
-    byte that no complexity takes).  When they differ, the first place
-    where they do is the first word that fails.  The walk meets the keys in
-    rank order, so the first clash raised is the lowest-ranked one: the
-    first failing word of the first failing leaf, rebuilt from its rank by
-    ``words.unrank``.  After the walk the keys are summed by
-    ``(cs, es)``, each of which adds to the descent matrix, and by ``ls``,
-    each of which adds to the rows; the counts are the row sums of the
-    descent matrix.  The automaton, the prefix table, the table of shapes,
-    the table of leaf labels and the table of descent counts come from
-    :func:`_length_state`, the process's for the length.
+    ``dicts`` are the run's memo, its shared values and dict of S(w) in
+    this process (:func:`run_census`); a direct call with none gets its
+    own.  The tables come from :func:`_length_state`.
     """
     tallies = _zero_tallies(n)
     if hi <= lo:
@@ -625,7 +488,7 @@ def _shard_kernel(n: int, lo: int, hi: int,
     cnt, rows, dm = tallies.values()
     own = _length_state(n)
     automaton = own.automaton
-    table, shapes, labelled, desc = own.tables()
+    shapes, labelled, desc = own.tables()
     levels = builtin_catalog().levels(n)
     names = (*automaton.labels, None)  # by label code
     none = len(automaton.labels)       # the code of no row
@@ -636,12 +499,10 @@ def _shard_kernel(n: int, lo: int, hi: int,
     symbol = automaton.symbol
     free = list(range(1, n + 1))  # letters not yet placed
     go = {x: automaton.delta[symbol[x]] for x in free}  # its column of transitions
-    # bytes(out + stack) at a leaf -> 1 + complexity of each of its S(w),
-    # as bytes; the memo's values, each distinct one stored once; and
-    # bytes(S(w) without n) -> its complexity: the run's or this call's own
+    # the memo, its shared values and the dict of S(w) (see _leaf_words)
     memo, shared, known = dicts if dicts is not None else ({}, {}, _Complexities())
     if n - 1 <= TABLE_CAP:
-        known = table  # it holds all of S_{n-1}, so it only ever hits
+        known = _prefix_table(n - 1)  # it holds all of S_{n-1}, so it only ever hits
     fact = [factorial(m) for m in range(n + 1)]
     k = min(n, _FREE)  # the free letters of a leaf
     leaf, orders = n - k, fact[k]  # the leaves' depth and the words each serves
@@ -763,11 +624,9 @@ def _shard_header(n, shard_count, index, lo, hi, catalog_sha) -> dict:
 def _read_shard(path: str, header: dict, levels: dict) -> dict:
     """The tallies of a saved shard, checked against the expected ``header``
     and the stored checksum, then by :func:`_check_tallies` with the row
-    labels of ``levels`` and a total of the shard's word count.
-
-    Raises FileNotFoundError when there is no file and ValueError, naming
-    the reason, when the file cannot be used.
-    """
+    labels of ``levels`` and a total of the shard's word count.  Raises
+    FileNotFoundError when there is no file and ValueError, naming the
+    reason, when the file cannot be used."""
     with open(path, "rb") as fh:
         text = fh.read()
     saved = json.loads(text)
@@ -782,10 +641,9 @@ def _read_shard(path: str, header: dict, levels: dict) -> dict:
 
 def _shard_task(record: tuple, dicts: Optional[tuple] = None) -> dict:
     """Compute the shard of a record ``(header, path)`` with the run's
-    kernel dicts and, when ``path`` is not None, save the header and the
-    tallies there (process-pool safe).  The dicts are ``dicts`` when
-    :func:`run_census` computes the shard itself, and those of
-    :func:`_start_worker` in a pool worker, which passes none."""
+    kernel dicts, ``dicts`` here or :func:`_start_worker`'s in a pool
+    worker, and save the header and the tallies at ``path`` unless it is
+    None (process-pool safe)."""
     header, path = record
     result = _shard_kernel(header["n"], header["lo"], header["hi"],
                            dicts or _worker_dicts)
@@ -834,24 +692,26 @@ def run_census(
 
     ``shard_count`` splits the rank range [0, n!) at i*n!//shard_count; the
     merged tallies are identical for every shard count.  Each shard is one
-    record ``(header, path)``, built here once (see the module docstring).
-    With ``jobs > 1`` shards run in separate processes.  With
-    ``checkpoint_dir`` each finished shard is saved at its path, and
-    ``resume=True``, which needs ``checkpoint_dir``, first reads here each
-    saved file that carries its record's header and passes every check
-    (:func:`_resume_shards`), so an interrupted run continues where it
-    stopped; any other file is logged and recomputed.
-    Only the shards left to compute go to the kernel, in a pool of
-    ``min(jobs, shards left)`` workers when more than one is left.  Just
-    before that pool starts, this process builds the per-length state of
-    :func:`_length_state`, every table included, so forked workers inherit
-    it; without a pool the first shard computed here builds it, and a
-    resume with no shard left builds none.  When the wait for that pool is
-    cut short, by an interrupt or a failed shard, the pool is stopped at
-    once: no queued shard is waited for.  The shards computed here share kernel dicts this call
-    makes as locals; each pool worker, made for this run alone, has its own.
-    The merge sums the rows and the descent matrices and derives the counts
-    once, as the merged matrix's row sums; :meth:`Census.validate` checks it.
+    record ``(header, path)``: its identity from :func:`_shard_header`, and
+    its file's path, or None without ``checkpoint_dir``.  The record is the
+    task :func:`_shard_task` computes, the identity a resume checks and, by
+    ``header["index"]``, the merge key.  With ``checkpoint_dir`` each shard
+    is saved when done, and ``resume=True`` first reads the saved shards
+    that pass :func:`_resume_shards`, so an interrupted run continues.  The
+    shards left go to the kernel here, or, with ``jobs > 1`` and more than
+    one left, to a pool of ``min(jobs, shards left)`` workers; just before
+    it starts, this process builds :meth:`_LengthState.tables`, so forked
+    workers inherit them.  A wait for the pool cut short, by an interrupt
+    or a failed shard, stops it at once.
+
+    The kernel's memo, its shared values and its dict of S(w) belong to the
+    run: the shards computed here share three dicts made as locals, and each
+    pool worker, made for this run alone, gets its own from
+    :func:`_start_worker`.  So a sharded census computes each state and each
+    S(w) once per process, as a one-shard census does, and the dicts go with
+    the run.  The merge sums the rows and the descent matrices and derives
+    the counts as the merged matrix's row sums; :meth:`Census.validate`
+    checks it.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
@@ -901,6 +761,12 @@ def run_census(
     return census
 
 
+def _column_sums(matrix, classes: slice) -> Tuple[int, ...]:
+    """The column sums of ``matrix[classes]``: zeros if it selects no row."""
+    rows = matrix[classes]
+    return tuple(sum(row[d] for row in rows) for d in range(len(matrix[0])))
+
+
 def descent_polynomial(census: Census, cutoff: Optional[int] = None) -> tuple:
     """Coefficients c_d = number of words with at most ``cutoff`` passes
     and exactly d descents; ``cutoff`` defaults to n-4."""
@@ -939,8 +805,8 @@ def save_report(census: Census, path: str, verify=None) -> None:
 def load_census(path: str) -> Census:
     """Read a census report back through the shard reader's parsing; its
     schema version and kind, the checksum, which every saved report
-    carries, and :meth:`Census.validate` are re-checked.  Raises ValueError
-    naming the file and the cause."""
+    carries, and :meth:`Census.validate`, with a total of n!, are
+    re-checked.  Raises ValueError naming the file and the cause."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)

@@ -39,6 +39,8 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from .census import _column_sums, _length_state
+
 
 class InexactDivision(ArithmeticError):
     """An exact formula produced a non-integer value."""
@@ -205,12 +207,6 @@ class VerifyReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _column_sums(matrix, classes: slice) -> Tuple[int, ...]:
-    """The column sums of ``matrix[classes]``: zeros if it selects no row."""
-    rows = matrix[classes]
-    return tuple(sum(row[d] for row in rows) for d in range(len(matrix[0])))
-
-
 def verify_census(census) -> VerifyReport:
     """Check a census against every applicable registered formula.
 
@@ -247,7 +243,6 @@ def verify_census(census) -> VerifyReport:
         sums = _column_sums(census.descent_matrix, slice(t + 1))
         for d in range(n // 2):
             add(f"symmetry-{t}-d{d}", sums[n - 1 - d], sums[d])
-    from .census import _length_state  # census imports _column_sums from here
     automaton = _length_state(n).automaton
     for label, expected in zip(automaton.labels, automaton.counts):
         add(f"row-{label}", expected, census.counts_by_row.get(label, 0))

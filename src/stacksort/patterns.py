@@ -38,9 +38,9 @@ probe: one per row, or, in :class:`CompiledCatalog`, one per cell of a
 dispatch on the number of letters after n and on the last letter.  The
 census kernel does not use it: it classifies with the catalog's
 automaton over its letters (:mod:`stacksort.automaton`), stepped once
-per letter of its walk.  The independent oracle the test suite checks
-both against, a blunt enumerator of star extents, is
-test code (``tests/_matching_oracle.py``).
+per letter of its walk (``census._shard_kernel``).  The independent
+oracle the test suite checks both against, a blunt enumerator of star
+extents, is test code (``tests/_matching_oracle.py``).
 """
 from __future__ import annotations
 
@@ -246,11 +246,8 @@ def parse_tokens(text: str) -> tuple:
     >>> parse_tokens("* n 1")
     (Star(), RelValue(offset=0), AbsValue(value=1))
     """
-    p = _Parser(text, _scan(text))
-    tokens = p.seq(frozenset())
-    if p.peek() != "end":
-        p.fail("unexpected trailing input")
-    return tokens
+    # with no stop token, seq returns only at the end of the input
+    return _Parser(text, _scan(text)).seq(frozenset())
 
 
 def parse_row(line: str) -> PatternRow:

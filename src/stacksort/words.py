@@ -16,7 +16,7 @@ for the largest letter ``m``, so a trailing run of maxima is settled.
 several letters at once, and once at most ``TABLE_CAP`` letters remain it
 looks the rest up in a table over that symmetric group.  The table is
 built on first use, from the same pass, and kept for the life of the
-process.
+process: the census kernel reads it too (``census._leaf_words``).
 """
 from __future__ import annotations
 

@@ -1028,6 +1028,12 @@ BAD_SHARDS = {
     "word moved between descent rows": (
         _moved_descent, "descent row 1 does not sum to its count"),
     "word moved between tiers": (_moved_row_word, "rows certifying n-1 sum to"),
+    "descent row dropped": (
+        lambda p: _stamped(dict(p, descents=p["descents"][:-1])),
+        "tables of the wrong size"),
+    "descents an object": (
+        lambda p: _stamped(dict(p, descents=dict(enumerate(p["descents"])))),
+        "rows or descents is not a table of decimal strings"),
 }
 
 

@@ -64,6 +64,11 @@ def test_forbidden(capsys):
     assert lines["lower_bound"] == "3"
     assert lines["upper_bound"] == "3"
     assert lines["witness"] == "B={2 3} c=5 a=1"
+    code, out, _ = run(capsys, "forbidden", "123")  # no forbidden pattern at all
+    assert code == 0
+    lines = dict(l.split(": ", 1) for l in out.strip().splitlines())
+    assert lines["witness"] == lines["uninterrupted_witness"] == "none"
+    assert lines["lower_bound"] == lines["upper_bound"] == "0"
 
 
 def test_classify(capsys):
@@ -387,6 +392,14 @@ def _restamped(n):
     return edit
 
 
+def _short_counts(payload):
+    """counts_by_complexity one entry short, with a checksum that matches: the
+    checksum hashes each entry's str, and a decimal string is its own."""
+    payload["counts_by_complexity"].pop()
+    fake = Census(payload["n"], *(payload[k] for k in census_mod._REPORT_KEYS))
+    return {**payload, "checksum": fake.checksum}
+
+
 MALFORMED_REPORTS = {
     "another kind": (lambda payload: {**payload, "kind": "stacksort-preimages"},
                      "kind is 'stacksort-preimages', expected 'stacksort-census'"),
@@ -400,6 +413,11 @@ MALFORMED_REPORTS = {
     "negative n": (_restamped(-2), f"n must be in 1..{census_mod.MAX_N}, got -2"),
     "no shards": (lambda payload: {**payload, "shard_count": 0},
                   "shard_count must be >= 1, got 0"),
+    "n a string": (lambda payload: {**payload, "n": "5"},
+                   "n and shard_count must be integers"),
+    "shard_count a bool": (lambda payload: {**payload, "shard_count": True},
+                           "n and shard_count must be integers"),
+    "counts one short": (_short_counts, "tables of the wrong size"),
 }
 
 

@@ -104,6 +104,15 @@ def test_catalog_errors_name_line_and_column():
         parse_catalog("L1: * n 1\n" + old)
     assert (e.value.line, e.value.pos) == (2, old.index("A"))
     assert e.value.message == "unexpected character 'A'"
+    # a closing brace or a bar outside an alternation, and input after a
+    # minus clause
+    for row, column in (("L2: * n } 2", 9), ("L2: * | n 2", 7)):
+        with pytest.raises(PatternSyntaxError) as e:
+            parse_catalog("L1: * n 1\n" + row)
+        assert str(e.value) == f"expected a pattern token (line 2, column {column})"
+    with pytest.raises(PatternSyntaxError) as e:
+        parse_catalog("L1: * n 1\nT4a: * n ? 1 minus { * n 1 } 2")
+    assert str(e.value) == "unexpected trailing input (line 2, column 30)"
 
 
 def test_catalog_rejects_a_label_with_no_tier():
