@@ -1,4 +1,4 @@
-"""One automaton over a catalog's letters, for one word length.
+"""One automaton over a catalog's symbols, read at each word length.
 
 At length n a row names only its pinned letters: the values of its letter
 tokens, resolved against n, that lie in 1..n.  For the built-in catalog
@@ -16,10 +16,10 @@ a breadth-first search meets it.  Its label is the first row, in catalog
 order, with an accepting branch and no accepting exclusion.  The states
 are those a word reaches: the letters of a word are distinct, so it reads
 each pinned letter at most once.  The whole table of transitions, of every
-such state by every symbol, is built in one go when the automaton is
-made; a transition no word takes leads to a sink that matches no row.
-How long an automaton lives is its maker's choice (the census's:
-``census._LengthState``).
+such state by every symbol, is built in one go and shared by the lengths
+whose rows read the same as symbols (:func:`_table`); a transition no word
+takes leads to a sink that matches no row.  An automaton adds its length's
+letter-to-symbol map and lives as its maker chooses (``census._LengthState``).
 
 The census kernel classifies with it, one state per prefix of its walk.
 One dynamic program over its layers (:meth:`CatalogAutomaton.layer`)
@@ -32,24 +32,25 @@ against that and the rows' hand-derived forms.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from .patterns import Catalog, Star, resolve_branches
+from .patterns import AnyOne, Catalog, Star, resolve_branches
 from .words import _as_word, _require_standard, format_word
 
 NO_LETTER = 255  # the symbol of 0 and of every letter above n, in ``symbol``
 
 
 class _Branch:
-    """One alternation-free branch as a glob NFA over the symbols.
+    """One alternation-free branch as a glob NFA over the symbols, its
+    tokens each a star, ``?`` or the symbol its letter takes.
 
     ``move[i]`` is, for each symbol, the set of positions position i goes
     to on it, closed under skipping stars; ``accept`` the bit of the last
     position.  A set of positions is a bit mask."""
 
-    def __init__(self, ts: tuple, pins: list, symbol: bytes, symbols: int):
+    def __init__(self, ts: tuple, symbols: int):
         size = len(ts)
         closure = [1 << size]  # closure[j] is that of position size - j
         for t in reversed(ts):
@@ -60,9 +61,9 @@ class _Branch:
         self.accept = 1 << size
         self.move = [
             [closure[i] if isinstance(t, Star)
-             else closure[i + 1] if v is None or symbol[v] == c else 0
+             else closure[i + 1] if isinstance(t, AnyOne) or t == c else 0
              for c in range(symbols)]
-            for i, (t, v) in enumerate(zip(ts, pins))]
+            for i, t in enumerate(ts)]
         self.symbols = symbols
         self.steps: dict = {}  # a set of positions -> its sets after each symbol
 
@@ -78,6 +79,64 @@ class _Branch:
         return got
 
 
+@lru_cache(maxsize=None)
+def _table(rows: tuple, x: int, symbols: int) -> tuple:
+    """``(delta, codes)`` of the valid ``rows`` read as symbols: each row's
+    branches and its exclusion's, each token a star, ``?`` or its letter's
+    symbol, of which the first x are pinned.  Every length whose rows read
+    the same, each n >= 9 for the built-in catalog, shares the one table,
+    built on first use and kept for the process's life."""
+    branches, spans = [], []  # spans: each row's (branches, exclusions)
+    for part in rows:
+        span = []
+        for flat in part:
+            span.append(range(len(branches), len(branches) + len(flat)))
+            branches += [_Branch(ts, symbols) for ts in flat]
+        spans.append(span)
+    accept = [br.accept for br in branches]
+    # breadth first over pairs (state, pinned symbols read), each as
+    # the int state << x | the bits of those symbols: a word reads each
+    # pinned letter at most once, so only those transitions are taken
+    start = tuple(br.start for br in branches)
+    ids = {start: 0}
+    order = [start]
+    taken = []  # per state, the state after each symbol, None if no word takes it
+    after = []  # per state, each branch's position sets after each symbol
+    bits = [1 << c if c < x else 0 for c in range(symbols)]
+    pairs = [0]
+    seen = {0}
+    for pair in pairs:  # grows as new pairs are met
+        s, used = pair >> x, pair & ~(-1 << x)
+        if s == len(taken):  # a state's first pair comes before any later state's
+            taken.append([None] * symbols)
+            after.append([br.step(m) for br, m in zip(branches, order[s])])
+        row = taken[s]
+        for c, bit in enumerate(bits):
+            if used & bit:
+                continue
+            t = row[c]
+            if t is None:
+                nxt = tuple([m[c] for m in after[s]])
+                t = row[c] = ids.setdefault(nxt, len(order))
+                if t == len(order):
+                    order.append(nxt)
+            q = t << x | used | bit
+            if q not in seen:
+                seen.add(q)
+                pairs.append(q)
+    none = len(rows)
+    codes = bytearray()
+    for state in order:
+        hit = [m & a for m, a in zip(state, accept)]
+        codes.append(next((r for r, (ok, no) in enumerate(spans)
+                           if any(hit[b] for b in ok) and not any(hit[b] for b in no)),
+                          none))
+    sink = len(order)  # where a pinned letter read twice leads, labelled none
+    delta = tuple(tuple([sink if row[c] is None else row[c] for row in taken] + [sink])
+                  for c in range(symbols))
+    return delta, bytes(codes) + bytes([none])
+
+
 class CatalogAutomaton:
     """The deterministic automaton of a catalog at one word length.
 
@@ -86,9 +145,9 @@ class CatalogAutomaton:
     row matches.  ``symbol`` is a 256-byte table, for ``bytes.translate``,
     of each letter's symbol: one per pinned letter, 0 up in increasing
     order, then x, and ``NO_LETTER`` for 0 and letters above n, so an n
-    outside 0..255 raises ValueError.  ``delta[c][s]`` is the state after
-    state s reads symbol c, ``codes[s]`` the label code of state s, and
-    the start is state 0.
+    outside 0..255 raises ValueError.  The shared :func:`_table` gives
+    ``delta[c][s]``, the state after state s reads symbol c, and
+    ``codes[s]``, the label code of state s; the start is state 0.
     """
 
     def __init__(self, catalog: Catalog, n: int):
@@ -110,56 +169,9 @@ class CatalogAutomaton:
         for c, v in enumerate(pinned):
             table[v] = c
         self.symbol = bytes(table)
-        symbols = x + (n > x)  # x is a symbol only when some letter is x
-        branches, spans = [], []  # spans: each row's (branches, exclusions)
-        for part in parts:
-            span = []
-            for flat in part:
-                span.append(range(len(branches), len(branches) + len(flat)))
-                branches += [_Branch(ts, pins, self.symbol, symbols) for ts, pins in flat]
-            spans.append(span)
-        accept = [br.accept for br in branches]
-        # breadth first over pairs (state, pinned symbols read), each as
-        # the int state << x | the bits of those symbols: a word reads each
-        # pinned letter at most once, so only those transitions are taken
-        start = tuple(br.start for br in branches)
-        ids = {start: 0}
-        order = [start]
-        taken = []  # per state, the state after each symbol, None if no word takes it
-        after = []  # per state, each branch's position sets after each symbol
-        bits = [1 << c if c < x else 0 for c in range(symbols)]
-        pairs = [0]
-        seen = {0}
-        for pair in pairs:  # grows as new pairs are met
-            s, used = pair >> x, pair & ~(-1 << x)
-            if s == len(taken):  # a state's first pair comes before any later state's
-                taken.append([None] * symbols)
-                after.append([br.step(m) for br, m in zip(branches, order[s])])
-            row = taken[s]
-            for c, bit in enumerate(bits):
-                if used & bit:
-                    continue
-                t = row[c]
-                if t is None:
-                    nxt = tuple([m[c] for m in after[s]])
-                    t = row[c] = ids.setdefault(nxt, len(order))
-                    if t == len(order):
-                        order.append(nxt)
-                q = t << x | used | bit
-                if q not in seen:
-                    seen.add(q)
-                    pairs.append(q)
-        none = len(rows)
-        codes = bytearray()
-        for state in order:
-            hit = [m & a for m, a in zip(state, accept)]
-            codes.append(next((r for r, (ok, no) in enumerate(spans)
-                               if any(hit[b] for b in ok) and not any(hit[b] for b in no)),
-                              none))
-        sink = len(order)  # where a pinned letter read twice leads, labelled none
-        self.delta = [[sink if row[c] is None else row[c] for row in taken] + [sink]
-                      for c in range(symbols)]
-        self.codes = bytes(codes) + bytes([none])
+        key = tuple(tuple(tuple(tuple(t if v is None else table[v] for t, v in zip(ts, pins))
+                                for ts, pins in flat) for flat in part) for part in parts)
+        self.delta, self.codes = _table(key, x, x + (n > x))  # x is a symbol if some letter is
 
     def layer(self, depth: int) -> dict:
         """The words' prefixes of ``depth`` letters as a dynamic program:

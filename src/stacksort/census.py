@@ -151,6 +151,15 @@ def _decimals(table, key: str) -> list:
     raise ValueError(f"{key} is not a table of decimal strings")
 
 
+def _parse_json(text):
+    """``text`` parsed as JSON, for both file readers: ValueError also for
+    nesting too deep for the parser's recursion."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def _read_tallies(payload, header: dict, keys) -> dict:
     """The inverse of :func:`_tally_strings` for untrusted input: the tallies
     under ``keys`` in ``payload``, a JSON object carrying ``header``'s values.
@@ -629,7 +638,7 @@ def _read_shard(path: str, header: dict, levels: dict) -> dict:
     reason, when the file cannot be used."""
     with open(path, "rb") as fh:
         text = fh.read()
-    saved = json.loads(text)
+    saved = _parse_json(text)
     tallies = _read_tallies(saved, header, _SHARD_KEYS)
     head = text[:text.rfind(_CHECKSUM_KEY) + len(_CHECKSUM_KEY)]
     if saved.get("checksum") != _sha256(head):
@@ -809,7 +818,7 @@ def load_census(path: str) -> Census:
     re-checked.  Raises ValueError naming the file and the cause."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = _parse_json(fh.read())
         tallies = _read_tallies(payload, _REPORT_HEADER, _REPORT_KEYS)
         n, shard_count = payload.get("n"), payload.get("shard_count", 1)
         if type(n) is not int or type(shard_count) is not int:

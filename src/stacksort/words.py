@@ -45,7 +45,7 @@ class Word(tuple):
         w = super().__new__(cls, letters)
         seen = set()
         for x in w:
-            if not isinstance(x, int):
+            if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"letters must be integers, got {x!r}")
             if x < 1:
                 raise ValueError(f"letters must be positive, got {x}")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stacksort.automaton as automaton_mod
 from stacksort.automaton import NO_LETTER, CatalogAutomaton
 from stacksort.patterns import (
     AbsValue,
@@ -159,6 +160,48 @@ def test_states_are_few_and_every_transition_is_tabled():
         sink = states - 1
         assert all(column[sink] == sink for column in auto.delta)
         assert auto.codes[sink] == len(auto.labels)
+
+
+def test_lengths_whose_rows_read_the_same_share_one_table():
+    # from n = 9 on the built-in rows read the same as symbols: only the
+    # letter-to-symbol map is the length's.  At n = 8 every letter is pinned
+    cat = builtin_catalog()
+    nine = CatalogAutomaton(cat, 9)
+    for n in (*range(10, 31), 100, 255):
+        auto = CatalogAutomaton(cat, n)
+        assert auto.delta is nine.delta and auto.codes is nine.codes, n
+    assert CatalogAutomaton(cat, 8).delta is not nine.delta
+    assert isinstance(nine.delta, tuple) and all(isinstance(c, tuple) for c in nine.delta)
+
+
+def test_a_table_is_built_once_for_lengths_that_share_it():
+    automaton_mod._table.cache_clear()
+    for n in range(9, 17):
+        CatalogAutomaton(builtin_catalog(), n)
+    info = automaton_mod._table.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+
+
+def test_rows_that_read_differently_with_n_get_their_own_tables():
+    # 4 and n - 4 are one letter at n = 8, so no word matches either row
+    # there; below 8 the letter n - 4 is the smaller of the two, from 9 on
+    # the larger.  So n = 5..7 share one table, 8 has its own and 9 on share
+    # a third
+    cat = parse_catalog("L1: * 4 * (n-4) *\nL1a: * (n-4) ? 4 *")
+    auto = {n: CatalogAutomaton(cat, n) for n in range(5, 13)}
+    assert auto[5].delta is auto[6].delta is auto[7].delta
+    assert auto[9].delta is auto[10].delta is auto[11].delta is auto[12].delta
+    assert len({id(auto[n].delta) for n in (7, 8, 9)}) == 3
+    for n in range(5, 9):
+        for p in permutations(range(1, n + 1)):
+            assert auto[n].classify(p) == oracle.classify(cat, p), (n, p)
+        assert auto[n].counts == _oracle_counts(cat, n), n
+    assert auto[8].counts[:-1] == (0, 0)
+    for n in range(9, 13):
+        rng = random.Random(n)
+        for _ in range(600):
+            w = rng.sample(range(1, n + 1), n)
+            assert auto[n].classify(w) == oracle.classify(cat, w), (n, w)
 
 
 def test_a_pinned_letter_read_twice_is_never_a_word():

@@ -1034,6 +1034,7 @@ BAD_SHARDS = {
     "descents an object": (
         lambda p: _stamped(dict(p, descents=dict(enumerate(p["descents"])))),
         "rows or descents is not a table of decimal strings"),
+    "nested too deeply": (lambda p: "[" * 200_000, "JSON nested too deeply to parse"),
 }
 
 

@@ -418,6 +418,7 @@ MALFORMED_REPORTS = {
     "shard_count a bool": (lambda payload: {**payload, "shard_count": True},
                            "n and shard_count must be integers"),
     "counts one short": (_short_counts, "tables of the wrong size"),
+    "nested too deeply": (lambda payload: "[" * 200_000, "JSON nested too deeply to parse"),
 }
 
 
@@ -428,7 +429,8 @@ def test_malformed_report_exits_2(case, command, tmp_path, capsys):
     edit, reason = MALFORMED_REPORTS[case]
     path = tmp_path / "r.json"
     save_report(census_mod.run_census(5), str(path))
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    edited = edit(json.loads(path.read_text()))  # a payload, or raw text
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     code, out, err = run(capsys, *command, "--census", str(path))
     assert code == 2 and out == ""
     assert err.splitlines() == [f"stacksort: {path}: {reason}"]

@@ -49,6 +49,7 @@ def test_word_validation():
     ((2, 3, 2), "repeated letter 2"),
     ((2, 0, 1), "letters must be positive, got 0"),
     ((2, 1.0, 3), "letters must be integers, got 1.0"),
+    ((2, 3, True), "letters must be integers, got True"),
 ])
 def test_entry_points_validate_plain_sequences(call, letters, message):
     # a Word is taken as it is; a tuple or a list is still validated
