@@ -20,6 +20,7 @@ Each mechanism is described once, at its owner:
 * the check of a leaf: :func:`_check_tables`;
 * the lifetimes of the kernel's tables and dicts: :class:`_LengthState`
   and :func:`run_census`, which also owns the shard records and the merge;
+* the worker processes of a pooled run: :func:`_pooled`;
 * the files: :func:`_shard_text`, :func:`_read_shard` and
   :func:`load_census`.
 """
@@ -29,14 +30,17 @@ import hashlib
 import json
 import logging
 import os
+import signal
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
 from dataclasses import dataclass
 from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import wait
 from typing import Dict, Optional, Tuple
 
 from .automaton import CatalogAutomaton
@@ -55,10 +59,6 @@ SEP = b"\xff"  # between a template's words: above every letter and place
 PLUS_ONE = RANKS[1:] + RANKS[:1]  # translates each complexity c to c + 1
 
 log = logging.getLogger(__name__)
-
-# (memo, shared, dict of S(w)) of the run a pool worker serves, made by
-# _start_worker; None in every other process
-_worker_dicts: Optional[tuple] = None
 
 
 class CensusSoundnessError(AssertionError):
@@ -237,9 +237,10 @@ class _LengthState:
     (:func:`_table_of_labels`) and ``descents``, ``descents[d][r]`` the
     descent counts of the k! orders of a leaf whose prefix has d descents
     and ends above r free letters, are each built whole on first read, and
-    the kernel only reads them.  :meth:`tables` before a pool forks builds
-    them once for every worker; under the ``spawn`` or ``forkserver`` start
-    methods a worker inherits nothing and builds them on its first shard."""
+    the kernel only reads them.  :meth:`tables` before the workers fork
+    builds them once for every worker; under the ``spawn`` or
+    ``forkserver`` start methods a worker inherits nothing and builds them
+    on its first shard."""
 
     def __init__(self, n: int):
         self.n = n
@@ -342,13 +343,6 @@ class _Complexities(dict):
             self.clear()
         k = self[v] = _complexity(list(v))
         return k
-
-
-def _start_worker() -> None:
-    """Pool initializer: fresh kernel dicts for the one run this worker
-    serves, which :func:`_shard_task` reads for every shard it computes."""
-    global _worker_dicts
-    _worker_dicts = ({}, {}, _Complexities())
 
 
 def _table_of_shapes(n: int) -> dict:
@@ -649,13 +643,11 @@ def _read_shard(path: str, header: dict, levels: dict) -> dict:
 
 
 def _shard_task(record: tuple, dicts: Optional[tuple] = None) -> dict:
-    """Compute the shard of a record ``(header, path)`` with the run's
-    kernel dicts, ``dicts`` here or :func:`_start_worker`'s in a pool
-    worker, and save the header and the tallies at ``path`` unless it is
-    None (process-pool safe)."""
+    """Compute the shard of a record ``(header, path)`` with ``dicts``, the
+    run's kernel dicts in this process (fresh ones when None), and save the
+    header and the tallies at ``path`` unless it is None."""
     header, path = record
-    result = _shard_kernel(header["n"], header["lo"], header["hi"],
-                           dicts or _worker_dicts)
+    result = _shard_kernel(header["n"], header["lo"], header["hi"], dicts)
     if path is not None:
         _write_atomic(path, _shard_text(
             {**header, **_tally_strings(_SHARD_KEYS, *result.values())}))
@@ -678,16 +670,83 @@ def _resume_shards(n: int, records: list) -> dict:
     return found
 
 
-def _stop_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut ``pool`` down without waiting on its shards: cancel those not
-    yet handed out and end the workers, dropping the shards they hold.
-    Shards already saved stay for a resume."""
-    workers = list(pool._processes.values())  # no public handle before 3.14
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in workers:
-        proc.terminate()
-    for proc in workers:
-        proc.join()
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _worker(records: list, conn) -> None:
+    """A worker process of one run (:func:`_pooled`): compute the shards of
+    ``records`` whose indices ``conn`` sends, with kernel dicts made here for
+    them all, and send back ``(index, tallies)``, or ``(index, exception)``
+    for a shard that failed, until ``conn`` sends None."""
+    # the parent alone answers an interrupt, by terminating the workers, and
+    # a terminated worker unwinds, so that a write cut short removes its
+    # temp file
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, _exit_on_signal)
+    dicts = ({}, {}, _Complexities())
+    for i in iter(conn.recv, None):
+        try:
+            got = _shard_task(records[i], dicts)
+        except Exception as exc:
+            got = exc
+        conn.send((i, got))
+
+
+def _pooled(records: list, todo: list, workers: int) -> dict:
+    """The tallies of the shards ``todo``, indices into ``records``, by
+    index, computed by ``workers`` processes started for this call alone.
+
+    Each process, started from the default ``multiprocessing`` context, runs
+    :func:`_worker` on the records and one end of a duplex pipe.  This
+    process hands the indices out in increasing order, one at a time, to
+    each worker that is free, so the load balances itself.  A shard that
+    fails stops the hand-out: the shards already handed out finish, and the
+    failure of the lowest index is raised, the one a serial run raises.  The
+    end of a worker's pipe means that it died, and raises BrokenProcessPool.
+    On any exception here, an interrupt included, the workers are
+    terminated, and shards already saved stay for a resume.  Every worker is
+    joined before this returns or raises, so none outlives the call."""
+    procs, conns, busy = [], [], []
+    done, failed = {}, {}
+    queue = iter(todo)
+    try:
+        for _ in range(workers):
+            conn, end = Pipe()
+            conns.append(conn)
+            proc = Process(target=_worker, args=(records, end))
+            proc.start()
+            procs.append(proc)
+            end.close()  # so that the pipe ends here when the worker dies
+        free = conns
+        try:
+            while True:
+                for conn in free:
+                    i = None if failed else next(queue, None)
+                    conn.send(i)  # None ends the worker
+                    if i is not None:
+                        busy.append(conn)
+                if not busy:
+                    break
+                free = wait(busy)
+                for conn in free:
+                    busy.remove(conn)
+                    i, got = conn.recv()
+                    (failed if isinstance(got, BaseException) else done)[i] = got
+        except (EOFError, OSError) as exc:
+            raise BrokenProcessPool("a census worker process died") from exc
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+    if failed:
+        raise failed[min(failed)]
+    return done
 
 
 def run_census(
@@ -708,19 +767,17 @@ def run_census(
     is saved when done, and ``resume=True`` first reads the saved shards
     that pass :func:`_resume_shards`, so an interrupted run continues.  The
     shards left go to the kernel here, or, with ``jobs > 1`` and more than
-    one left, to a pool of ``min(jobs, shards left)`` workers; just before
-    it starts, this process builds :meth:`_LengthState.tables`, so forked
-    workers inherit them.  A wait for the pool cut short, by an interrupt
-    or a failed shard, stops it at once.
+    one left, to ``min(jobs, shards left)`` worker processes started for
+    the run (:func:`_pooled`); just before they start, this process builds
+    :meth:`_LengthState.tables`, so forked workers inherit them.
 
     The kernel's memo, its shared values and its dict of S(w) belong to the
     run: the shards computed here share three dicts made as locals, and each
-    pool worker, made for this run alone, gets its own from
-    :func:`_start_worker`.  So a sharded census computes each state and each
-    S(w) once per process, as a one-shard census does, and the dicts go with
-    the run.  The merge sums the rows and the descent matrices and derives
-    the counts as the merged matrix's row sums; :meth:`Census.validate`
-    checks it.
+    worker makes its own as locals of :func:`_worker`.  So a sharded census
+    computes each state and each S(w) once per process, as a one-shard
+    census does, and the dicts go with the run.  The merge sums the rows and
+    the descent matrices and derives the counts as the merged matrix's row
+    sums; :meth:`Census.validate` checks it.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
@@ -744,20 +801,13 @@ def run_census(
         records.append((header, None if checkpoint_dir is None
                         else _checkpoint_path(checkpoint_dir, header)))
     results = _resume_shards(n, records) if resume else {}
-    todo = [r for r in records if r[0]["index"] not in results]
+    todo = [i for i in range(shard_count) if i not in results]
     if jobs == 1 or len(todo) <= 1:
         dicts = ({}, {}, _Complexities())  # the kernel dicts of this run in this process
-        computed = [_shard_task(t, dicts) for t in todo]
+        results.update((i, _shard_task(records[i], dicts)) for i in todo)
     else:
         _length_state(n).tables()  # here, so that forked workers inherit them
-        with ProcessPoolExecutor(max_workers=min(jobs, len(todo)),
-                                 initializer=_start_worker) as pool:
-            try:
-                computed = list(pool.map(_shard_task, todo))
-            except BaseException:
-                _stop_pool(pool)  # so that leaving the block waits on nothing
-                raise
-    results.update((header["index"], res) for (header, _), res in zip(todo, computed))
+        results.update(_pooled(records, todo, min(jobs, len(todo))))
     _, rows, dm = _zero_tallies(n).values()
     for res in results.values():
         for label, v in res["rows"].items():

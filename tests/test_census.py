@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import os
@@ -5,6 +6,8 @@ import pickle
 import random
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import comb, factorial
@@ -251,9 +254,12 @@ def test_a_failed_run_leaves_no_run_state(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_census(9, shard_count=8)
     # the three shards computed shared the dicts of the run, which went
-    # with it: this process holds no worker's dicts
+    # with it: once the test drops what it recorded, this process holds no
+    # dict of S(w), the one dict of the three that has a type of its own
     assert held[0] is not None and all(h is held[0] for h in held)
-    assert census_mod._worker_dicts is None
+    held.clear()
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, census_mod._Complexities)]
     monkeypatch.undo()
     calls = _counting(monkeypatch, "_complexity")
     assert run_census(9, shard_count=8).checksum == PINNED_CHECKSUMS[9]
@@ -279,18 +285,28 @@ def test_each_pool_worker_keeps_its_dicts_for_the_run(monkeypatch):
     assert IMAGE_OF_S_9 <= calls.value <= 2 * IMAGE_OF_S_9
 
 
-class PoisonedMemo(dict):
-    def get(self, key, default=None):
-        raise AssertionError("a run read dicts it did not make")
-
-
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=fork_only)])
 def test_a_run_never_reads_dicts_held_by_the_calling_process(jobs, monkeypatch):
-    # a run computes its shards with its own dicts, and a forked worker
-    # replaces the dicts it inherits before its first shard
-    monkeypatch.setattr(census_mod, "_worker_dicts", (PoisonedMemo(), {}, {}))
-    c = run_census(8, shard_count=4, jobs=jobs)
-    assert c.checksum == PINNED_CHECKSUMS[8]
+    # this process keeps the dicts of an earlier run, every entry of its
+    # memo and of its dict of S(w) poisoned to complexity 0; a run computes
+    # its shards with dicts it makes, here or in each worker, which inherits
+    # the poisoned ones when forked
+    kernel, earlier = census_mod._shard_kernel, []
+
+    def recording_kernel(n, lo, hi, dicts=None):
+        earlier.append(dicts)
+        return kernel(n, lo, hi, dicts)
+
+    monkeypatch.setattr(census_mod, "_shard_kernel", recording_kernel)
+    run_census(9, shard_count=4)
+    monkeypatch.undo()
+    memo, _, known = earlier[0]
+    assert memo and known
+    for key, cs in memo.items():
+        memo[key] = bytes(len(cs))
+    known.update(dict.fromkeys(known, 0))
+    c = run_census(9, shard_count=4, jobs=jobs)
+    assert c.checksum == PINNED_CHECKSUMS[9]
 
 
 def _shape_count(n):
@@ -780,14 +796,27 @@ def test_swapped_classes_in_a_shard_fail_verification(tmp_path, census_cache):
     assert "sortable-1" in {chk.name for chk in report.failures}
 
 
+def _started_workers(monkeypatch):
+    """Patch census to record each worker process it starts, still a real
+    one, in the list returned."""
+    started = []
+
+    def counted(*args, **kwargs):
+        started.append(multiprocessing.Process(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(census_mod, "Process", counted)
+    return started
+
+
 def test_resume_of_a_finished_run_starts_no_pool(tmp_path, census_cache, monkeypatch):
     d = str(tmp_path / "ck")
     run_census(6, shard_count=8, jobs=2, checkpoint_dir=d)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker process was started")
 
-    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(census_mod, "Process", no_worker)
     c = run_census(6, shard_count=8, jobs=2, checkpoint_dir=d, resume=True)
     assert c.checksum == census_cache(6).checksum
 
@@ -874,21 +903,31 @@ def test_forked_workers_build_no_shape(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_workers_started_fresh_give_the_pinned_checksum(method):
-    # the start method belongs to the whole process, so set it in a new one
+def test_workers_started_fresh_give_the_pinned_checksum(method, tmp_path):
+    # the start method belongs to the whole process, so set it in a new one;
+    # a worker started fresh gets the records and its end of the pipe
+    # pickled, and writes the shard files of a checkpointed run and of a
+    # resume that recomputes two of them
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     src = os.path.dirname(os.path.dirname(census_mod.__file__))
-    code = ("import multiprocessing\n"
+    d = str(tmp_path / "ck")
+    code = ("import multiprocessing, os\n"
             "from stacksort.census import run_census\n"
             "if __name__ == '__main__':\n"
             f"    multiprocessing.set_start_method({method!r})\n"
-            "    print(run_census(8, shard_count=4, jobs=2).checksum)\n")
+            "    print(run_census(8, shard_count=4, jobs=2).checksum)\n"
+            f"    print(run_census(8, shard_count=4, jobs=2, checkpoint_dir={d!r}).checksum)\n"
+            "    for i in (1, 2):\n"
+            f"        os.remove(os.path.join({d!r}, f'shard-8-4-{{i:04d}}.json'))\n"
+            f"    print(run_census(8, shard_count=4, jobs=2, checkpoint_dir={d!r},\n"
+            "                     resume=True).checksum)\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == PINNED_CHECKSUMS[8]
+    assert done.stdout.split() == [PINNED_CHECKSUMS[8]] * 3
+    assert sorted(os.listdir(d)) == [f"shard-8-4-{i:04d}.json" for i in range(4)]
 
 
 def test_resume_of_a_finished_run_builds_no_state(tmp_path, census_cache,
@@ -926,34 +965,92 @@ def test_partial_resume_sizes_the_pool_to_the_shards_left(tmp_path, census_cache
                                                          monkeypatch):
     d = str(tmp_path / "ck")
     run_census(6, shard_count=8, checkpoint_dir=d)
-    pools = []
-
-    class InlinePool:  # runs the tasks here, recording what it was given
-        def __init__(self, max_workers, initializer=None):  # not run here
-            self.record = {"workers": max_workers, "shards": []}
-            pools.append(self.record)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            self.record["shards"] += [t[0]["index"] for t in tasks]
-            return map(fn, tasks)
-
-    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", InlinePool)
-    for missing, want in (((2, 5, 7), [{"workers": 3, "shards": [2, 5, 7]}]),
-                          ((3,), [])):  # one shard left runs in this process
+    started = _started_workers(monkeypatch)
+    for missing, workers in (((2, 5, 7), 3),
+                             ((3,), 0)):  # one shard left runs in this process
+        # a file kept keeps the time set here; a shard computed is written anew
+        for name in os.listdir(d):
+            os.utime(os.path.join(d, name), ns=(0, 0))
         for index in missing:
             os.remove(os.path.join(d, f"shard-6-8-{index:04d}.json"))
-        pools.clear()
+        started.clear()
         c = run_census(6, shard_count=8, jobs=4, checkpoint_dir=d, resume=True)
         assert c.checksum == census_cache(6).checksum
-        assert pools == want
+        assert len(started) == workers
+        assert not [p for p in started if p.exitcode is None]
+        written = sorted(int(name[-9:-5]) for name in os.listdir(d)
+                         if os.stat(os.path.join(d, name)).st_mtime_ns)
+        assert written == list(missing)
     assert len(os.listdir(d)) == 8
+
+
+@fork_only
+def test_a_worker_that_dies_stops_the_run_and_leaves_whole_files(tmp_path, monkeypatch):
+    # one worker ends hard in the middle of shard 4; the run raises
+    # BrokenProcessPool, ends the other worker, leaves only whole shard
+    # files, and a resume finishes the census
+    d, shards = str(tmp_path / "ck"), 11
+    parent, kernel = os.getpid(), census_mod._shard_kernel
+    lo = 4 * factorial(8) // shards
+
+    def dying_kernel(n, start, hi, dicts=None):
+        if start == lo and os.getpid() != parent:
+            os._exit(1)
+        return kernel(n, start, hi, dicts)
+
+    monkeypatch.setattr(census_mod, "_shard_kernel", dying_kernel)
+    started = _started_workers(monkeypatch)
+    with pytest.raises(BrokenProcessPool):
+        run_census(8, shard_count=shards, jobs=2, checkpoint_dir=d)
+    assert len(started) == 2 and 1 in [p.exitcode for p in started]
+    assert not [p for p in started if p.exitcode is None]
+    assert not multiprocessing.active_children()
+    levels, sha = builtin_catalog().levels(8), census_mod._catalog_sha256()
+    names = sorted(os.listdir(d))
+    assert f"shard-8-{shards}-0004.json" not in names
+    for name in names:
+        i = int(name.removeprefix(f"shard-8-{shards}-").removesuffix(".json"))
+        header = census_mod._shard_header(8, shards, i, i * factorial(8) // shards,
+                                          (i + 1) * factorial(8) // shards, sha)
+        census_mod._read_shard(os.path.join(d, name), header, levels)
+    monkeypatch.undo()
+    c = run_census(8, shard_count=shards, jobs=2, checkpoint_dir=d, resume=True)
+    assert c.checksum == PINNED_CHECKSUMS[8]
+
+
+@fork_only
+def test_a_soundness_failure_in_a_worker_is_the_serial_runs(monkeypatch):
+    # with no complexity certified for an unclassified word, every word of
+    # S_6 fails, and two workers report the lowest-ranked, as one job does
+    monkeypatch.setattr(census_mod, "none_ceiling", lambda n: -1)
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(CensusSoundnessError) as exc:
+            run_census(6, shard_count=8, jobs=jobs)
+        raised.append((exc.value.word, exc.value.rank, str(exc.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][:2] == ((1, 2, 3, 4, 5, 6), 0)
+
+
+@fork_only
+def test_a_pooled_run_raises_the_failure_of_the_lowest_shard(tmp_path, monkeypatch):
+    # shard 1 fails while shard 0, handed out before it, still runs and
+    # then fails too: the run hands out no further shard, waits for shard
+    # 0 and raises its failure, the one a serial run raises
+    d = str(tmp_path / "ck")
+    kernel = census_mod._shard_kernel
+
+    def failing_kernel(n, lo, hi, dicts=None):
+        if lo < 180:
+            time.sleep(0.3 if lo == 0 else 0)
+            raise ValueError(f"shard {lo // 90}")
+        return kernel(n, lo, hi, dicts)
+
+    monkeypatch.setattr(census_mod, "_shard_kernel", failing_kernel)
+    with pytest.raises(ValueError, match="^shard 0$"):
+        run_census(6, shard_count=8, jobs=2, checkpoint_dir=d)
+    assert os.listdir(d) == []
+    assert not multiprocessing.active_children()
 
 
 def _stamped(payload):
