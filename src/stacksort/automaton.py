@@ -25,10 +25,12 @@ The census kernel classifies with it, one state per prefix of its walk.
 One dynamic program over its layers (:meth:`CatalogAutomaton.layer`)
 counts each row's first matches (:attr:`CatalogAutomaton.counts`), which
 ``verify_census`` reads, and gives the census the states its leaves can
-reach (``census._table_of_labels``).  It shares nothing with the positional
-matcher of :mod:`stacksort.patterns` but ``resolve_branches``; the test
-suite checks its labels against the brute-force oracle and its counts
-against that and the rows' hand-derived forms.
+reach (``census._table_of_labels``).  It is the package's one matcher:
+:func:`read` reads any rows as symbols through the same shared table, and
+``Catalog.classify``, ``matches`` and ``row_matches`` step those tables
+with ``patterns.walk``, with no 256-byte map and so at any length.  The
+test suite checks its labels against the brute-force oracle and its
+counts against that and the rows' hand-derived forms.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from functools import cached_property, lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from .patterns import AnyOne, Catalog, Star, resolve_branches
+from .patterns import AnyOne, Catalog, PatternRow, Star, resolve_branches, walk
 from .words import _as_word, _require_standard, format_word
 
 NO_LETTER = 255  # the symbol of 0 and of every letter above n, in ``symbol``
@@ -79,13 +81,13 @@ class _Branch:
         return got
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _table(rows: tuple, x: int, symbols: int) -> tuple:
     """``(delta, codes)`` of the valid ``rows`` read as symbols: each row's
     branches and its exclusion's, each token a star, ``?`` or its letter's
     symbol, of which the first x are pinned.  Every length whose rows read
     the same, each n >= 9 for the built-in catalog, shares the one table,
-    built on first use and kept for the process's life."""
+    built on first use and kept while it is among the 1,024 last read."""
     branches, spans = [], []  # spans: each row's (branches, exclusions)
     for part in rows:
         span = []
@@ -137,16 +139,34 @@ def _table(rows: tuple, x: int, symbols: int) -> tuple:
     return delta, bytes(codes) + bytes([none])
 
 
+def read(rows: Sequence[PatternRow], n: int, foreign: bool = False) -> tuple:
+    """``(index, delta, codes)``: ``rows`` read as symbols at length n.
+    ``index`` maps each letter they pin to its symbol, 0 up in increasing
+    order; every other letter is x, ``len(index)``, a symbol if some letter
+    of 1..n is unpinned or if ``foreign`` letters, outside 1..n, are read.
+    :func:`_table` gives ``delta`` and ``codes``, which :func:`walk` steps."""
+    parts = [[resolve_branches(seq, n) for seq in (row.tokens, row.exclusion)]
+             for row in rows]
+    pinned = sorted({v for part in parts for flat in part for _, pins in flat
+                     for v in pins if v is not None})
+    index = {v: c for c, v in enumerate(pinned)}
+    key = tuple(tuple(tuple(tuple(t if v is None else index[v] for t, v in zip(ts, pins))
+                            for ts, pins in flat) for flat in part) for part in parts)
+    x = len(index)
+    return (index, *_table(key, x, x + (foreign or n > x)))
+
+
 class CatalogAutomaton:
     """The deterministic automaton of a catalog at one word length.
 
     ``labels`` are the labels of the rows valid at n, in catalog order; a
     state's label code is its row's index there, or ``len(labels)`` when no
-    row matches.  ``symbol`` is a 256-byte table, for ``bytes.translate``,
-    of each letter's symbol: one per pinned letter, 0 up in increasing
-    order, then x, and ``NO_LETTER`` for 0 and letters above n, so an n
-    outside 0..255 raises ValueError.  The shared :func:`_table` gives
-    ``delta[c][s]``, the state after state s reads symbol c, and
+    row matches.  ``index`` maps each pinned letter to its symbol
+    (:func:`read`), and ``symbol``, the census's 256-byte table for
+    ``bytes.translate``, gives every letter's: one per pinned letter, 0 up
+    in increasing order, then x, and ``NO_LETTER`` for 0 and letters above
+    n, so an n outside 0..255 raises ValueError.  The shared :func:`_table`
+    gives ``delta[c][s]``, the state after state s reads symbol c, and
     ``codes[s]``, the label code of state s; the start is state 0.
     """
 
@@ -157,21 +177,12 @@ class CatalogAutomaton:
         levels = catalog.levels(n)
         rows = [row for row in catalog.rows if row.label in levels]
         self.labels = tuple(row.label for row in rows)
-        parts = [[resolve_branches(seq, n) for seq in (row.tokens, row.exclusion)]
-                 for row in rows]
-        pinned = sorted({v for part in parts for flat in part for _, pins in flat
-                         for v in pins if v is not None})
-        self.pinned = tuple(pinned)
-        x = len(pinned)
+        self.index, self.delta, self.codes = read(rows, n)
+        self.pinned = tuple(self.index)
         table = [NO_LETTER] * 256
         for v in range(1, n + 1):
-            table[v] = x
-        for c, v in enumerate(pinned):
-            table[v] = c
+            table[v] = self.index.get(v, len(self.pinned))
         self.symbol = bytes(table)
-        key = tuple(tuple(tuple(tuple(t if v is None else table[v] for t, v in zip(ts, pins))
-                                for ts, pins in flat) for flat in part) for part in parts)
-        self.delta, self.codes = _table(key, x, x + (n > x))  # x is a symbol if some letter is
 
     def layer(self, depth: int) -> dict:
         """The words' prefixes of ``depth`` letters as a dynamic program:
@@ -223,8 +234,5 @@ class CatalogAutomaton:
         w = _require_standard(_as_word(w))
         if len(w) != self.n:
             raise ValueError(f"word {format_word(w)!r} is not of length {self.n}")
-        state = 0
-        for v in w:
-            state = self.delta[self.symbol[v]][state]
-        code = self.codes[state]
+        code = self.codes[walk(self.index, self.delta, w)]
         return self.labels[code] if code < len(self.labels) else None

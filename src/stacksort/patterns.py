@@ -28,19 +28,17 @@ rows shadow later ones; the built-in catalog is ordered so that the per-row
 counts follow closed formulas; :mod:`stacksort.automaton` counts them.
 
 :func:`classify`, :func:`matches` and :func:`row_matches` run through one
-positional matcher: in a word with distinct letters every pinned letter
-has one position, so a pattern compiles, once per word length, into
-position comparisons with no backtracking.  The matcher answers only
-whether a word matches; it reports no witness of where the stars fall.
-Those comparisons are written out as Python source with every position
-and letter an int literal, and compiled into functions on the first
-probe: one per row, or, in :class:`CompiledCatalog`, one per cell of a
-dispatch on the number of letters after n and on the last letter.  The
-census kernel does not use it: it classifies with the catalog's
-automaton over its letters (:mod:`stacksort.automaton`), stepped once
-per letter of its walk (``census._shard_kernel``).  The independent
-oracle the test suite checks both against, a blunt enumerator of star
-extents, is test code (``tests/_matching_oracle.py``).
+matcher, the automaton of :mod:`stacksort.automaton`: rows read as symbols
+at the word's length are one table of transitions, which :func:`walk`
+steps once per letter.  :class:`CompiledCatalog` keeps the catalog's table
+at one length, and a cache of 1,024 rows keeps one row's for
+:func:`row_matches`, which reads every letter the row does not pin as x,
+so its words need not be standard.  The matcher answers only whether a
+word matches; it reports no witness of where the stars fall.  The census
+kernel steps the same tables, once per letter of its walk
+(``census._shard_kernel``).  The independent oracle the test suite checks
+them against, a blunt enumerator of star extents, is test code
+(``tests/_matching_oracle.py``).
 """
 from __future__ import annotations
 
@@ -323,7 +321,7 @@ def resolve_branches(tokens: Optional[Sequence[Token]], n: int) -> list:
     """``(ts, pins)`` for each alternation-free branch ``ts`` of ``tokens``
     (none if None) with ``pins`` the letter each token pins at length n,
     None for a star or ``?``.  A branch pinning a letter outside 1..n
-    never matches, so it is left out, for both matchers."""
+    never matches, so it is left out."""
     got = []
     for ts in expand_alternations(tokens) if tokens is not None else ():
         pins = [None if isinstance(t, (Star, AnyOne))
@@ -331,24 +329,6 @@ def resolve_branches(tokens: Optional[Sequence[Token]], n: int) -> list:
         if all(v is None or 1 <= v <= n for v in pins):
             got.append((ts, pins))
     return got
-
-
-def _positions(w: tuple) -> list:
-    """``pos[v]`` is the index of letter v in w, or -1 if v is absent.
-
-    Covers the letters 1..len(w), the only values a resolved pattern pins.
-    A repeated letter raises ValueError: the positional matcher relies on
-    each pinned letter having one position.  A ``Word`` has distinct
-    letters by construction, so only other sequences are checked.
-    """
-    n = len(w)
-    if not isinstance(w, Word) and len(set(w)) != n:
-        raise ValueError(f"word {w!r} has a repeated letter")
-    pos = [-1] * (n + 1)
-    for i, x in enumerate(w):
-        if 0 < x <= n:
-            pos[x] = i
-    return pos
 
 
 def matches(tokens: Sequence[Token], w: Sequence[int]) -> bool:
@@ -363,9 +343,39 @@ def matches(tokens: Sequence[Token], w: Sequence[int]) -> bool:
 
 
 def row_matches(row: PatternRow, w: Sequence[int]) -> bool:
-    """True iff the word matches the row and not its ``minus`` clause."""
-    w = tuple(w)
-    return _compiled_row(row, len(w)).match(w, _positions(w))
+    """True iff the word matches the row and not its ``minus`` clause.
+
+    A letter the row does not pin at the word's length, 0, one above it or
+    any other int, reads as x.  A repeated letter raises ValueError.  A
+    ``Word`` has distinct letters by construction, so only other sequences
+    are checked.
+    """
+    if not isinstance(w, Word):
+        w = tuple(w)
+        if len(set(w)) != len(w):
+            raise ValueError(f"word {w!r} has a repeated letter")
+    index, delta, codes = _row_automaton(row, len(w))
+    return not codes[walk(index, delta, w)]
+
+
+def walk(index: dict, delta: tuple, w: Sequence[int]) -> int:
+    """The state that a table of :func:`stacksort.automaton.read` reaches
+    from state 0 on the letters of w: each letter in ``index`` reads as its
+    symbol, every other one as x."""
+    x, state = len(index), 0
+    for v in w:
+        state = delta[index.get(v, x)][state]
+    return state
+
+
+@lru_cache(maxsize=1024)
+def _row_automaton(row: PatternRow, n: int) -> tuple:
+    """``(index, delta, codes)`` of the one row at length n, with x read for
+    letters outside 1..n: kept for the next word of that length, the one
+    cache that :func:`row_matches` and :func:`matches` read through.  Code
+    0 is the row's, 1 no match."""
+    from .automaton import read
+    return read((row,), n, foreign=True)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +386,7 @@ def row_matches(row: PatternRow, w: Sequence[int]) -> bool:
 class Catalog:
     """An ordered collection of rows; earlier rows shadow later ones."""
     rows: tuple
-    # one CompiledCatalog per word length, built on first use (compiled())
+    # one CompiledCatalog per word length, made on first use (compiled())
     _compiled: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -401,8 +411,8 @@ class Catalog:
                 if n >= floor}
 
     def compiled(self, n: int) -> "CompiledCatalog":
-        """The catalog compiled for length n, built on first use and kept;
-        its dispatch is generated on its first probe."""
+        """The catalog's automaton at length n, made on first use and kept;
+        its table is read on its first classify."""
         cc = self._compiled.get(n)
         if cc is None:
             cc = self._compiled[n] = CompiledCatalog(self, n)
@@ -410,13 +420,13 @@ class Catalog:
 
     def classify(self, w: Sequence[int]) -> Optional[str]:
         """Label of the first matching row valid at this length, or None,
-        from the catalog compiled for the word's length (:meth:`compiled`).
+        from the catalog's automaton at the word's length (:meth:`compiled`).
         """
         w = _require_standard(_as_word(w))
         n = len(w)
         if n < _MIN_FLOOR:
             return None
-        return self.compiled(n).classify(w, _positions(w))
+        return self.compiled(n).classify(w)
 
 
 def parse_catalog(text: str) -> Catalog:
@@ -464,217 +474,34 @@ def classify(w: Sequence[int]) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# the positional matcher
-
-
-class _CompiledBranch:
-    """One alternation-free branch resolved, for one word length, into
-    checks on the positions of its pinned letters (``resolve_branches``).
-
-    The stars cut the branch into runs.  A run holding a pinned letter is a
-    block; stars and pin-free ``?`` runs form the gaps between blocks, each
-    at least as long as its ``?`` count.  A block at an end of the branch
-    with no star beside it has a fixed position (a branch with no star is
-    one run of exactly n letters); any other block floats, its start read
-    off the position of its first pinned letter.  The floating blocks
-    chain: the first starts at ``head`` or later, each next one where the
-    one before it ends or later, and the last ends at ``tail`` or earlier.
-    The shape is settled here, and :meth:`source` writes the checks as one
-    boolean expression with every position and letter an int literal; the
-    functions generated from it are the positional matcher.
-    """
-
-    def __init__(self, ts: tuple, pins: list, n: int):
-        # runs[0] * runs[1] * ... hold each letter's value, None for ?
-        runs, pinned = [[]], [False]
-        for t, v in zip(ts, pins):
-            if isinstance(t, Star):
-                runs.append([])
-                pinned.append(False)
-            else:
-                runs[-1].append(v)
-                pinned[-1] |= v is not None
-        m = len(runs) - 1  # the number of stars
-        left = runs[0] if pinned[0] or not m else []
-        right = runs[m] if m and pinned[m] else []
-        self.fixed = tuple(
-            (start + i, v)
-            for start, run in ((0, left), (n - len(right), right))
-            for i, v in enumerate(run) if v is not None)
-        mins, blocks = [0], []
-        for j, run in enumerate(runs):
-            if (j == 0 and left) or (j == m and right):
-                continue
-            if pinned[j]:
-                blocks.append(run)
-                mins.append(0)
-            else:  # a run of ? tokens only
-                mins[-1] += len(run)
-        self.head = len(left) + mins[0]
-        self.tail = n - len(right)
-        floating = []
-        for b, run in enumerate(blocks):
-            (off, v), *rest = [(i, v) for i, v in enumerate(run) if v is not None]
-            floating.append((v, off, tuple((u, i) for i, u in rest),
-                             len(run) + mins[b + 1]))
-        self.floating = tuple(floating)
-        self.last = right[-1] if right else None
-        self.alive = len(ts) - m <= n and (m > 0 or len(ts) == n)
-
-    def source(self) -> str:
-        """The branch's checks as one boolean expression over ``w`` and
-        ``pos`` (``pos[v]`` is the index of letter v in w).  Block b binds
-        the position of its first pinned letter to ``p<b>``, and every link
-        of the chain compares it against the previous binding plus a
-        constant."""
-        checks = [f"w[{p}] == {v}" for p, v in self.fixed]
-        if not self.floating:  # the chain is the one link head <= tail
-            holds = self.head <= self.tail
-            return (" and ".join(checks) or "True") if holds else "False"
-        prev, end = None, self.head  # the chain so far ends at prev + end
-        for b, (v, off, rest, step) in enumerate(self.floating):
-            checks.append(f"{_plus(prev, end + off)} <= (p{b} := pos[{v}])")
-            checks += [f"pos[{u}] == {_plus(f'p{b}', i - off)}" for u, i in rest]
-            prev, end = f"p{b}", step - off
-        checks.append(f"{prev} <= {self.tail - end}")
-        return " and ".join(checks)
-
-    def keys(self, n: int) -> list:
-        """Every (e, last letter) a matching word can have; e counts the
-        letters after n."""
-        lo, hi = 0, n - 1  # the positions n can take
-        for p, v in self.fixed:
-            if v == n:
-                lo = hi = p
-        first = self.head
-        latest = self.tail - sum(step for *_, step in self.floating)
-        for v, off, rest, step in self.floating:
-            for u, i in ((v, off),) + rest:
-                if u == n:
-                    lo, hi = first + i, latest + i
-            first += step
-            latest += step
-        lasts = range(1, n + 1) if self.last is None else (self.last,)
-        return [(e, x) for e in range(n - 1 - hi, n - lo) for x in lasts]
-
-
-def _plus(name: Optional[str], k: int) -> str:
-    """Source for ``name + k``, or for k alone when name is None."""
-    if name is None:
-        return str(k)
-    return name if not k else f"{name} {'+' if k > 0 else '-'} {abs(k)}"
-
-
-def _generate(bodies: Sequence[str], results: tuple = ()) -> list:
-    """One function ``f(w, pos)`` per body, all from one compile() call.
-
-    A body is one statement per line.  The generated code reads nothing
-    but its arguments and ``R``, the tuple ``results``: a row label reaches
-    it only as an index into R, never as source text.
-    """
-    text = "".join(f"def f{i}(w, pos):\n    " + body.replace("\n", "\n    ") + "\n"
-                   for i, body in enumerate(bodies))
-    scope = {"R": results}
-    exec(compile(text, "<stacksort.patterns>", "exec"), scope)
-    return [scope[f"f{i}"] for i in range(len(bodies))]
-
-
-def _either(branches: Sequence[_CompiledBranch]) -> str:
-    """Source true iff some branch matches."""
-    return " or ".join(f"({br.source()})" for br in branches) or "False"
-
-
-def _compile(tokens: Optional[tuple], n: int) -> tuple:
-    """The branches of a token sequence at length n that can match at all."""
-    branches = (_CompiledBranch(ts, pins, n) for ts, pins in resolve_branches(tokens, n))
-    return tuple(br for br in branches if br.alive)
-
-
-class CompiledRow:
-    """A row compiled for one word length."""
-
-    def __init__(self, row: PatternRow, n: int):
-        self.label = row.label
-        self.branches = _compile(row.tokens, n)
-        self.exclusions = _compile(row.exclusion, n)
-
-    def source(self) -> str:
-        """Source true iff some branch matches and no exclusion does."""
-        if not self.exclusions:
-            return _either(self.branches)
-        return f"({_either(self.branches)}) and not ({_either(self.exclusions)})"
-
-    @cached_property
-    def match(self):
-        """The generated probe ``match(w, pos)``: True iff w matches the row."""
-        return _generate([f"return {self.source()}"])[0]
-
-
-@lru_cache(maxsize=1024)
-def _compiled_row(row: PatternRow, n: int) -> CompiledRow:
-    """The row compiled for length n, kept, with its probe, for the next word
-    of that length: the one cache of compiled rows, which :func:`row_matches`,
-    :func:`matches` and every :class:`CompiledCatalog` build through."""
-    return CompiledRow(row, n)
+# the catalog at one length
 
 
 class CompiledCatalog:
-    """A catalog baked for one word length, with a dispatch derived from its rows.
-
-    A word's cell is keyed on e (the number of letters after the letter n)
-    and its last letter.  Each compiled branch gives the cells it can match
-    in: e from the positions its blocks and gaps leave for n, the last
-    letter from the final token of a block fixed at the right end (any
-    letter for ``?`` or a trailing star).  Only cells that some row reaches
-    get a list of their own.  Each distinct cell becomes one generated
-    function that tries its rows in catalog order, so it returns the first
-    matching row of the whole catalog; :attr:`dispatch` generates them all
-    with one compile() call on the first probe, never here.
-    """
+    """The catalog's automaton at one word length, which
+    :meth:`Catalog.classify` steps.  The constructor only picks the rows
+    valid at n; the first :meth:`classify` reads them as symbols
+    (:func:`stacksort.automaton.read`).  ``buckets`` holds those rows five
+    times: the automaton reads every row at once, whatever the number of
+    letters after n."""
 
     def __init__(self, catalog: Catalog, n: int):
-        self.n = n
         levels = catalog.levels(n)
-        self.rows = [_compiled_row(row, n) for row in catalog.rows
-                     if row.label in levels]
-        cells: dict = {}
-        for cr in self.rows:
-            for br in cr.branches:
-                for key in br.keys(n):
-                    cell = cells.setdefault(key, [])
-                    if not cell or cell[-1] is not cr:
-                        cell.append(cr)
-        self.cells = [[()] * (n + 1) for _ in range(n)]
-        for (e, last), cell in cells.items():
-            self.cells[e][last] = cell
+        rows = [row for row in catalog.rows if row.label in levels]
+        self.n = n
+        self.buckets = [rows] * 5
 
     @cached_property
-    def buckets(self) -> list:
-        """Rows by min(e, 4), in catalog order: the union of their cells."""
-        spans = [self.cells[e:e + 1] for e in range(4)] + [self.cells[4:]]
-        return [[cr for cr in self.rows
-                 if any(cr in cell for by_last in span for cell in by_last)]
-                for span in spans]
+    def _automaton(self) -> tuple:
+        """``(index, delta, labels)``, ``labels[s]`` the label of state s."""
+        from .automaton import read
+        rows = self.buckets[0]
+        index, delta, codes = read(rows, self.n)
+        names = [row.label for row in rows] + [None]
+        return index, delta, [names[code] for code in codes]
 
-    @cached_property
-    def dispatch(self) -> list:
-        """``dispatch[p][last](w, pos)``: the label of the first row matching
-        a word whose letter n sits at index p and whose last letter is
-        ``last``, or None; the generated function of that word's cell."""
-        index = {id(cr): k for k, cr in enumerate(self.rows)}
-        keys = [[tuple(index[id(cr)] for cr in cell) for cell in by_last]
-                for by_last in reversed(self.cells)]
-        distinct = dict.fromkeys(key for by_last in keys for key in by_last)
-        sources = [cr.source() for cr in self.rows]
-        bodies = ["".join(f"if {sources[k]}: return R[{k}]\n" for k in key)
-                  + "return None" for key in distinct]
-        functions = dict(zip(distinct, _generate(
-            bodies, tuple(cr.label for cr in self.rows))))
-        return [[functions[key] for key in by_last] for by_last in keys]
-
-    def classify(self, w: Sequence[int], pos: Sequence[int]) -> Optional[str]:
-        """First-match label using a precomputed position table.
-
-        ``pos`` must satisfy ``pos[v] = index of letter v in w``.
-        """
-        return self.dispatch[pos[len(w)]][w[-1]](w, pos)
+    def classify(self, w: Sequence[int], pos: object = None) -> Optional[str]:
+        """Label of the first row valid at n that the standard word ``w`` of
+        length n matches, or None.  ``pos`` is ignored."""
+        index, delta, labels = self._automaton
+        return labels[walk(index, delta, w)]

@@ -1,7 +1,7 @@
-"""A brute-force pattern matcher: the oracle for the generated positional one.
+"""A brute-force pattern matcher: the oracle for the automaton.
 
 It enumerates every extent of every star, so it shares nothing with the
-compiled probes of ``stacksort.patterns`` but the parsed tokens and the
+automaton's tables (``stacksort.automaton``) but the parsed tokens and the
 expansion of alternations.  Exponential on purpose.
 """
 from functools import lru_cache
@@ -18,8 +18,8 @@ from stacksort.patterns import (
 
 
 def _distinct(w) -> tuple:
-    """w as a tuple; a repeated letter raises ValueError, as it does in the
-    positional matcher."""
+    """w as a tuple; a repeated letter raises ValueError, as it does in
+    ``stacksort.patterns.row_matches``."""
     w = tuple(w)
     if len(set(w)) != len(w):
         raise ValueError(f"word {w!r} has a repeated letter")

@@ -31,7 +31,7 @@ from stacksort.census import (
     save_report,
 )
 from stacksort.formulas import REGISTRY, verify_census
-from stacksort.patterns import CompiledCatalog, _positions, builtin_catalog, tier
+from stacksort.patterns import CompiledCatalog, builtin_catalog, tier
 from stacksort.words import (
     Word,
     descents,
@@ -105,7 +105,7 @@ def _reference_words(n, lo, hi):
     ceiling = census_mod.none_ceiling(n)
     w = list(unrank(n, lo))
     for r in range(lo, hi):
-        k, label = _passes_to_identity(w), cc.classify(w, _positions(w))
+        k, label = _passes_to_identity(w), cc.classify(w)
         certified = ceiling if label is None else n - tier(label)[0]
         if k > certified or (label is not None and k != certified):
             raise CensusSoundnessError(w, r, label, k, certified)
@@ -433,11 +433,9 @@ def test_leaf_memo_cap_leaves_an_n12_shard_unchanged(extended, monkeypatch):
 def test_kernel_builds_the_automaton_once_per_process(monkeypatch):
     # the kernel classifies with the automaton of the built-in catalog at
     # its length, built whole on the first call in a process and kept, and
-    # generates no positional matcher; the table of leaf labels, the
+    # makes no catalog for Catalog.classify; the table of leaf labels, the
     # process's too, is built whole on the first call and only read after
-    built, generated, generate = _counted_automata(monkeypatch), [], patterns_mod._generate
-    monkeypatch.setattr(patterns_mod, "_generate",
-                        lambda *a: generated.append(a) or generate(*a))
+    built = _counted_automata(monkeypatch)
     monkeypatch.delitem(builtin_catalog()._compiled, 9, raising=False)
     first = census_mod._shard_kernel(9, 0, 5000)
     entries = dict(census_mod._length_state(9).labels)
@@ -446,7 +444,7 @@ def test_kernel_builds_the_automaton_once_per_process(monkeypatch):
     assert census_mod._length_state(9).labels == entries
     census_mod._shard_kernel(10, 0, 5000)
     assert built == [9, 10]
-    assert generated == [] and 9 not in builtin_catalog()._compiled
+    assert 9 not in builtin_catalog()._compiled
 
 
 class _ReadKeys(dict):
@@ -855,7 +853,6 @@ def test_forked_workers_inherit_the_per_length_state(census_cache, monkeypatch):
             return f(*args, **kwargs)
         return guarded
 
-    monkeypatch.setattr(patterns_mod, "_generate", here_only(patterns_mod._generate))
     monkeypatch.setattr(words_mod, "_pass", here_only(words_mod._pass))
     monkeypatch.setattr(census_mod, "CatalogAutomaton",
                         here_only(census_mod.CatalogAutomaton))

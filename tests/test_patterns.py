@@ -1,8 +1,8 @@
+import ast
 import os
 import random
 import subprocess
 import sys
-import types
 from itertools import permutations
 from math import factorial
 
@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stacksort.automaton as automaton_mod
 import stacksort.patterns
+from stacksort.automaton import CatalogAutomaton
 from stacksort.patterns import (
     AbsValue,
     Alt,
     AnyOne,
     Catalog,
-    CompiledCatalog,
-    CompiledRow,
     PatternRow,
     PatternSyntaxError,
     RelValue,
@@ -36,7 +36,7 @@ from stacksort.patterns import (
     row_matches,
     tier,
 )
-from stacksort.patterns import _compiled_row, _positions
+from stacksort.patterns import _row_automaton
 from stacksort.words import Word
 
 import _matching_oracle as oracle
@@ -202,31 +202,22 @@ def _words_n7_and_n8():
 
 def test_naive_oracle_agrees_with_matcher():
     rows = builtin_catalog().rows
-    compiled = {}
     for w in _words_n7_and_n8():
-        n = len(w)
-        if n not in compiled:
-            compiled[n] = [CompiledRow(row, n) for row in rows]
-        pos = _positions(w)
-        for row, cr in zip(rows, compiled[n]):
-            assert cr.match(w, pos) == oracle.row_matches(row, w), (row.label, w)
-    # row_matches itself goes through the same compiled rows
-    for p in permutations(range(1, 6)):
         for row in rows:
-            assert row_matches(row, p) == oracle.row_matches(row, p)
+            assert row_matches(row, w) == oracle.row_matches(row, w), (row.label, w)
 
 
 def test_row_matches_reuses_the_compiled_row():
     row = builtin_catalog().row("L2-4")
-    first = _compiled_row(row, 6)
-    before = _compiled_row.cache_info().hits
+    first = _row_automaton(row, 6)
+    before = _row_automaton.cache_info().hits
     words = list(permutations(range(1, 7)))
     for w in words:
         hit = row_matches(row, w)
         # the oracle: some branch of the row has a blunt-force match
         assert hit == oracle.matches(row.tokens, w)
-    assert _compiled_row.cache_info().hits - before == len(words)
-    assert _compiled_row(row, 6) is first
+    assert _row_automaton.cache_info().hits - before == len(words)
+    assert _row_automaton(row, 6) is first
 
 
 def test_matches_reuses_the_compiled_row():
@@ -234,17 +225,29 @@ def test_matches_reuses_the_compiled_row():
     alt = Alt(((AbsValue(1), AnyOne()), (Star(), RelValue(2))))
     assert len({Star(), AnyOne(), RelValue(1), AbsValue(1), alt}) == 5
     tokens = parse_tokens("* n { 1 ? | ? 1 }")
-    first = _compiled_row(PatternRow("", tokens), 6)
-    probe = first.match
-    before = _compiled_row.cache_info().hits
+    first = _row_automaton(PatternRow("", tokens), 6)
+    before = _row_automaton.cache_info().hits
+    tables = automaton_mod._table.cache_info()
     words = list(permutations(range(1, 7)))
     for w in words:
         assert matches(tokens, w) == oracle.matches(tokens, w), w
-    assert _compiled_row.cache_info().hits - before == len(words)
-    # a list of tokens finds the same entry, and no probe is generated again
+    assert _row_automaton.cache_info().hits - before == len(words)
+    # a list of tokens finds the same entry, and no table is read again
     assert matches(list(tokens), (5, 2, 3, 6, 1, 4))
-    assert _compiled_row(PatternRow("", tokens), 6) is first
-    assert first.match is probe
+    assert _row_automaton(PatternRow("", tokens), 6) is first
+    assert automaton_mod._table.cache_info() == tables
+
+
+def test_the_row_caches_stay_bounded():
+    # 2,000 distinct token sequences, each read once at its length: the
+    # per-row cache and the shared table cache keep at most 1,024 each
+    w = tuple(range(1, 61))
+    for k in range(2000):
+        a, b = divmod(k, 45)
+        matches((Star(), *[AnyOne()] * a, AbsValue(1), *[AnyOne()] * b, Star()), w)
+    assert _row_automaton.cache_info().maxsize == 1024
+    assert _row_automaton.cache_info().currsize <= 1024
+    assert automaton_mod._table.cache_info().currsize <= 1024
 
 
 _flat_seq = st.lists(st.one_of(
@@ -262,10 +265,8 @@ _flat_rows = st.builds(PatternRow, st.just("L1"), _flat_seq, st.none() | _flat_s
 def test_random_flat_rows_agree_with_oracle(row, n):
     # shapes beyond the built-in rows: a leading pinned letter, adjacent
     # stars, ? between stars, a minus clause of any flat shape
-    cr = CompiledRow(row, n)
     for p in permutations(range(1, n + 1)):
-        hit = cr.match(p, _positions(p))
-        assert hit == oracle.row_matches(row, p), (format_row(row), p)
+        assert row_matches(row, p) == oracle.row_matches(row, p), (format_row(row), p)
 
 
 def test_repeated_letters_rejected():
@@ -287,6 +288,21 @@ def test_non_standard_words():
     assert matches(parse_tokens("* ? 1"), (9, 1))
     assert row_matches(parse_row("X: * n * 1 minus { * n 1 }"), (3, 8, 1))
     assert row_matches(parse_row("X: * 2 * 1"), (0, 2, 9, 1))
+    # a row pinning every letter of its length still meets a foreign letter,
+    # which reads as x
+    assert not matches(parse_tokens("1 2"), (1, 5))
+    assert matches(parse_tokens("? 2"), (7, 2))
+    assert matches(parse_tokens("* n 1"), (1000, 3, 1))
+    assert matches(parse_tokens("*"), ())
+    assert not matches(parse_tokens("?"), ())
+
+
+def test_words_longer_than_a_byte():
+    # no 256-entry map of letters stands in the way of a long word
+    w = (*range(2, 301), 1)
+    assert classify(w) == "L1"
+    assert row_matches(builtin_catalog().row("L1"), w)
+    assert matches(parse_tokens("* n 1"), w)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +336,7 @@ def test_levels_are_the_tiers_of_the_valid_rows(n):
     levels = catalog.levels(n)
     assert list(levels.items()) == [(r.label, n - tier(r.label)[0])
                                     for r in catalog.rows if tier(r.label)[1] <= n]
-    assert list(levels) == [cr.label for cr in CompiledCatalog(catalog, n).rows]
+    assert list(levels) == list(CatalogAutomaton(catalog, n).labels)
 
 
 def test_none_ceiling_is_derived_from_the_tiers():
@@ -351,60 +367,17 @@ def test_classify_respects_floors():
 def test_compiled_catalog_matches_production():
     cat = builtin_catalog()
     for n in range(1, 9):
-        cc = CompiledCatalog(cat, n)
         for p, want in zip(permutations(range(1, n + 1)), oracle.builtin_labels(n)):
-            label = cc.classify(p, _positions(p))
-            assert label == want, p
-            # the derived bucket view holds every row the classifier returns
-            bucket = cc.buckets[min(n - 1 - p.index(n), 4)]
-            assert label is None or label in [cr.label for cr in bucket]
+            assert cat.classify(p) == want, p
 
 
 def test_compiled_catalog_matches_production_random_n9_to_n16():
     cat = builtin_catalog()
     rng = random.Random(8)
     for n in range(9, 17):
-        cc = CompiledCatalog(cat, n)
         for _ in range(2000):
             w = rng.sample(range(1, n + 1), n)
-            assert cc.classify(w, _positions(w)) == oracle.classify(cat, w), w
-
-
-def _generated(cc):
-    """Every function generated for a compiled catalog: its cells, and the
-    probes of its rows."""
-    yield from {id(f): f for by_last in cc.dispatch for f in by_last}.values()
-    for cr in cc.rows:
-        yield cr.match
-
-
-def test_generated_code_holds_no_catalog_text():
-    # labels reach generated code only as indices into a tuple
-    cat = builtin_catalog()
-    for n in range(2, 17):
-        for f in _generated(CompiledCatalog(cat, n)):
-            consts = f.__code__.co_consts
-            assert all(c is None or isinstance(c, (int, types.CodeType))
-                       for c in consts), (n, consts)
-
-
-def test_dispatch_generates_every_distinct_cell_in_one_compile(monkeypatch):
-    calls = []
-    generate = stacksort.patterns._generate
-    monkeypatch.setattr(stacksort.patterns, "_generate",
-                        lambda bodies, results=(): calls.append(len(bodies))
-                        or generate(bodies, results))
-    cc = CompiledCatalog(builtin_catalog(), 9)
-    assert calls == []  # the constructor generates nothing
-    w = (3, 4, 5, 6, 7, 8, 2, 9, 1)
-    assert cc.classify(w, _positions(w)) == "L1"
-    distinct = {tuple(cell) for by_last in cc.cells for cell in by_last}
-    assert calls == [len(distinct)]
-    rng = random.Random(9)
-    for _ in range(1000):
-        w = rng.sample(range(1, 10), 9)
-        cc.classify(w, _positions(w))
-    assert calls == [len(distinct)]
+            assert cat.classify(w) == oracle.classify(cat, w), w
 
 
 def test_classify_compiles_each_length_on_first_use():
@@ -420,22 +393,12 @@ def test_classify_compiles_each_length_on_first_use():
 
 
 def test_compiled_keeps_nonempty_star_before_n():
-    # the constrained star sits before n: the row must still be dispatched
+    # the constrained star sits before n: the row must still match
     cat = Catalog((parse_row("L1: * (n-1) * n 1 minus { (n-1) * n 1 }"),))
-    w = (2, 3, 4, 5, 1)
-    assert CompiledCatalog(cat, 5).classify(w, _positions(w)) == "L1"
+    assert cat.classify((2, 3, 4, 5, 1)) == "L1"
     for n in range(1, 7):
-        cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
-            assert cc.classify(p, _positions(p)) == cat.classify(p), p
-
-
-def test_dispatch_reaches_every_row():
-    cat = builtin_catalog()
-    for n in range(2, 13):
-        cc = CompiledCatalog(cat, n)
-        reached = {id(cr) for by_last in cc.cells for cell in by_last for cr in cell}
-        assert [cr.label for cr in cc.rows if id(cr) not in reached] == [], n
+            assert cat.classify(p) == oracle.classify(cat, p), p
 
 
 def test_compiled_general_shapes_agree_with_oracle():
@@ -452,11 +415,25 @@ def test_compiled_general_shapes_agree_with_oracle():
     L2b: { 1 * | * 2 ? } * n minus { { 1 | 2 } * (n-1) n }
     """)
     for n in range(1, 8):
-        cc = CompiledCatalog(cat, n)
         for p in permutations(range(1, n + 1)):
-            assert cc.classify(p, _positions(p)) == oracle.classify(cat, p), p
+            assert cat.classify(p) == oracle.classify(cat, p), p
             for row in cat.rows:
                 assert row_matches(row, p) == oracle.row_matches(row, p), (row.label, p)
+
+
+def test_the_package_runs_no_generated_code():
+    # the matcher is the automaton's table: no module compiles or runs
+    # source text
+    src = os.path.dirname(stacksort.patterns.__file__)
+    calls = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            calls += [(name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in ("exec", "eval", "compile")]
+    assert calls == []
 
 
 def _count_matches(row, n):
