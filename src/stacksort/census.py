@@ -19,8 +19,8 @@ Each mechanism is described once, at its owner:
 * a leaf's labels: :func:`_table_of_labels`;
 * the check of a leaf: :func:`_check_tables`;
 * the lifetimes of the kernel's tables and dicts: :class:`_LengthState`
-  and :func:`run_census`, which also owns the shard records and the merge;
-* the worker processes of a pooled run: :func:`_pooled`;
+  and :func:`_pooled`, the shard loop, which starts the workers;
+* the shard records and the merge: :func:`run_census`;
 * the files: :func:`_shard_text`, :func:`_read_shard` and
   :func:`load_census`.
 """
@@ -211,12 +211,6 @@ def _check_tallies(n: int, levels: dict, total: int, counts, rows,
                              f"expected {counts[level]}")
 
 
-def _zero_tallies(n: int) -> dict:
-    """Empty tallies for length n, in the form the kernel returns."""
-    return {"counts": [0] * n, "rows": dict.fromkeys(builtin_catalog().levels(n), 0),
-            "descents": [[0] * n for _ in range(n)]}
-
-
 def _sha256(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
@@ -237,10 +231,9 @@ class _LengthState:
     (:func:`_table_of_labels`) and ``descents``, ``descents[d][r]`` the
     descent counts of the k! orders of a leaf whose prefix has d descents
     and ends above r free letters, are each built whole on first read, and
-    the kernel only reads them.  :meth:`tables` before the workers fork
-    builds them once for every worker; under the ``spawn`` or
-    ``forkserver`` start methods a worker inherits nothing and builds them
-    on its first shard."""
+    the kernel only reads them.  :meth:`tables` before the fork builds them
+    once for every worker, but under ``spawn`` or ``forkserver`` a worker
+    builds them on its first shard."""
 
     def __init__(self, n: int):
         self.n = n
@@ -482,17 +475,18 @@ def _shard_kernel(n: int, lo: int, hi: int,
     Every key is exact, so no tally can differ from a word-by-word walk.
 
     ``dicts`` are the run's memo, its shared values and dict of S(w) in
-    this process (:func:`run_census`); a direct call with none gets its
-    own.  The tables come from :func:`_length_state`.
+    this process (:func:`_pooled`); a direct call with none gets its own.
+    The tables come from :func:`_length_state`.
     """
-    tallies = _zero_tallies(n)
+    levels = builtin_catalog().levels(n)
+    tallies = {"counts": [0] * n, "rows": dict.fromkeys(levels, 0),
+               "descents": [[0] * n for _ in range(n)]}
     if hi <= lo:
         return tallies
     cnt, rows, dm = tallies.values()
     own = _length_state(n)
     automaton = own.automaton
     shapes, labelled, desc = own.tables()
-    levels = builtin_catalog().levels(n)
     names = (*automaton.labels, None)  # by label code
     none = len(automaton.labels)       # the code of no row
     ceiling = none_ceiling(n)
@@ -642,15 +636,19 @@ def _read_shard(path: str, header: dict, levels: dict) -> dict:
     return tallies
 
 
-def _shard_task(record: tuple, dicts: Optional[tuple] = None) -> dict:
+def _shard_task(record: tuple, dicts: Optional[tuple] = None):
     """Compute the shard of a record ``(header, path)`` with ``dicts``, the
     run's kernel dicts in this process (fresh ones when None), and save the
-    header and the tallies at ``path`` unless it is None."""
+    header and the tallies at ``path`` unless it is None.  Return the
+    tallies, or the exception a failure raised."""
     header, path = record
-    result = _shard_kernel(header["n"], header["lo"], header["hi"], dicts)
-    if path is not None:
-        _write_atomic(path, _shard_text(
-            {**header, **_tally_strings(_SHARD_KEYS, *result.values())}))
+    try:
+        result = _shard_kernel(header["n"], header["lo"], header["hi"], dicts)
+        if path is not None:
+            _write_atomic(path, _shard_text(
+                {**header, **_tally_strings(_SHARD_KEYS, *result.values())}))
+    except Exception as exc:
+        return exc
     return result
 
 
@@ -677,62 +675,66 @@ def _exit_on_signal(signum, frame):
 def _worker(records: list, conn) -> None:
     """A worker process of one run (:func:`_pooled`): compute the shards of
     ``records`` whose indices ``conn`` sends, with kernel dicts made here for
-    them all, and send back ``(index, tallies)``, or ``(index, exception)``
-    for a shard that failed, until ``conn`` sends None."""
-    # the parent alone answers an interrupt, by terminating the workers, and
-    # a terminated worker unwinds, so that a write cut short removes its
-    # temp file
+    them all, and send back each index with what :func:`_shard_task`
+    returns, until ``conn`` sends None."""
+    # the parent alone answers an interrupt, by terminating the workers; a
+    # terminated worker unwinds, so a write cut short removes its temp file
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, _exit_on_signal)
     dicts = ({}, {}, _Complexities())
     for i in iter(conn.recv, None):
-        try:
-            got = _shard_task(records[i], dicts)
-        except Exception as exc:
-            got = exc
-        conn.send((i, got))
+        conn.send((i, _shard_task(records[i], dicts)))
+
+
+_AHEAD = 4  # most indices a worker holds; shard costs differ tenfold
 
 
 def _pooled(records: list, todo: list, workers: int) -> dict:
     """The tallies of the shards ``todo``, indices into ``records``, by
-    index, computed by ``workers`` processes started for this call alone.
-
-    Each process, started from the default ``multiprocessing`` context, runs
-    :func:`_worker` on the records and one end of a duplex pipe.  This
-    process hands the indices out in increasing order, one at a time, to
-    each worker that is free, so the load balances itself.  A shard that
-    fails stops the hand-out: the shards already handed out finish, and the
-    failure of the lowest index is raised, the one a serial run raises.  The
-    end of a worker's pipe means that it died, and raises BrokenProcessPool.
-    On any exception here, an interrupt included, the workers are
-    terminated, and shards already saved stay for a resume.  Every worker is
-    joined before this returns or raises, so none outlives the call."""
-    procs, conns, busy = [], [], []
+    index: the one shard loop of every run.  This process and ``workers``
+    processes started for the call, each running :func:`_worker` on one
+    end of a pipe, take the indices in increasing order from one queue:
+    this process the next, with the run's kernel dicts here, then each
+    worker up to ``_AHEAD`` but no more than its share of the queue, and
+    None once it is empty.  After each of its shards this process reads the
+    answers ready; once the queue is empty it waits for them.  A failure
+    empties the queue, and the lowest index's failure is raised, as in a
+    serial run.  A worker's pipe that ends raises BrokenProcessPool.  On
+    any other exception, an interrupt included, the workers are
+    terminated, and the shards saved stay for a resume.  Every worker is
+    joined before this returns or raises."""
+    dicts = ({}, {}, _Complexities())
+    procs, held, ended = [], {}, set()  # held: indices unanswered
     done, failed = {}, {}
-    queue = iter(todo)
+    queue, jobs = todo[::-1], workers + 1
     try:
         for _ in range(workers):
             conn, end = Pipe()
-            conns.append(conn)
-            proc = Process(target=_worker, args=(records, end))
-            proc.start()
-            procs.append(proc)
+            held[conn] = 0
+            procs.append(Process(target=_worker, args=(records, end)))
+            procs[-1].start()
             end.close()  # so that the pipe ends here when the worker dies
-        free = conns
         try:
             while True:
-                for conn in free:
-                    i = None if failed else next(queue, None)
-                    conn.send(i)  # None ends the worker
-                    if i is not None:
-                        busy.append(conn)
-                if not busy:
+                i = queue.pop() if queue else None
+                for conn in held:
+                    while queue and held[conn] < min(_AHEAD, 1 + len(queue) // jobs):
+                        conn.send(queue.pop())
+                        held[conn] += 1
+                    if not queue and conn not in ended:
+                        conn.send(None)
+                        ended.add(conn)
+                answers = [] if i is None else [(i, _shard_task(records[i], dicts))]
+                busy = [conn for conn in held if held[conn]]
+                if i is None and not busy:
                     break
-                free = wait(busy)
-                for conn in free:
-                    busy.remove(conn)
-                    i, got = conn.recv()
-                    (failed if isinstance(got, BaseException) else done)[i] = got
+                for conn in wait(busy, None if i is None else 0):
+                    held[conn] -= 1
+                    answers.append(conn.recv())
+                for j, got in answers:
+                    (failed if isinstance(got, Exception) else done)[j] = got
+                if failed:
+                    queue.clear()
         except (EOFError, OSError) as exc:
             raise BrokenProcessPool("a census worker process died") from exc
     except BaseException:
@@ -742,7 +744,7 @@ def _pooled(records: list, todo: list, workers: int) -> dict:
     finally:
         for proc in procs:
             proc.join()
-        for conn in conns:
+        for conn in held:
             conn.close()
     if failed:
         raise failed[min(failed)]
@@ -765,19 +767,17 @@ def run_census(
     task :func:`_shard_task` computes, the identity a resume checks and, by
     ``header["index"]``, the merge key.  With ``checkpoint_dir`` each shard
     is saved when done, and ``resume=True`` first reads the saved shards
-    that pass :func:`_resume_shards`, so an interrupted run continues.  The
-    shards left go to the kernel here, or, with ``jobs > 1`` and more than
-    one left, to ``min(jobs, shards left)`` worker processes started for
-    the run (:func:`_pooled`); just before they start, this process builds
-    :meth:`_LengthState.tables`, so forked workers inherit them.
+    that pass :func:`_resume_shards`, so an interrupted run continues.
+    ``jobs`` processes compute the shards left: this one and
+    ``min(jobs, shards left) - 1`` workers (:func:`_pooled`), which inherit
+    :meth:`_LengthState.tables` built here when forked.
 
     The kernel's memo, its shared values and its dict of S(w) belong to the
-    run: the shards computed here share three dicts made as locals, and each
-    worker makes its own as locals of :func:`_worker`.  So a sharded census
-    computes each state and each S(w) once per process, as a one-shard
-    census does, and the dicts go with the run.  The merge sums the rows and
-    the descent matrices and derives the counts as the merged matrix's row
-    sums; :meth:`Census.validate` checks it.
+    run, in each process locals of :func:`_pooled` or :func:`_worker`.  So
+    a sharded census computes each state and each S(w) once per process, as
+    a one-shard census does, and the dicts go with the run.  The merge sums
+    the rows and the descent matrices by ``map(sum, zip(...))``, the counts
+    are the merged matrix's row sums, and :meth:`Census.validate` checks it.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"census supports 1 <= n <= {MAX_N}, got {n}")
@@ -802,28 +802,22 @@ def run_census(
                         else _checkpoint_path(checkpoint_dir, header)))
     results = _resume_shards(n, records) if resume else {}
     todo = [i for i in range(shard_count) if i not in results]
-    if jobs == 1 or len(todo) <= 1:
-        dicts = ({}, {}, _Complexities())  # the kernel dicts of this run in this process
-        results.update((i, _shard_task(records[i], dicts)) for i in todo)
-    else:
+    if todo:
         _length_state(n).tables()  # here, so that forked workers inherit them
-        results.update(_pooled(records, todo, min(jobs, len(todo))))
-    _, rows, dm = _zero_tallies(n).values()
-    for res in results.values():
-        for label, v in res["rows"].items():
-            rows[label] += v
-        for c, row in enumerate(res["descents"]):
-            for d, v in enumerate(row):
-                dm[c][d] += v
-    census = Census(n, tuple(map(sum, dm)), rows, tuple(map(tuple, dm)), shard_count)
+        results.update(_pooled(records, todo, min(jobs, len(todo)) - 1))
+    parts, labels = results.values(), builtin_catalog().levels(n)
+    by_label = zip(*(map(p["rows"].__getitem__, labels) for p in parts))
+    by_class = zip(*(p["descents"] for p in parts))
+    dm = tuple(tuple(map(sum, zip(*rows))) for rows in by_class)
+    rows = dict(zip(labels, map(sum, by_label)))
+    census = Census(n, tuple(map(sum, dm)), rows, dm, shard_count)
     census.validate()
     return census
 
 
 def _column_sums(matrix, classes: slice) -> Tuple[int, ...]:
     """The column sums of ``matrix[classes]``: zeros if it selects no row."""
-    rows = matrix[classes]
-    return tuple(sum(row[d] for row in rows) for d in range(len(matrix[0])))
+    return tuple(map(sum, zip((0,) * len(matrix[0]), *matrix[classes])))
 
 
 def descent_polynomial(census: Census, cutoff: Optional[int] = None) -> tuple:

@@ -181,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stack-sorting complexity: operator, classifier, census.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    jobs = "processes computing shards, this one included: K starts K - 1 workers"
 
     s = sub.add_parser("sort", help="apply the stack-sorting operator")
     s.add_argument("word")
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("census", help="exhaustively tally all words of length n")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--shards", type=int, default=None)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=int, default=1, help=jobs)
     s.add_argument("--out", help="write a JSON report")
     s.add_argument("--checkpoint", help="directory for per-shard checkpoints")
     s.add_argument("--resume", action="store_true",
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify", help="check counting formulas against a census")
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--census", help="verify a saved report instead of recomputing")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=int, default=1, help=jobs)
     s.set_defaults(fn=_cmd_verify)
 
     s = sub.add_parser("fit", help="fit counts to the binomial family shape")

@@ -3,6 +3,10 @@
 It enumerates every extent of every star, so it shares nothing with the
 automaton's tables (``stacksort.automaton``) but the parsed tokens and the
 expansion of alternations.  Exponential on purpose.
+
+:class:`Labeller` is a second matcher, linear in the word, for words with
+distinct letters: the reference kernel of the census tests labels through
+it, independently of the automaton, on lengths the oracle cannot reach.
 """
 from functools import lru_cache
 from itertools import permutations
@@ -70,3 +74,57 @@ def builtin_labels(n: int) -> tuple:
     classifier checked against it."""
     catalog = builtin_catalog()
     return tuple(classify(catalog, p) for p in permutations(range(1, n + 1)))
+
+
+def _gaps(ts: tuple, n: int):
+    """A flat branch at length n as ``(letter, ?s before it, star before
+    it)`` for each pinned letter, then ``(None, ?s, star)`` for the word's
+    end; None for a branch pinning a letter outside 1..n."""
+    got, need, star = [], 0, False
+    for t in ts:
+        if isinstance(t, Star):
+            star = True
+        elif isinstance(t, AnyOne):
+            need += 1
+        else:
+            v = n - t.offset if isinstance(t, RelValue) else t.value
+            if not 1 <= v <= n:
+                return None
+            got.append((v, need, star))
+            need, star = 0, False
+    return (*got, (None, need, star))
+
+
+class Labeller:
+    """The first row of ``catalog`` valid at length n that a word of length
+    n with distinct letters matches, or None: each flat branch is read in
+    one pass over its pinned letters, each looked up in a dict of places,
+    and each gap before one, or before the end, is checked against its
+    ``?`` count and whether a star is there."""
+
+    def __init__(self, catalog, n: int):
+        def branches(tokens):
+            if tokens is None:  # no minus clause
+                return []
+            return [b for b in (_gaps(ts, n) for ts in expand_alternations(tokens))
+                    if b is not None]
+        self.rows = [(row.label, branches(row.tokens), branches(row.exclusion))
+                     for row in catalog.rows if n >= tier(row.label)[1]]
+
+    def __call__(self, w):
+        place = {v: i for i, v in enumerate(_distinct(w))}
+        place[None] = len(w)
+
+        def reads(branch):
+            pos = 0
+            for v, need, star in branch:
+                p = place.get(v, -1)
+                if p - pos < need or (p - pos > need and not star):
+                    return False
+                pos = p + 1
+            return True
+
+        for label, rows, minus in self.rows:
+            if any(map(reads, rows)) and not any(map(reads, minus)):
+                return label
+        return None

@@ -43,15 +43,42 @@ def test_automaton_matches_the_oracle_on_every_word_to_n8():
 
 
 def test_automaton_matches_the_oracle_on_seeded_words_n9_to_n16():
-    # from n = 9 on some letters are x, 4..n - 5: one at n = 9, eight at 16
+    # from n = 9 on some letters are x, 4..n - 5: one at n = 9, eight at
+    # 16; the labeller of the census tests' reference kernel agrees too
     cat = builtin_catalog()
     for n in range(9, 17):
-        auto = CatalogAutomaton(cat, n)
+        auto, labeller = CatalogAutomaton(cat, n), oracle.Labeller(cat, n)
         assert auto.pinned == (1, 2, 3, *range(n - 4, n + 1))
         rng = random.Random(n)
         for _ in range(600):
             w = rng.sample(range(1, n + 1), n)
-            assert auto.classify(w) == oracle.classify(cat, w), w
+            assert auto.classify(w) == oracle.classify(cat, w) == labeller(w), w
+
+
+def test_the_labeller_matches_the_oracle_on_every_word_to_n8():
+    cat = builtin_catalog()
+    for n in range(1, 9):
+        labeller = oracle.Labeller(cat, n)
+        for p, want in zip(permutations(range(1, n + 1)), oracle.builtin_labels(n)):
+            assert labeller(p) == want, p
+
+
+def test_the_labeller_matches_the_catalog_beyond_the_oracle(extended):
+    # the labeller reads no table of the automaton, which Catalog.classify
+    # steps: 2,000 seeded words of S_9, and in extended mode every word of
+    # S_9 (about 8 s for both classifiers) and 2,000 seeded words of each
+    # length 17..40
+    cat = builtin_catalog()
+    lengths = [9, *range(17, 41)] if extended else [9]
+    for n in lengths:
+        labeller = oracle.Labeller(cat, n)
+        if n == 9 and extended:
+            words = permutations(range(1, 10))
+        else:
+            rng = random.Random(n)
+            words = (rng.sample(range(1, n + 1), n) for _ in range(2000))
+        for w in words:
+            assert labeller(w) == cat.classify(w), w
 
 
 # shapes outside the built-in catalog's "* block * ... * suffix" form:
@@ -75,15 +102,17 @@ L2b: { 1 * | * 2 ? } * n minus { { 1 | 2 } * (n-1) n }
 def test_automaton_matches_the_oracle_on_general_shapes():
     cat = parse_catalog(GENERAL_SHAPES)
     for n in range(1, 8):
-        auto = CatalogAutomaton(cat, n)
+        auto, labeller = CatalogAutomaton(cat, n), oracle.Labeller(cat, n)
         for p in permutations(range(1, n + 1)):
-            assert auto.classify(p) == oracle.classify(cat, p), (n, p)
+            assert auto.classify(p) == oracle.classify(cat, p) == labeller(p), (n, p)
         # every row alone, so that no earlier row shadows it
         for row in cat.rows:
             one = CatalogAutomaton(Catalog((row,)), n)
+            alone = oracle.Labeller(Catalog((row,)), n)
             for p in permutations(range(1, n + 1)):
-                assert (one.classify(p) == row.label) == (
-                    n >= tier(row.label)[1] and oracle.row_matches(row, p)), (row.label, p)
+                want = n >= tier(row.label)[1] and oracle.row_matches(row, p)
+                assert (one.classify(p) == row.label) == want, (row.label, p)
+                assert (alone(p) == row.label) == want, (row.label, p)
 
 
 def test_counts_match_the_oracle_on_general_shapes():
@@ -124,9 +153,10 @@ def test_random_flat_rows_agree_with_oracle(row, n):
     # a leading pinned letter, adjacent stars, ? between stars, a minus
     # clause of any flat shape, letters that fall outside 1..n
     cat = Catalog((row,))
-    auto = CatalogAutomaton(cat, n)
+    auto, labeller = CatalogAutomaton(cat, n), oracle.Labeller(cat, n)
     for p in permutations(range(1, n + 1)):
-        assert auto.classify(p) == oracle.classify(cat, p), (format_row(row), p)
+        want = oracle.classify(cat, p)
+        assert auto.classify(p) == want == labeller(p), (format_row(row), p)
     assert auto.counts == _oracle_counts(cat, n), format_row(row)
 
 

@@ -31,7 +31,7 @@ from stacksort.census import (
     save_report,
 )
 from stacksort.formulas import REGISTRY, verify_census
-from stacksort.patterns import CompiledCatalog, builtin_catalog, tier
+from stacksort.patterns import builtin_catalog, tier
 from stacksort.words import (
     Word,
     descents,
@@ -42,6 +42,8 @@ from stacksort.words import (
     stack_sort_pass,
     unrank,
 )
+
+import _matching_oracle as oracle
 
 
 # Frozen small-length distributions, cross-checked against the counting
@@ -86,26 +88,27 @@ def _passes_to_identity(w):
 
 
 @lru_cache(maxsize=None)
-def _reference_catalog(n, tiers):
-    """The built-in catalog compiled for length n under the tier table
-    ``tiers``, built once per pair and apart from ``Catalog.compiled``: the
-    key is the table itself, so a test that patches ``patterns._TIERS``
-    never reuses a catalog compiled under other floors."""
-    return CompiledCatalog(builtin_catalog(), n)
+def _reference_labeller(n, tiers):
+    """The independent labeller of the built-in catalog at length n under
+    the tier table ``tiers``, built once per pair: the key is the table
+    itself, so a test that patches ``patterns._TIERS`` never reuses one
+    built under other floors."""
+    return oracle.Labeller(builtin_catalog(), n)
 
 
 def _reference_words(n, lo, hi):
     """(complexity, descents, label) of ranks [lo, hi), one word at a time
     through unrank, next_permutation, whole stack passes, descents and the
-    compiled classify: the census kernel before the prefix-tree walk, kept
+    independent labeller of ``_matching_oracle``, which shares no table
+    with the automaton: the census kernel before the prefix-tree walk, kept
     as its oracle.  Raises CensusSoundnessError like the kernel."""
     if hi <= lo:
         return
-    cc = _reference_catalog(n, patterns_mod._TIERS)
+    label_of = _reference_labeller(n, patterns_mod._TIERS)
     ceiling = census_mod.none_ceiling(n)
     w = list(unrank(n, lo))
     for r in range(lo, hi):
-        k, label = _passes_to_identity(w), cc.classify(w)
+        k, label = _passes_to_identity(w), label_of(w)
         certified = ceiling if label is None else n - tier(label)[0]
         if k > certified or (label is not None and k != certified):
             raise CensusSoundnessError(w, r, label, k, certified)
@@ -268,9 +271,9 @@ def test_a_failed_run_leaves_no_run_state(monkeypatch):
 
 @fork_only
 def test_each_pool_worker_keeps_its_dicts_for_the_run(monkeypatch):
-    # each worker computes each S(w) at most once for all the shards it
-    # takes, so two workers together compute at most twice |S(S_9)|; fresh
-    # dicts for every shard would compute about 49,800
+    # each job, this process or the worker, computes each S(w) at most once
+    # for all the shards it takes, so the two together compute at most twice
+    # |S(S_9)|; fresh dicts for every shard would compute about 49,800
     calls = multiprocessing.Value("i", 0)
     complexity = census_mod._complexity
 
@@ -963,8 +966,10 @@ def test_partial_resume_sizes_the_pool_to_the_shards_left(tmp_path, census_cache
     d = str(tmp_path / "ck")
     run_census(6, shard_count=8, checkpoint_dir=d)
     started = _started_workers(monkeypatch)
-    for missing, workers in (((2, 5, 7), 3),
-                             ((3,), 0)):  # one shard left runs in this process
+    # this process is one of the jobs: three shards left at jobs 4 start two
+    # workers, and one shard left runs in this process alone
+    for missing, workers in (((2, 5, 7), 2),
+                             ((3,), 0)):
         # a file kept keeps the time set here; a shard computed is written anew
         for name in os.listdir(d):
             os.utime(os.path.join(d, name), ns=(0, 0))
@@ -983,28 +988,29 @@ def test_partial_resume_sizes_the_pool_to_the_shards_left(tmp_path, census_cache
 
 @fork_only
 def test_a_worker_that_dies_stops_the_run_and_leaves_whole_files(tmp_path, monkeypatch):
-    # one worker ends hard in the middle of shard 4; the run raises
-    # BrokenProcessPool, ends the other worker, leaves only whole shard
-    # files, and a resume finishes the census
+    # the worker ends hard at the start of its second shard, while this
+    # process computes its own; the run raises BrokenProcessPool, leaves
+    # only whole shard files, the dead worker's shard not among them, and a
+    # resume finishes the census
     d, shards = str(tmp_path / "ck"), 11
-    parent, kernel = os.getpid(), census_mod._shard_kernel
-    lo = 4 * factorial(8) // shards
+    parent, kernel, seen = os.getpid(), census_mod._shard_kernel, []
 
     def dying_kernel(n, start, hi, dicts=None):
-        if start == lo and os.getpid() != parent:
-            os._exit(1)
+        if os.getpid() != parent:
+            seen.append(start)  # the worker's own copy of the list
+            if len(seen) == 2:
+                os._exit(1)
         return kernel(n, start, hi, dicts)
 
     monkeypatch.setattr(census_mod, "_shard_kernel", dying_kernel)
     started = _started_workers(monkeypatch)
     with pytest.raises(BrokenProcessPool):
         run_census(8, shard_count=shards, jobs=2, checkpoint_dir=d)
-    assert len(started) == 2 and 1 in [p.exitcode for p in started]
-    assert not [p for p in started if p.exitcode is None]
+    assert [p.exitcode for p in started] == [1] and not seen
     assert not multiprocessing.active_children()
     levels, sha = builtin_catalog().levels(8), census_mod._catalog_sha256()
     names = sorted(os.listdir(d))
-    assert f"shard-8-{shards}-0004.json" not in names
+    assert 0 < len(names) < shards
     for name in names:
         i = int(name.removeprefix(f"shard-8-{shards}-").removesuffix(".json"))
         header = census_mod._shard_header(8, shards, i, i * factorial(8) // shards,
@@ -1018,7 +1024,10 @@ def test_a_worker_that_dies_stops_the_run_and_leaves_whole_files(tmp_path, monke
 @fork_only
 def test_a_soundness_failure_in_a_worker_is_the_serial_runs(monkeypatch):
     # with no complexity certified for an unclassified word, every word of
-    # S_6 fails, and two workers report the lowest-ranked, as one job does
+    # S_6 fails, and two jobs report the lowest-ranked, as one job does;
+    # when only the worker's words fail, the run raises the first word of
+    # the worker's first shard, shard 1, as the kernel raises it here
+    parent, ceiling = os.getpid(), census_mod.none_ceiling
     monkeypatch.setattr(census_mod, "none_ceiling", lambda n: -1)
     raised = []
     for jobs in (1, 2):
@@ -1027,13 +1036,23 @@ def test_a_soundness_failure_in_a_worker_is_the_serial_runs(monkeypatch):
         raised.append((exc.value.word, exc.value.rank, str(exc.value)))
     assert raised[0] == raised[1]
     assert raised[0][:2] == ((1, 2, 3, 4, 5, 6), 0)
+    with pytest.raises(CensusSoundnessError) as exc:
+        census_mod._shard_kernel(6, 90, 180)
+    raised = [(exc.value.word, exc.value.rank, str(exc.value))]
+    monkeypatch.setattr(census_mod, "none_ceiling",
+                        lambda n: -1 if os.getpid() != parent else ceiling(n))
+    with pytest.raises(CensusSoundnessError) as exc:
+        run_census(6, shard_count=8, jobs=2)
+    assert (exc.value.word, exc.value.rank, str(exc.value)) == raised[0]
+    assert exc.value.rank == 90
 
 
 @fork_only
 def test_a_pooled_run_raises_the_failure_of_the_lowest_shard(tmp_path, monkeypatch):
-    # shard 1 fails while shard 0, handed out before it, still runs and
-    # then fails too: the run hands out no further shard, waits for shard
-    # 0 and raises its failure, the one a serial run raises
+    # this process takes shard 0 and the worker shards 1 to 3; shard 1
+    # fails while shard 0 still runs and then fails too: the run hands out
+    # no further shard, waits for shards 2 and 3, which the worker saves,
+    # and raises shard 0's failure, the one a serial run raises
     d = str(tmp_path / "ck")
     kernel = census_mod._shard_kernel
 
@@ -1046,8 +1065,112 @@ def test_a_pooled_run_raises_the_failure_of_the_lowest_shard(tmp_path, monkeypat
     monkeypatch.setattr(census_mod, "_shard_kernel", failing_kernel)
     with pytest.raises(ValueError, match="^shard 0$"):
         run_census(6, shard_count=8, jobs=2, checkpoint_dir=d)
-    assert os.listdir(d) == []
+    assert sorted(os.listdir(d)) == ["shard-6-8-0002.json", "shard-6-8-0003.json"]
     assert not multiprocessing.active_children()
+
+
+def test_a_pooled_n10_run_and_its_resume_give_the_pinned_checksum(tmp_path, extended):
+    # the run this process and one worker share, checkpointed, then a resume
+    # that recomputes three deleted shards
+    if not extended:
+        pytest.skip("n = 10 runs with STACKSORT_EXTENDED=1")
+    d = str(tmp_path / "ck")
+    c = run_census(10, shard_count=64, jobs=2, checkpoint_dir=d)
+    assert c.checksum == PINNED_CHECKSUMS[10]
+    for index in (0, 31, 63):
+        os.remove(os.path.join(d, f"shard-10-64-{index:04d}.json"))
+    c = run_census(10, shard_count=64, jobs=2, checkpoint_dir=d, resume=True)
+    assert c.checksum == PINNED_CHECKSUMS[10]
+    assert len(os.listdir(d)) == 64
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_this_process_is_one_of_the_jobs(jobs, monkeypatch):
+    # jobs K start K - 1 workers, none for one job, and this process
+    # computes shards of its own with them
+    parent, kernel, here = os.getpid(), census_mod._shard_kernel, []
+
+    def recording_kernel(n, lo, hi, dicts=None):
+        if os.getpid() == parent:
+            here.append(lo)
+        return kernel(n, lo, hi, dicts)
+
+    monkeypatch.setattr(census_mod, "_shard_kernel", recording_kernel)
+    started = _started_workers(monkeypatch)
+    assert run_census(8, shard_count=11, jobs=jobs).checksum == PINNED_CHECKSUMS[8]
+    assert len(started) == jobs - 1
+    assert here and (jobs > 1 or len(here) == 11)
+    assert not multiprocessing.active_children()
+
+
+def test_a_worker_ends_while_this_process_computes(monkeypatch):
+    # two shards at jobs 2: this process takes shard 0, and the worker
+    # shard 1 and then, the queue being empty, None, so that the worker
+    # ends while this process still computes its shard
+    parent, kernel, ended = os.getpid(), census_mod._shard_kernel, []
+
+    def waiting_kernel(n, lo, hi, dicts=None):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 10
+            while started[0].exitcode is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            ended.append(started[0].exitcode)
+        return kernel(n, lo, hi, dicts)
+
+    monkeypatch.setattr(census_mod, "_shard_kernel", waiting_kernel)
+    started = _started_workers(monkeypatch)
+    assert run_census(8, shard_count=2, jobs=2).checksum == PINNED_CHECKSUMS[8]
+    assert ended == [0]
+
+
+@fork_only
+def test_a_soundness_failure_in_this_process_ends_the_worker(monkeypatch):
+    # every word fails in this process and none in the worker: the run
+    # stops at the first shard computed here, lets the worker finish the
+    # shards it holds and end, and raises the first word of that shard,
+    # the lowest-ranked word that fails
+    parent, ceiling = os.getpid(), census_mod.none_ceiling
+    monkeypatch.setattr(census_mod, "none_ceiling",
+                        lambda n: -1 if os.getpid() == parent else ceiling(n))
+    kernel, here = census_mod._shard_kernel, []
+
+    def recording_kernel(n, lo, hi, dicts=None):
+        if os.getpid() == parent:
+            here.append(lo)
+        return kernel(n, lo, hi, dicts)
+
+    monkeypatch.setattr(census_mod, "_shard_kernel", recording_kernel)
+    started = _started_workers(monkeypatch)
+    with pytest.raises(CensusSoundnessError) as exc:
+        run_census(8, shard_count=11, jobs=2)
+    assert len(here) == 1
+    assert (exc.value.rank, exc.value.word) == (here[0], unrank(8, here[0]))
+    assert [p.exitcode for p in started] == [0]
+    assert not multiprocessing.active_children()
+
+
+@fork_only
+def test_an_interrupt_in_this_process_s_shard_ends_the_workers(tmp_path, monkeypatch):
+    # an interrupt while this process saves a shard of its own removes the
+    # temp file, terminates the worker and leaves only whole shard files
+    d, parent, replace = str(tmp_path / "ck"), os.getpid(), os.replace
+
+    def interrupted(src, dst):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        replace(src, dst)
+
+    monkeypatch.setattr(census_mod.os, "replace", interrupted)
+    started = _started_workers(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        run_census(8, shard_count=11, jobs=2, checkpoint_dir=d)
+    monkeypatch.undo()
+    assert len(started) == 1 and started[0].exitcode is not None
+    assert not multiprocessing.active_children()
+    names = os.listdir(d)
+    assert not [name for name in names if name.endswith(".tmp")]
+    assert run_census(8, shard_count=11, jobs=2, checkpoint_dir=d,
+                      resume=True).checksum == PINNED_CHECKSUMS[8]
 
 
 def _stamped(payload):
